@@ -347,13 +347,12 @@ let ablations () =
    race count through the batch fault boundary), so corpus-level race
    drift is tracked alongside the synthetic workloads,
 
-   plus one "pta:<workload>" row per workload pitting the round/delta
-   engine against the frozen serial reference solver (Oracle): the
-   oracle's median solve time, the engine's at jobs=1 and jobs=4, the
-   resulting speedup, the engine's worklist/SCC counters, and a
-   fingerprint-equality bit. CI gates on these rows: counters must match
-   the committed run exactly, facts_equal must hold, and the zookeeper
-   speedup has a floor. *)
+   plus one "pta:<workload>" row per workload pitting the
+   difference-propagation solver against the frozen reference solver
+   (Oracle): both median solve times, the speedup (oracle / solver), the
+   solver's worklist/SCC counters, and a fingerprint-equality bit. CI
+   gates on these rows: counters must match the committed run exactly,
+   facts_equal must hold, and the speedup has a floor. *)
 (* stage:<name> rows: the flat-IR post-PTA stages (SHB build, race
    detection, OSA scan) against the legacy AST tree-walkers kept as test
    oracles, on the heaviest distributed workload. Each row carries the
@@ -448,28 +447,25 @@ let trajectory ?(path = "BENCH_o2.json") () =
         let oracle_dt =
           median_time ~runs:5 (fun () -> ignore (Oracle.analyze p))
         in
-        let serial_dt =
-          median_time ~runs:5 (fun () -> ignore (Solver.analyze ~jobs:1 p))
+        let solver_dt =
+          median_time ~runs:5 (fun () -> ignore (Solver.analyze p))
         in
-        let par_dt =
-          median_time ~runs:5 (fun () -> ignore (Solver.analyze ~jobs:4 p))
-        in
-        let r = Solver.analyze ~jobs:4 p in
+        let r = Solver.analyze p in
         let m = r.Solver.stats in
         let facts_equal =
           Solver.fingerprint r = Oracle.fingerprint (Oracle.analyze p)
         in
-        let speedup = oracle_dt /. max 1e-9 par_dt in
+        let speedup = oracle_dt /. max 1e-9 solver_dt in
         pf
-          "pta:%-9s oracle %.4fs  jobs=1 %.4fs  jobs=4 %.4fs  %.2fx  \
-           iters %d  scc %d  facts %s\n"
-          name oracle_dt serial_dt par_dt speedup
+          "pta:%-9s oracle %.4fs  solver %.4fs  %.2fx  iters %d  scc %d  \
+           facts %s\n"
+          name oracle_dt solver_dt speedup
           (O2_util.Metrics.get m "pta.worklist_iters")
           (O2_util.Metrics.get m "pta.scc_collapsed")
           (if facts_equal then "equal" else "DIFFER");
         Printf.sprintf
-          {|{"bench":"pta:%s","policy":"O2","oracle_ms":%.3f,"jobs1_ms":%.3f,"par_ms":%.3f,"speedup":%.2f,"worklist_iters":%d,"scc_collapsed":%d,"facts_equal":%b}|}
-          name (oracle_dt *. 1e3) (serial_dt *. 1e3) (par_dt *. 1e3) speedup
+          {|{"bench":"pta:%s","policy":"O2","oracle_ms":%.3f,"solver_ms":%.3f,"speedup":%.2f,"worklist_iters":%d,"scc_collapsed":%d,"facts_equal":%b}|}
+          name (oracle_dt *. 1e3) (solver_dt *. 1e3) speedup
           (O2_util.Metrics.get m "pta.worklist_iters")
           (O2_util.Metrics.get m "pta.scc_collapsed")
           facts_equal)

@@ -145,11 +145,10 @@ let analyze_cmd =
       value & opt jobs_conv 1
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
-            "Run the pipeline on $(docv) worker domains (default 1 = \
-             serial): the pointer-analysis worklist is sharded $(docv) \
-             ways by origin and the per-target race checks fan out over \
-             the same domains. Output is byte-identical to a serial run. \
-             Ignored by $(b,--naive).")
+            "Fan the per-target race checks out over $(docv) worker \
+             domains (default 1 = serial); the pointer analysis is always \
+             serial. Output is byte-identical to a serial run. Ignored by \
+             $(b,--naive).")
   in
   let run file entry policy no_serial naive no_region json stats jobs =
     handle_errors @@ fun () ->

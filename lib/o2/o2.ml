@@ -49,8 +49,8 @@ let run (cfg : Config.t) p =
     sp "analyze" (fun () ->
         let solver =
           sp "pta" (fun () ->
-              O2_pta.Solver.analyze ~policy:cfg.Config.policy
-                ~jobs:cfg.Config.jobs ?metrics:m ?budget:cfg.Config.budget p)
+              O2_pta.Solver.analyze ~policy:cfg.Config.policy ?metrics:m
+                ?budget:cfg.Config.budget p)
         in
         deadline_gate ();
         let graph =

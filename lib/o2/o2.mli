@@ -36,11 +36,11 @@ module Config : sig
         (** observability sink threaded through every stage; [None]
             (default) costs nothing on any hot path *)
     jobs : int;
-        (** worker domains for the whole pipeline (default 1 = serial;
-            requires OCaml 5): the PTA solve shards its worklist [jobs]
-            ways by origin and the race-detection pair scan fans out over
-            [jobs] domains; the batch driver reuses the same knob for
-            corpus fan-out. Output is byte-identical for every value. *)
+        (** worker domains for race detection (default 1 = serial;
+            requires OCaml 5): the race-detection pair scan fans out over
+            [jobs] domains, and the batch driver reuses the same knob for
+            corpus fan-out. The PTA solve is always serial. Output is
+            byte-identical for every value. *)
     budget : O2_util.Budget.t option;
         (** resource budget: the PTA worklist checks it every step, and the
             wall-clock deadline is re-checked between pipeline stages.

@@ -23,7 +23,6 @@ type t =
   | Corigin of int list
 
 let equal (a : t) (b : t) = a = b
-let hash (c : t) = Hashtbl.hash c
 
 let pp ppf = function
   | Cempty -> Format.pp_print_string ppf "[]"

@@ -35,7 +35,6 @@ type t =
   | Corigin of int list
 
 val equal : t -> t -> bool
-val hash : t -> int
 val pp : Format.formatter -> t -> unit
 
 (** Analysis policies of Table 5: [Insensitive] ≙ 0-ctx (D4's engine),

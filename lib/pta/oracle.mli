@@ -4,7 +4,7 @@
     out of the production pipeline. It exists for two jobs:
 
     - {b certification}: the property tests solve every workload with both
-      this oracle and the round-based parallel engine ({!Solver.analyze})
+      this oracle and the difference-propagation solver ({!Solver.analyze})
       and assert the {!fingerprint}s are byte-identical — the
       equivalence-class style of validation the paper's artifact used;
     - {b honest baselines}: the benchmark trajectory reports the engine's

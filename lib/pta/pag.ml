@@ -44,20 +44,11 @@ let edge_key src dst =
 (* Difference-propagation invariant: [pts.(n)] holds the confirmed
    points-to set of [n]; [delta.(n)] holds pending {e candidates} (they may
    already be in [pts] — deduplication happens at the pop via
-   [Bitset.take_fresh]). [pending.(n)] accumulates fresh objects of watched
-   nodes between propagation and [flush_fires].
-
-   Concurrency contract (the origin-sharded parallel solve): node [n] is
-   owned by shard [shard.(n)]. During a parallel drain a shard mutates
-   [pts]/[delta]/[pending]/[on_wl]/[wl] only for nodes it owns; deltas for
-   foreign nodes go into its outbox row and are merged serially at the
-   barrier. All structural mutation (interning, edges, watchers, union-find
-   merges) happens in serial phases only. *)
+   [Bitset.take_fresh_span]). [pending.(n)] accumulates fresh objects of
+   watched nodes between propagation and [flush_fires]. *)
 type t = {
   objs : ObjIntern.t;
   nodes : NodeIntern.t;
-  n_shards : int;
-  shard_of : node -> int;
   dummy : Bitset.t;
       (* shared sentinel filling the set arrays: a slot holds [dummy] until
          its first write ([materialize]), so growing the arrays allocates no
@@ -69,41 +60,31 @@ type t = {
   mutable succs : int list array;
   mutable watchers : (int -> unit) list array;  (* newest first *)
   mutable watched : bool array;
-  mutable shard : int array;
   mutable uf : int array;  (* union-find parents; uf.(i) = i means root *)
   mutable on_wl : bool array;
   edge_set : unit EdgeTbl.t;
-  wl : int list array;  (* per-shard LIFO worklists *)
-  outbox : (int * Bitset.t) list array array;  (* [src_shard].(dst_shard) *)
-  fire_wl : int list array;
-      (* per-shard: watched nodes whose [pending] went nonempty since the
-         last flush — flush visits only these instead of scanning every
-         node *)
-  scratch : Bitset.t array;
-      (* per-shard scratch for [Bitset.take_fresh_into]: the drain pop
+  mutable wl : int list;  (* LIFO worklist *)
+  mutable fire_wl : int list;
+      (* watched nodes whose [pending] went nonempty since the last flush —
+         flush visits only these instead of scanning every node *)
+  scratch : Bitset.t;
+      (* reused by every pop for [Bitset.take_fresh_span]: the drain
          allocates nothing *)
   (* plain-int instrumentation, always on (no allocation, flushed into a
-     Metrics sink by the solver at the end of the run). The scheduling
-     counters live in per-shard slots: during a parallel drain a shard
-     schedules and pops only nodes it owns, so each slot is written by
-     exactly one domain, and the accessor fold at the end is exact —
-     unlike a shared scalar, which would race. *)
-  wl_n : int array;  (* per-shard current worklist lengths *)
-  wl_peak : int array;  (* per-shard peak worklist lengths *)
-  wl_pushes : int array;  (* per-shard scheduling counts *)
+     Metrics sink by the solver at the end of the run) *)
+  mutable wl_n : int;  (* current worklist length *)
+  mutable wl_peak : int;
+  mutable wl_pushes : int;
   mutable n_wl_iters : int;
   mutable n_pts_adds : int;
   mutable n_fires : int;
   mutable n_collapsed : int;
 }
 
-let create ?(shards = 1) ?(shard_of = fun _ -> 0) () =
-  let shards = max 1 shards in
+let create () =
   {
     objs = ObjIntern.create ();
     nodes = NodeIntern.create ();
-    n_shards = shards;
-    shard_of;
     dummy = Bitset.create ();
     pts = [||];
     delta = [||];
@@ -111,36 +92,30 @@ let create ?(shards = 1) ?(shard_of = fun _ -> 0) () =
     succs = [||];
     watchers = [||];
     watched = [||];
-    shard = [||];
     uf = [||];
     on_wl = [||];
     edge_set = EdgeTbl.create 256;
-    wl = Array.make shards [];
-    outbox = Array.init shards (fun _ -> Array.make shards []);
-    fire_wl = Array.make shards [];
-    scratch = Array.init shards (fun _ -> Bitset.create ());
-    wl_n = Array.make shards 0;
-    wl_peak = Array.make shards 0;
-    wl_pushes = Array.make shards 0;
+    wl = [];
+    fire_wl = [];
+    scratch = Bitset.create ();
+    wl_n = 0;
+    wl_peak = 0;
+    wl_pushes = 0;
     n_wl_iters = 0;
     n_pts_adds = 0;
     n_fires = 0;
     n_collapsed = 0;
   }
 
-let obj_hash = ObjIntern.hash_key
-let node_hash = NodeIntern.hash_key
-let obj_id_hashed g ~hash o = ObjIntern.intern_hashed g.objs ~hash o
 let obj_id g o = ObjIntern.intern g.objs o
-let find_obj_hashed g ~hash o = ObjIntern.find_hashed g.objs ~hash o
 let obj g id = ObjIntern.value g.objs id
 let n_objs g = ObjIntern.count g.objs
 
 let grow g n =
   let cap = Array.length g.pts in
   if n > cap then begin
-      let cap' = max 256 (max n (cap * 4)) in
-    (* blit-extend: a closure call per slot across nine parallel arrays made
+    let cap' = max 256 (max n (cap * 4)) in
+    (* blit-extend: a closure call per slot across eight arrays made
        growth a measurable slice of small solves *)
     let ext fill a =
       let a' = Array.make cap' fill in
@@ -153,7 +128,6 @@ let grow g n =
     g.succs <- ext [] g.succs;
     g.watchers <- ext [] g.watchers;
     g.watched <- ext false g.watched;
-    g.shard <- ext 0 g.shard;
     let uf' = Array.make cap' 0 in
     Array.blit g.uf 0 uf' 0 cap;
     for i = cap to cap' - 1 do
@@ -163,25 +137,17 @@ let grow g n =
     g.on_wl <- ext false g.on_wl
   end
 
-let node_id_hashed g ~hash n =
-  let before = NodeIntern.count g.nodes in
-  let id = NodeIntern.intern_hashed g.nodes ~hash n in
-  if id >= before then begin
-    grow g (id + 1);
-    g.shard.(id) <- g.shard_of n mod g.n_shards
-  end;
+let node_id g n =
+  let id = NodeIntern.intern g.nodes n in
+  grow g (id + 1);
   id
 
-let node_id g n = node_id_hashed g ~hash:(node_hash n) n
-let find_node_hashed g ~hash n = NodeIntern.find_hashed g.nodes ~hash n
+let find_node g n = NodeIntern.find_opt g.nodes n
 let node g id = NodeIntern.value g.nodes id
 let n_nodes g = NodeIntern.count g.nodes
 let n_edges g = EdgeTbl.length g.edge_set
 
-(* Path-halving find. Entries only ever move toward their root, and roots
-   are changed exclusively in serial phases, so the benign races of
-   concurrent path compression during parallel drains still always read a
-   valid ancestor. *)
+(* Path-halving find. *)
 let rec find g i =
   let p = g.uf.(i) in
   if p = i then i
@@ -209,18 +175,11 @@ let materialize g (a : Bitset.t array) n =
 let schedule g n =
   if not g.on_wl.(n) then begin
     g.on_wl.(n) <- true;
-    let sh = g.shard.(n) in
-    g.wl.(sh) <- n :: g.wl.(sh);
-    g.wl_pushes.(sh) <- g.wl_pushes.(sh) + 1;
-    let len = g.wl_n.(sh) + 1 in
-    g.wl_n.(sh) <- len;
-    if len > g.wl_peak.(sh) then g.wl_peak.(sh) <- len
+    g.wl <- n :: g.wl;
+    g.wl_pushes <- g.wl_pushes + 1;
+    g.wl_n <- g.wl_n + 1;
+    if g.wl_n > g.wl_peak then g.wl_peak <- g.wl_n
   end
-
-(* Total pending work, summed from the per-shard lengths — accurate at any
-   serial point (shard boundaries included: each length is maintained by
-   its owning domain). *)
-let wl_total g = Array.fold_left ( + ) 0 g.wl_n
 
 let add_obj g n o =
   let n = find g n in
@@ -244,118 +203,43 @@ let add_watcher g n f =
 
 (* -- propagation -------------------------------------------------------- *)
 
-(* Drain the worklist of [sh] to local quiescence. Fresh objects flow to
-   owned successors directly and to foreign successors via the outbox. *)
-let drain g check sh =
-  let iters = ref 0 and adds = ref 0 in
-  let base = g.n_wl_iters in
-  let scratch = g.scratch.(sh) in
+(* Drain the worklist to quiescence: each pop commits the node's fresh
+   candidates and forwards exactly those along its copy edges. *)
+let propagate ?check g =
+  let scratch = g.scratch in
   let rec loop () =
-    match g.wl.(sh) with
+    match g.wl with
     | [] -> ()
     | n :: rest ->
-        g.wl.(sh) <- rest;
+        g.wl <- rest;
         g.on_wl.(n) <- false;
-        g.wl_n.(sh) <- g.wl_n.(sh) - 1;
-        incr iters;
-        (match check with Some f -> f (base + !iters) | None -> ());
+        g.wl_n <- g.wl_n - 1;
+        g.n_wl_iters <- g.n_wl_iters + 1;
+        (match check with Some f -> f g.n_wl_iters | None -> ());
         let lo, hi =
           Bitset.take_fresh_span ~scratch ~pts:(materialize g g.pts n)
             ~delta:g.delta.(n)
         in
         if hi > 0 then begin
-          adds := !adds + Bitset.cardinal_span scratch ~lo ~hi;
+          g.n_pts_adds <- g.n_pts_adds + Bitset.cardinal_span scratch ~lo ~hi;
           List.iter
             (fun dst0 ->
               let dst = find g dst0 in
               if dst <> n then begin
-                let dsh = g.shard.(dst) in
-                if dsh = sh then begin
-                  Bitset.union_span_into ~into:(materialize g g.delta dst)
-                    scratch ~lo ~hi;
-                  schedule g dst
-                end
-                else
-                  (* the scratch set is recycled next pop: cross-shard
-                     deltas get their own copy for the barrier merge *)
-                  g.outbox.(sh).(dsh) <-
-                    (dst, Bitset.copy_span scratch ~lo ~hi)
-                    :: g.outbox.(sh).(dsh)
+                Bitset.union_span_into ~into:(materialize g g.delta dst)
+                  scratch ~lo ~hi;
+                schedule g dst
               end)
             g.succs.(n);
           if g.watched.(n) then begin
-            if Bitset.is_empty g.pending.(n) then
-              g.fire_wl.(sh) <- n :: g.fire_wl.(sh);
+            if Bitset.is_empty g.pending.(n) then g.fire_wl <- n :: g.fire_wl;
             Bitset.union_span_into ~into:(materialize g g.pending n) scratch
               ~lo ~hi
           end
         end;
         loop ()
   in
-  loop ();
-  (!iters, !adds)
-
-(* One parallel propagation phase: alternate concurrent shard drains with
-   serial outbox merges until every worklist is empty. With one shard (or no
-   pool) this degenerates to the plain serial worklist loop. *)
-let propagate ?check ?pool g =
-  let shards = g.n_shards in
-  let iters = Array.make shards 0 and adds = Array.make shards 0 in
-  let run_shards f =
-    (* re-evaluated every phase: barrier merges reschedule work, so later
-       phases of the same propagate call still go parallel when the merged
-       worklists are deep enough *)
-    match pool with
-    | Some p when Pool.size p > 1 && wl_total g >= 64 ->
-        (* the pool may be narrower than the shard count (workers are
-           clamped to the hardware): workers claim whole shards through one
-           atomic cursor, so each shard's state is still touched by exactly
-           one domain *)
-        let cursor = Atomic.make 0 in
-        Pool.run p (fun _ ->
-            let rec work () =
-              let sh = Atomic.fetch_and_add cursor 1 in
-              if sh < shards then begin
-                f sh;
-                work ()
-              end
-            in
-            work ())
-    | _ ->
-        for sh = 0 to shards - 1 do
-          f sh
-        done
-  in
-  let continue_ = ref (Array.exists (fun l -> l <> []) g.wl) in
-  while !continue_ do
-    run_shards (fun sh ->
-        let it, ad = drain g check sh in
-        iters.(sh) <- iters.(sh) + it;
-        adds.(sh) <- adds.(sh) + ad);
-    (* barrier: merge cross-shard deltas, reschedule their owners *)
-    let any = ref false in
-    for src = 0 to shards - 1 do
-      for dsh = 0 to shards - 1 do
-        match g.outbox.(src).(dsh) with
-        | [] -> ()
-        | entries ->
-            g.outbox.(src).(dsh) <- [];
-            List.iter
-              (fun (dst, fresh) ->
-                if Bitset.union_into ~into:(materialize g g.delta dst) fresh
-                then begin
-                  schedule g dst;
-                  any := true
-                end)
-              entries
-      done
-    done;
-    g.n_wl_iters <- g.n_wl_iters + Array.fold_left ( + ) 0 iters;
-    g.n_pts_adds <- g.n_pts_adds + Array.fold_left ( + ) 0 adds;
-    Array.fill iters 0 shards 0;
-    Array.fill adds 0 shards 0;
-    continue_ := !any
-  done
+  loop ()
 
 (* Fire accumulated deltas of watched nodes, in deterministic order: nodes
    ascending, objects ascending, watchers in registration order. Watcher
@@ -363,14 +247,10 @@ let propagate ?check ?pool g =
    lists are snapshotted first and new work lands in delta/pending for the
    next round. *)
 let flush_fires g =
-  let hot = ref [] in
-  for sh = 0 to g.n_shards - 1 do
-    hot := List.rev_append g.fire_wl.(sh) !hot;
-    g.fire_wl.(sh) <- []
-  done;
-  (* sort (and dedup — drains of successive rounds may both record a node)
-     so delivery order is nodes ascending regardless of drain order *)
-  let hot = List.sort_uniq Int.compare !hot in
+  (* sort (deduplicating) so delivery order is nodes ascending regardless
+     of drain order *)
+  let hot = List.sort_uniq Int.compare g.fire_wl in
+  g.fire_wl <- [];
   let fired = ref false in
   List.iter
     (fun id ->
@@ -395,8 +275,8 @@ let flush_fires g =
 (* Iterative Tarjan over the canonical copy graph; every copy cycle is
    collapsed onto its minimum unwatched member via union-find. Watched
    nodes are left out of the union: merging them would require per-watcher
-   catch-up firing, and cycles through watched nodes are rare. Runs only in
-   serial phases; rebuilds the worklists so no stale member ids remain. *)
+   catch-up firing, and cycles through watched nodes are rare. Rebuilds
+   the worklist so no stale member ids remain. *)
 let collapse_sccs g =
   let n = NodeIntern.count g.nodes in
   if n = 0 then 0
@@ -529,16 +409,14 @@ let collapse_sccs g =
       (* remap worklists: members collapse onto their representative, and
          any representative whose merge parked candidates in its delta is
          (re)scheduled so the next propagation delivers them *)
-      let old = Array.copy g.wl in
-      for sh = 0 to g.n_shards - 1 do
-        List.iter (fun v -> g.on_wl.(v) <- false) g.wl.(sh);
-        g.wl.(sh) <- [];
-        g.wl_n.(sh) <- 0
-      done;
-      Array.iter
-        (List.iter (fun v ->
-             let r = find g v in
-             if not (Bitset.is_empty g.delta.(r)) then schedule g r))
+      let old = g.wl in
+      List.iter (fun v -> g.on_wl.(v) <- false) old;
+      g.wl <- [];
+      g.wl_n <- 0;
+      List.iter
+        (fun v ->
+          let r = find g v in
+          if not (Bitset.is_empty g.delta.(r)) then schedule g r)
         old;
       List.iter
         (fun rep ->
@@ -559,8 +437,8 @@ let solve ?check g =
 let iter_nodes f g = NodeIntern.iter (fun id n -> f id n (pts g id)) g.nodes
 
 let n_worklist_iters g = g.n_wl_iters
-let n_worklist_pushes g = Array.fold_left ( + ) 0 g.wl_pushes
-let worklist_peak g = Array.fold_left ( + ) 0 g.wl_peak
+let n_worklist_pushes g = g.wl_pushes
+let worklist_peak g = g.wl_peak
 let n_pts_adds g = g.n_pts_adds
 let n_fires g = g.n_fires
 let n_collapsed g = g.n_collapsed

@@ -19,17 +19,8 @@
     accumulated and delivered by {!flush_fires} in deterministic order
     (nodes ascending, objects ascending, watchers in registration order).
 
-    {2 Origin sharding}
-
-    The graph is created with a shard count and a [node -> shard] map
-    (the solver keys it on the origin context owning each node). Node
-    state is owned by its shard: {!propagate} drains each shard's
-    worklist on its own domain, accumulating deltas for foreign nodes
-    into per-domain outboxes that are merged serially at a barrier, and
-    iterates such sub-rounds to fixpoint. All structural mutation —
-    interning, edges, watchers, SCC merges — is restricted to serial
-    phases, which is what makes the frozen-table parallel reads safe and
-    the result independent of the shard count.
+    The graph is single-domain: one LIFO worklist, drained serially by
+    {!propagate}.
 
     {2 Cycle collapsing}
 
@@ -55,28 +46,13 @@ type node =
 
 type t
 
-(** [create ?shards ?shard_of ()] builds an empty graph. [shard_of]
-    assigns each node to a worklist shard in [0 .. shards-1] (reduced
-    modulo [shards]); defaults to a single shard. *)
-val create : ?shards:int -> ?shard_of:(node -> int) -> unit -> t
+(** [create ()] builds an empty graph. *)
+val create : unit -> t
 
-(** {2 Interning}
-
-    The [_hashed] variants take a key hash precomputed with {!node_hash} /
-    {!obj_hash} — parallel describe phases hash keys off the serial path
-    and the serial barrier interns without rehashing. Lookups ([find_*],
-    [node], [obj]) are safe from multiple domains while no domain interns. *)
-
-val obj_hash : obj -> int
-val node_hash : node -> int
+(** {2 Interning} *)
 
 (** [obj_id g o] interns an abstract object. *)
 val obj_id : t -> obj -> int
-
-val obj_id_hashed : t -> hash:int -> obj -> int
-
-(** [find_obj_hashed g ~hash o] is the id of [o], or [-1] when unknown. *)
-val find_obj_hashed : t -> hash:int -> obj -> int
 
 (** [obj g id] recovers an interned object. *)
 val obj : t -> int -> obj
@@ -87,10 +63,9 @@ val n_objs : t -> int
 (** [node_id g n] interns a PAG node. *)
 val node_id : t -> node -> int
 
-val node_id_hashed : t -> hash:int -> node -> int
-
-(** [find_node_hashed g ~hash n] is the id of [n], or [-1] when unknown. *)
-val find_node_hashed : t -> hash:int -> node -> int
+(** [find_node g n] is the id of [n] if already interned; it never
+    interns. *)
+val find_node : t -> node -> int option
 
 (** [node g id] recovers an interned node. *)
 val node : t -> int -> node
@@ -117,31 +92,28 @@ val pts : t -> int -> O2_util.Bitset.t
     but not yet committed by propagation (do not mutate). *)
 val delta : t -> int -> O2_util.Bitset.t
 
-(** [add_obj g n o] schedules object [o] for [pts n]. Serial phases only. *)
+(** [add_obj g n o] schedules object [o] for [pts n]. *)
 val add_obj : t -> int -> int -> unit
 
 (** [add_copy g ~src ~dst] adds a subset edge [pts src ⊆ pts dst];
     idempotent; schedules the current contents of [src] as candidates for
-    [dst]. Serial phases only. *)
+    [dst]. *)
 val add_copy : t -> src:int -> dst:int -> unit
 
 (** [add_watcher g n f] registers [f] to run on every object in [pts n]:
     immediately for the already-confirmed set, and via {!flush_fires} for
     every delta committed later. Watchers may add edges, objects and
-    watchers. Serial phases only. *)
+    watchers. *)
 val add_watcher : t -> int -> (int -> unit) -> unit
 
 (** {2 Solving} *)
 
-(** [propagate ?check ?pool g] drains all pending deltas to fixpoint —
-    pure copy propagation; watcher deliveries accumulate for
-    {!flush_fires}. With [pool], shards drain concurrently (one domain
-    each) with serial outbox merges between sub-rounds; results are
-    identical with or without it. [check] runs once per pop with the
-    cumulative pop count and may raise to abandon the solve — how
-    {!O2_util.Budget} ceilings are enforced (under a pool the count each
-    shard sees is approximate). *)
-val propagate : ?check:(int -> unit) -> ?pool:O2_util.Pool.t -> t -> unit
+(** [propagate ?check g] drains all pending deltas to fixpoint — pure
+    copy propagation; watcher deliveries accumulate for {!flush_fires}.
+    [check] runs once per pop with the exact cumulative pop count
+    ({!n_worklist_iters}) and may raise to abandon the solve — how
+    {!O2_util.Budget} ceilings are enforced. *)
+val propagate : ?check:(int -> unit) -> t -> unit
 
 (** [flush_fires g] delivers accumulated deltas of watched nodes to their
     watchers, in deterministic order; returns [true] if anything fired.
@@ -156,11 +128,10 @@ val flush_fires : t -> bool
     rest, including deltas in flight when the cycle closed, are
     re-delivered through its delta and the representative is rescheduled,
     so no candidate is lost to the merge. Callers must follow a merging
-    collapse with {!propagate} (or {!solve}) before reading final sets.
-    Serial phases only. *)
+    collapse with {!propagate} (or {!solve}) before reading final sets. *)
 val collapse_sccs : t -> int
 
-(** [solve ?check g] is the serial convenience loop:
+(** [solve ?check g] is the convenience loop:
     [propagate]/[flush_fires] until quiescent. Reentrant: may be called
     again after adding more constraints. *)
 val solve : ?check:(int -> unit) -> t -> unit
@@ -173,12 +144,7 @@ val iter_nodes : (int -> node -> O2_util.Bitset.t -> unit) -> t -> unit
 
     Always-on plain-integer counters (the increments cost nothing
     measurable); the solver flushes them into its {!O2_util.Metrics} sink
-    after the fixpoint. Scheduling counters are kept in per-shard slots —
-    a shard only schedules and pops nodes it owns, so parallel drains
-    never race on them — and folded by the accessors; all counters are
-    exact and deterministic for a given shard count. The fact counters
-    ([n_pts_adds], [n_pts_facts]) are additionally shard-count
-    independent. *)
+    after the fixpoint. All counters are exact and deterministic. *)
 
 (** [n_worklist_iters g] counts worklist items popped. *)
 val n_worklist_iters : t -> int
@@ -186,9 +152,9 @@ val n_worklist_iters : t -> int
 (** [n_worklist_pushes g] counts node schedulings. *)
 val n_worklist_pushes : t -> int
 
-(** [worklist_peak g] is the sum of the per-shard peak worklist depths —
-    an upper bound on the total work ever pending at once (exact with one
-    shard). *)
+(** [worklist_peak g] is the exact peak worklist depth: the most nodes
+    ever scheduled at once. (The former parallel solve reported the sum of
+    its per-origin worklists' peaks, an upper bound.) *)
 val worklist_peak : t -> int
 
 (** [n_pts_adds g] counts committed points-to facts (the

@@ -46,33 +46,9 @@ type reach_info = {
 (* A method instance whose body still has to be turned into constraints. *)
 type task = { tk_meth : Program.meth; tk_ctx : Context.t }
 
-(* A node description: structural key plus its hash, computed during the
-   (possibly parallel) describe phase so the serial apply barrier interns
-   without rehashing. [nd_id] caches the interned id after the first
-   resolve — describe shares one [nd] per variable per body, so a variable
-   used by many statements costs one intern probe, not one per use. *)
-type nd = { nd_hash : int; nd_key : Pag.node; mutable nd_id : int }
-
-(* One constraint of a described body. Simple ops resolve to graph edges;
-   the watcher ops ([OFieldW] .. [OPost]) install callbacks that run at
-   serial flush barriers and may in turn reach new bodies. *)
-type op =
-  | OCopy of nd * nd  (* src, dst *)
-  | OJoin of join
-  | OExtern of nd * int * Context.t  (* ret node, site, heap ctx (§4.3) *)
-  | OFieldW of nd * nd * Types.fname  (* base, src: base.f = src *)
-  | OFieldR of nd * nd * Types.fname  (* base, dst: dst = base.f *)
-  | OCallV of nd * int * Context.t * Types.mname * nd list * nd option
-      (* receiver, site, caller ctx, name, actuals, ret *)
-  | OCallS of int * Context.t * Program.meth * nd list * nd option
-  | OStart of nd * int * Context.t * bool  (* receiver, site, ctx, in_loop *)
-  | OPost of nd * int * Context.t * nd list * bool
-  | ONew of int * nd * Types.cname * nd list * meth_key
-      (* site, lhs, class, ctor actuals, enclosing instance *)
-
 type tables = {
   t_program : Program.t;
-  t_flat : Flat.t;  (* dense lowering; describe reads only this *)
+  t_flat : Flat.t;  (* dense lowering; [add_body] scans only this *)
   t_policy : Context.policy;
   t_pag : Pag.t;
   reach_tbl : (meth_key, reach_info) Hashtbl.t;
@@ -91,8 +67,6 @@ type tables = {
   origin_attr_nodes : (int, int list ref) Hashtbl.t;
   origin_attr_seen : (int * int, unit) Hashtbl.t;
       (* hashed dedup for origin_attr_nodes entries *)
-  has_named : (Types.mname, unit) Hashtbl.t;
-      (* method-name index: O(1) external-call detection in describe *)
   field_ids : (Types.fname, int) Hashtbl.t;
       (* dense field-name interning for the field-node memo *)
   fld_nodes : int IntTbl.t;
@@ -125,7 +99,6 @@ type result = {
   program : Program.t;
   flat : Flat.t;
   policy : Context.policy;
-  jobs : int;
   pag : Pag.t;
   spawns : spawn array;
   joins : join list;
@@ -134,7 +107,7 @@ type result = {
   icg : icg;
 }
 
-(* -- serial-phase helpers ----------------------------------------------- *)
+(* -- graph-building helpers --------------------------------------------- *)
 
 let a_nvar st (m : Program.meth) ctx v =
   Pag.node_id st.t_pag (Pag.NVar (m.Program.m_class, m.Program.m_name, v, ctx))
@@ -169,9 +142,9 @@ let heap_ctx policy (ctx : Context.t) : Context.t =
 
 (* [a_reach] marks a method instance reached. The body is not processed
    inline (the old engine recursed here): it is queued as a task for the
-   next round's describe phase. A call site arriving later at an
-   already-described body replays its origin allocations through the redo
-   closures — the paper's k=1 wrapper extension. *)
+   next round's [add_body]. A call site arriving later at an already-added
+   body replays its origin allocations through the redo closures — the
+   paper's k=1 wrapper extension. *)
 let a_reach st ?(via_site = -1) (m : Program.meth) (ctx : Context.t) =
   let key = (m.Program.m_class, m.Program.m_name, ctx) in
   let info =
@@ -201,9 +174,9 @@ let a_reach st ?(via_site = -1) (m : Program.meth) (ctx : Context.t) =
     st.pending <- { tk_meth = m; tk_ctx = ctx } :: st.pending
   end
   else if new_site then
-    (* sites recorded before the body's ops apply are folded in by [ONew]
-       itself (it reads [incoming] at apply time), so only genuinely late
-       sites replay here *)
+    (* sites recorded before the body is added are folded in by [a_new]
+       itself (it reads [incoming] then), so only genuinely late sites
+       replay here *)
     List.iter (fun redo -> redo via_site) info.origin_allocs
 
 (* Formal-parameter binding: actuals use the caller's context, formals the
@@ -379,175 +352,7 @@ let a_new st ~site ~ctx ~info ~xnode ~c ~arg_nodes =
       (fun ws -> alloc_under ~wrapper:ws) :: info.origin_allocs
   end
 
-(* -- describe ----------------------------------------------------------- *)
-
-(* [describe st task] renders one method body into its op batch by a linear
-   scan of the body's flat opcode stream — no AST, no string hashing: name
-   resolution (static targets, the §4.3 external-call bit, in-loop flags)
-   was baked in by {!Flat.lower}. Instructions sit in AST DFS order with
-   block bodies inlined, so the op sequence is exactly the legacy
-   tree-walk's. Reads only frozen state and mutates nothing, so the pool
-   can describe a round's tasks concurrently; node-key hashing happens
-   here, off the serial path. *)
-let describe_into st task ~emit =
-  let fl = st.t_flat in
-  let policy = st.t_policy in
-  let m = task.tk_meth in
-  let ctx = task.tk_ctx in
-  let mi = Flat.meth fl (Flat.mid_of_meth fl m) in
-  let code = mi.Flat.f_code in
-  let mk key = { nd_hash = Pag.node_hash key; nd_key = key; nd_id = -1 } in
-  (* one shared [nd] per variable slot of the body: the key is hashed once
-     here and interned once at the first resolve, however many statements
-     use it *)
-  let var_memo = Array.make mi.Flat.f_nslots None in
-  let dvar slot =
-    match var_memo.(slot) with
-    | Some nd -> nd
-    | None ->
-        let nd =
-          mk
-            (Pag.NVar
-               ( m.Program.m_class,
-                 m.Program.m_name,
-                 mi.Flat.f_slot_name.(slot),
-                 ctx ))
-        in
-        var_memo.(slot) <- Some nd;
-        nd
-  in
-  let dargs at nargs = List.init nargs (fun k -> dvar code.(at + k)) in
-  let dopt slot = if slot < 0 then None else Some (dvar slot) in
-  let dret () = mk (Pag.NRet (m.Program.m_class, m.Program.m_name, ctx)) in
-  let dstatic slot =
-    mk
-      (Pag.NStatic
-         ( Flat.class_name fl (Flat.static_cid fl slot),
-           Flat.field_name fl (Flat.static_fid fl slot) ))
-  in
-  let star = Flat.field_name fl fl.Flat.f_star in
-  let mkey = (m.Program.m_class, m.Program.m_name, ctx) in
-  let n = Array.length code in
-  let i = ref 0 in
-  while !i < n do
-    let op = code.(!i) and j = !i in
-    let site = code.(j + 1) in
-    if op = Flat.op_null then i := j + 2
-    else if op = Flat.op_assign then begin
-      emit (OCopy (dvar code.(j + 3), dvar code.(j + 2)));
-      i := j + 4
-    end
-    else if op = Flat.op_new then begin
-      let nargs = code.(j + 4) in
-      emit
-        (ONew
-           ( site,
-             dvar code.(j + 2),
-             Flat.class_name fl code.(j + 3),
-             dargs (j + 5) nargs,
-             mkey ));
-      i := j + 5 + nargs
-    end
-    else if op = Flat.op_fwrite then begin
-      emit
-        (OFieldW
-           (dvar code.(j + 2), dvar code.(j + 4), Flat.field_name fl code.(j + 3)));
-      i := j + 5
-    end
-    else if op = Flat.op_fread then begin
-      emit
-        (OFieldR
-           (dvar code.(j + 3), dvar code.(j + 2), Flat.field_name fl code.(j + 4)));
-      i := j + 5
-    end
-    else if op = Flat.op_awrite then begin
-      emit (OFieldW (dvar code.(j + 2), dvar code.(j + 3), star));
-      i := j + 4
-    end
-    else if op = Flat.op_aread then begin
-      emit (OFieldR (dvar code.(j + 3), dvar code.(j + 2), star));
-      i := j + 4
-    end
-    else if op = Flat.op_swrite then begin
-      emit (OCopy (dvar code.(j + 3), dstatic code.(j + 2)));
-      i := j + 4
-    end
-    else if op = Flat.op_sread then begin
-      emit (OCopy (dstatic code.(j + 3), dvar code.(j + 2)));
-      i := j + 4
-    end
-    else if op = Flat.op_callv then begin
-      let ret = code.(j + 2) and nargs = code.(j + 6) in
-      (* §4.3: the external bit marks calls whose name no program method
-         bears; their result is an anonymous object so downstream accesses
-         are still analyzed *)
-      if code.(j + 5) = 1 && ret >= 0 then
-        emit (OExtern (dvar ret, site, heap_ctx policy ctx));
-      emit
-        (OCallV
-           ( dvar code.(j + 3),
-             site,
-             ctx,
-             Flat.name_str fl code.(j + 4),
-             dargs (j + 7) nargs,
-             dopt ret ));
-      i := j + 7 + nargs
-    end
-    else if op = Flat.op_calls then begin
-      let nargs = code.(j + 4) in
-      (if code.(j + 3) >= 0 then
-         let target = (Flat.meth fl code.(j + 3)).Flat.f_meth in
-         emit
-           (OCallS (site, ctx, target, dargs (j + 5) nargs, dopt code.(j + 2))));
-      i := j + 5 + nargs
-    end
-    else if op = Flat.op_start then begin
-      emit (OStart (dvar code.(j + 2), site, ctx, code.(j + 3) = 1));
-      i := j + 4
-    end
-    else if op = Flat.op_join then begin
-      emit
-        (OJoin
-           {
-             jn_site = site;
-             jn_meth = m;
-             jn_ctx = ctx;
-             jn_var = mi.Flat.f_slot_name.(code.(j + 2));
-           });
-      i := j + 3
-    end
-    else if op = Flat.op_signal || op = Flat.op_wait then i := j + 3
-    else if op = Flat.op_post then begin
-      let nargs = code.(j + 4) in
-      emit
-        (OPost
-           (dvar code.(j + 2), site, ctx, dargs (j + 5) nargs, code.(j + 3) = 1));
-      i := j + 5 + nargs
-    end
-    else if op = Flat.op_sync then i := j + 4 (* body inlined; keep scanning *)
-    else if op = Flat.op_if then i := j + 4
-    else if op = Flat.op_while then i := j + 3
-    else if op = Flat.op_return then begin
-      if code.(j + 2) >= 0 then emit (OCopy (dvar code.(j + 2), dret ()));
-      i := j + 3
-    end
-    else assert false
-  done
-
-let describe st task =
-  let ops = ref [] in
-  describe_into st task ~emit:(fun op -> ops := op :: !ops);
-  Array.of_list (List.rev !ops)
-
-(* -- apply -------------------------------------------------------------- *)
-
-let resolve st nd =
-  if nd.nd_id >= 0 then nd.nd_id
-  else begin
-    let id = Pag.node_id_hashed st.t_pag ~hash:nd.nd_hash nd.nd_key in
-    nd.nd_id <- id;
-    id
-  end
+(* -- constraint generation ---------------------------------------------- *)
 
 let field_id st f =
   match Hashtbl.find_opt st.field_ids f with
@@ -573,98 +378,237 @@ let fld_node st oid fid f =
       IntTbl.add st.fld_nodes key n;
       n
 
-let apply_op st op =
+(* The watcher constraints: each installs a callback on a base node that
+   runs at flush time, once per object reaching the base, and may add
+   edges, objects and newly reached bodies. *)
+
+let a_field_write st ~base ~src f =
   let g = st.t_pag in
-  let p = st.t_program in
-  match op with
-  | OCopy (s, d) -> Pag.add_copy g ~src:(resolve st s) ~dst:(resolve st d)
-  | OJoin j -> st.join_list <- j :: st.join_list
-  | OExtern (r, site, hctx) ->
-      let oid =
-        Pag.obj_id g
-          { Pag.ob_site = site; ob_class = "<external>"; ob_hctx = hctx }
-      in
-      Pag.add_obj g (resolve st r) oid
-  | OFieldW (base, src, f) ->
-      let src = resolve st src in
-      let fid = field_id st f in
-      Pag.add_watcher g (resolve st base) (fun o ->
-          Pag.add_copy g ~src ~dst:(fld_node st o fid f))
-  | OFieldR (base, dst, f) ->
-      let dst = resolve st dst in
-      let fid = field_id st f in
-      Pag.add_watcher g (resolve st base) (fun o ->
-          Pag.add_copy g ~src:(fld_node st o fid f) ~dst)
-  | OCallV (recv, site, ctx, mname, args, ret) ->
-      let arg_nodes = List.map (resolve st) args in
-      let ret_node = Option.map (resolve st) ret in
-      Pag.add_watcher g (resolve st recv) (fun oid ->
-          let o = Pag.obj g oid in
-          match Program.dispatch p o.Pag.ob_class mname with
+  let fid = field_id st f in
+  Pag.add_watcher g base (fun o ->
+      Pag.add_copy g ~src ~dst:(fld_node st o fid f))
+
+let a_field_read st ~base ~dst f =
+  let g = st.t_pag in
+  let fid = field_id st f in
+  Pag.add_watcher g base (fun o ->
+      Pag.add_copy g ~src:(fld_node st o fid f) ~dst)
+
+let a_callv st ~recv ~site ~ctx mname ~arg_nodes ~ret_node =
+  let g = st.t_pag in
+  Pag.add_watcher g recv (fun oid ->
+      let o = Pag.obj g oid in
+      match Program.dispatch st.t_program o.Pag.ob_class mname with
+      | None -> ()
+      | Some target ->
+          let cctx =
+            Context.push_call st.t_policy ~ctx ~site ~recv_site:o.Pag.ob_site
+              ~recv_hctx:o.Pag.ob_hctx
+          in
+          a_bind_call st ~site ~ctx ~target ~cctx ~this:(Some oid) ~arg_nodes
+            ~ret_node)
+
+let a_start st ~recv ~site ~ctx ~in_loop =
+  let g = st.t_pag and p = st.t_program in
+  Pag.add_watcher g recv (fun oid ->
+      let o = Pag.obj g oid in
+      match Program.kind_of p o.Pag.ob_class with
+      | Program.Kthread _ -> (
+          match Program.entry_method p o.Pag.ob_class with
           | None -> ()
-          | Some target ->
-              let cctx =
-                Context.push_call st.t_policy ~ctx ~site
-                  ~recv_site:o.Pag.ob_site ~recv_hctx:o.Pag.ob_hctx
-              in
-              a_bind_call st ~site ~ctx ~target ~cctx ~this:(Some oid)
-                ~arg_nodes ~ret_node)
-  | OCallS (site, ctx, target, args, ret) ->
-      let cctx = Context.push_call_static st.t_policy ~ctx ~site in
-      a_bind_call st ~site ~ctx ~target ~cctx ~this:None
-        ~arg_nodes:(List.map (resolve st) args)
-        ~ret_node:(Option.map (resolve st) ret)
-  | OStart (recv, site, ctx, in_loop) ->
-      Pag.add_watcher g (resolve st recv) (fun oid ->
-          let o = Pag.obj g oid in
-          match Program.kind_of p o.Pag.ob_class with
-          | Program.Kthread _ -> (
-              match Program.entry_method p o.Pag.ob_class with
-              | None -> ()
-              | Some entry ->
-                  let ectx = a_entry_ctx st ~ctx ~site ~o in
-                  a_reach st entry ectx;
-                  Pag.add_obj g (a_nvar st entry ectx "this") oid;
-                  record_spawn st ~site ~entry ~ectx ~obj:oid ~kind:`Thread
-                    ~in_loop ~attr_nodes:(a_origin_attrs_of st o))
-          | _ -> ())
-  | OPost (recv, site, ctx, args, in_loop) ->
-      let arg_nodes = List.map (resolve st) args in
-      Pag.add_watcher g (resolve st recv) (fun oid ->
-          let o = Pag.obj g oid in
-          match Program.kind_of p o.Pag.ob_class with
-          | Program.Khandler _ -> (
-              match Program.entry_method p o.Pag.ob_class with
-              | None -> ()
-              | Some entry ->
-                  let ectx = a_entry_ctx st ~ctx ~site ~o in
-                  a_reach st entry ectx;
-                  Pag.add_obj g (a_nvar st entry ectx "this") oid;
-                  a_bind_params st entry ectx arg_nodes;
-                  record_spawn st ~site ~entry ~ectx ~obj:oid ~kind:`Event
-                    ~in_loop
-                    ~attr_nodes:(arg_nodes @ a_origin_attrs_of st o))
-          | _ -> ())
-  | ONew (site, x, c, args, ((_, _, ctx) as key)) ->
-      let info = Hashtbl.find st.reach_tbl key in
-      a_new st ~site ~ctx ~info ~xnode:(resolve st x) ~c
-        ~arg_nodes:(List.map (resolve st) args)
+          | Some entry ->
+              let ectx = a_entry_ctx st ~ctx ~site ~o in
+              a_reach st entry ectx;
+              Pag.add_obj g (a_nvar st entry ectx "this") oid;
+              record_spawn st ~site ~entry ~ectx ~obj:oid ~kind:`Thread
+                ~in_loop ~attr_nodes:(a_origin_attrs_of st o))
+      | _ -> ())
 
-(* -- sharding ----------------------------------------------------------- *)
+let a_post st ~recv ~site ~ctx ~arg_nodes ~in_loop =
+  let g = st.t_pag and p = st.t_program in
+  Pag.add_watcher g recv (fun oid ->
+      let o = Pag.obj g oid in
+      match Program.kind_of p o.Pag.ob_class with
+      | Program.Khandler _ -> (
+          match Program.entry_method p o.Pag.ob_class with
+          | None -> ()
+          | Some entry ->
+              let ectx = a_entry_ctx st ~ctx ~site ~o in
+              a_reach st entry ectx;
+              Pag.add_obj g (a_nvar st entry ectx "this") oid;
+              a_bind_params st entry ectx arg_nodes;
+              record_spawn st ~site ~entry ~ectx ~obj:oid ~kind:`Event
+                ~in_loop
+                ~attr_nodes:(arg_nodes @ a_origin_attrs_of st o))
+      | _ -> ())
 
-(* Shard key of a node: the head origin of its context when there is one
-   (the origin policy's natural partition — an origin's locals and returns
-   stay on one shard), a structural hash otherwise. *)
-let shard_of_node (n : Pag.node) =
-  let ctx_key = function
-    | Context.Corigin (og :: _) -> og
-    | Context.Corigin [] | Context.Cempty -> 0
-    | (Context.Ccall _ | Context.Cobj _) as c -> Context.hash c
+(* [add_body st task] turns one reached method instance into constraints by
+   a linear scan of its flat opcode stream — no AST, no string hashing:
+   name resolution (static targets, the §4.3 external-call bit, in-loop
+   flags) was baked in by {!Flat.lower}. Instructions sit in AST DFS order
+   with block bodies inlined, so constraints are added in the legacy
+   tree-walk's order. Within an instruction the operands are interned in
+   the fixed order of the [let]s below; node ids, and with them flush order
+   and every counter, depend on it. *)
+let add_body st task =
+  let g = st.t_pag in
+  let fl = st.t_flat in
+  let m = task.tk_meth in
+  let ctx = task.tk_ctx in
+  let mi = Flat.meth fl (Flat.mid_of_meth fl m) in
+  let code = mi.Flat.f_code in
+  (* interned node id per variable slot, -1 until first use: a variable
+     used by many statements costs one intern probe *)
+  let var_ids = Array.make mi.Flat.f_nslots (-1) in
+  let var slot =
+    let id = var_ids.(slot) in
+    if id >= 0 then id
+    else begin
+      let id = a_nvar st m ctx mi.Flat.f_slot_name.(slot) in
+      var_ids.(slot) <- id;
+      id
+    end
   in
-  match n with
-  | Pag.NVar (_, _, _, ctx) | Pag.NRet (_, _, ctx) -> ctx_key ctx
-  | Pag.NField (oid, _) -> oid
-  | Pag.NStatic (c, f) -> Hashtbl.hash (c, f)
+  let args at nargs = List.init nargs (fun k -> var code.(at + k)) in
+  let opt slot = if slot < 0 then None else Some (var slot) in
+  let static slot =
+    Pag.node_id g
+      (Pag.NStatic
+         ( Flat.class_name fl (Flat.static_cid fl slot),
+           Flat.field_name fl (Flat.static_fid fl slot) ))
+  in
+  let star = Flat.field_name fl fl.Flat.f_star in
+  let info =
+    Hashtbl.find st.reach_tbl (m.Program.m_class, m.Program.m_name, ctx)
+  in
+  let n = Array.length code in
+  let i = ref 0 in
+  while !i < n do
+    let op = code.(!i) and j = !i in
+    let site = code.(j + 1) in
+    if op = Flat.op_null then i := j + 2
+    else if op = Flat.op_assign then begin
+      let dst = var code.(j + 2) in
+      let src = var code.(j + 3) in
+      Pag.add_copy g ~src ~dst;
+      i := j + 4
+    end
+    else if op = Flat.op_new then begin
+      let nargs = code.(j + 4) in
+      let arg_nodes = args (j + 5) nargs in
+      let xnode = var code.(j + 2) in
+      a_new st ~site ~ctx ~info ~xnode ~c:(Flat.class_name fl code.(j + 3))
+        ~arg_nodes;
+      i := j + 5 + nargs
+    end
+    else if op = Flat.op_fwrite then begin
+      let src = var code.(j + 4) in
+      let base = var code.(j + 2) in
+      a_field_write st ~base ~src (Flat.field_name fl code.(j + 3));
+      i := j + 5
+    end
+    else if op = Flat.op_fread then begin
+      let dst = var code.(j + 2) in
+      let base = var code.(j + 3) in
+      a_field_read st ~base ~dst (Flat.field_name fl code.(j + 4));
+      i := j + 5
+    end
+    else if op = Flat.op_awrite then begin
+      let src = var code.(j + 3) in
+      let base = var code.(j + 2) in
+      a_field_write st ~base ~src star;
+      i := j + 4
+    end
+    else if op = Flat.op_aread then begin
+      let dst = var code.(j + 2) in
+      let base = var code.(j + 3) in
+      a_field_read st ~base ~dst star;
+      i := j + 4
+    end
+    else if op = Flat.op_swrite then begin
+      let dst = static code.(j + 2) in
+      let src = var code.(j + 3) in
+      Pag.add_copy g ~src ~dst;
+      i := j + 4
+    end
+    else if op = Flat.op_sread then begin
+      let dst = var code.(j + 2) in
+      let src = static code.(j + 3) in
+      Pag.add_copy g ~src ~dst;
+      i := j + 4
+    end
+    else if op = Flat.op_callv then begin
+      let ret = code.(j + 2) and nargs = code.(j + 6) in
+      (* §4.3: the external bit marks calls whose name no program method
+         bears; their result is an anonymous object so downstream accesses
+         are still analyzed *)
+      if code.(j + 5) = 1 && ret >= 0 then begin
+        let oid =
+          Pag.obj_id g
+            {
+              Pag.ob_site = site;
+              ob_class = "<external>";
+              ob_hctx = heap_ctx st.t_policy ctx;
+            }
+        in
+        Pag.add_obj g (var ret) oid
+      end;
+      let arg_nodes = args (j + 7) nargs in
+      let ret_node = opt ret in
+      let recv = var code.(j + 3) in
+      a_callv st ~recv ~site ~ctx
+        (Flat.name_str fl code.(j + 4))
+        ~arg_nodes ~ret_node;
+      i := j + 7 + nargs
+    end
+    else if op = Flat.op_calls then begin
+      let nargs = code.(j + 4) in
+      (if code.(j + 3) >= 0 then
+         let target = (Flat.meth fl code.(j + 3)).Flat.f_meth in
+         let cctx = Context.push_call_static st.t_policy ~ctx ~site in
+         let ret_node = opt code.(j + 2) in
+         let arg_nodes = args (j + 5) nargs in
+         a_bind_call st ~site ~ctx ~target ~cctx ~this:None ~arg_nodes
+           ~ret_node);
+      i := j + 5 + nargs
+    end
+    else if op = Flat.op_start then begin
+      a_start st ~recv:(var code.(j + 2)) ~site ~ctx
+        ~in_loop:(code.(j + 3) = 1);
+      i := j + 4
+    end
+    else if op = Flat.op_join then begin
+      st.join_list <-
+        {
+          jn_site = site;
+          jn_meth = m;
+          jn_ctx = ctx;
+          jn_var = mi.Flat.f_slot_name.(code.(j + 2));
+        }
+        :: st.join_list;
+      i := j + 3
+    end
+    else if op = Flat.op_signal || op = Flat.op_wait then i := j + 3
+    else if op = Flat.op_post then begin
+      let nargs = code.(j + 4) in
+      let arg_nodes = args (j + 5) nargs in
+      a_post st ~recv:(var code.(j + 2)) ~site ~ctx ~arg_nodes
+        ~in_loop:(code.(j + 3) = 1);
+      i := j + 5 + nargs
+    end
+    else if op = Flat.op_sync then i := j + 4 (* body inlined; keep scanning *)
+    else if op = Flat.op_if then i := j + 4
+    else if op = Flat.op_while then i := j + 3
+    else if op = Flat.op_return then begin
+      if code.(j + 2) >= 0 then begin
+        let dst = a_nret st m ctx in
+        let src = var code.(j + 2) in
+        Pag.add_copy g ~src ~dst
+      end;
+      i := j + 3
+    end
+    else assert false
+  done
 
 (* -- instance call graph ------------------------------------------------ *)
 
@@ -700,8 +644,9 @@ let build_icg fl pag
                     mi.Flat.f_slot_name.(s),
                     ctx )
               in
-              let id = Pag.find_node_hashed pag ~hash:(Pag.node_hash n) n in
-              if id < 0 then empty_pts else Pag.pts pag id)
+              match Pag.find_node pag n with
+              | Some id -> Pag.pts pag id
+              | None -> empty_pts)
         in
         mids := mid :: !mids;
         ptss := pts :: !ptss;
@@ -772,7 +717,7 @@ let analyze ?(policy = Context.Korigin 1) ?(jobs = 1) ?metrics ?budget program
     | Some b when Budget.is_unlimited b -> None
     | Some b -> Some (fun steps -> Budget.check b ~steps)
   in
-  let pag = Pag.create ~shards:jobs ~shard_of:shard_of_node () in
+  let pag = Pag.create () in
   let fl = Metrics.time m "pta.lower" (fun () -> Flat.lower program) in
   let st =
     {
@@ -790,91 +735,43 @@ let analyze ?(policy = Context.Korigin 1) ?(jobs = 1) ?metrics ?budget program
       origin_reg = OriginIntern.create ();
       origin_attr_nodes = Hashtbl.create 64;
       origin_attr_seen = Hashtbl.create 64;
-      has_named = Hashtbl.create 256;
       field_ids = Hashtbl.create 64;
       fld_nodes = IntTbl.create 1024;
       pending = [];
     }
   in
-  Program.iter_methods
-    (fun mm -> Hashtbl.replace st.has_named mm.Program.m_name ())
-    program;
   (* origin id 0 is main *)
   let zero = OriginIntern.intern st.origin_reg Context.main_origin in
   assert (zero = 0);
   let main = Program.main program in
   let ectx = Context.entry policy in
-  (* [jobs] fixes the shard count (and with it the deterministic facts);
-     the worker pool is additionally clamped to the hardware — extra
-     domains on a narrower machine only add barrier latency, and workers
-     claim whole shards through a cursor either way *)
-  let workers = min jobs (Domain.recommended_domain_count ()) in
-  let pool = if workers > 1 then Some (Pool.create workers) else None in
   let n_rounds = ref 0 and n_tasks = ref 0 in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Pool.shutdown pool)
-    (fun () ->
-      Metrics.span m "pta.solve" (fun () ->
-          a_reach st main ectx;
-          let last_edges = ref 0 in
-          let scc_threshold = ref 1024 in
-          let quiescent = ref false in
-          while not !quiescent do
-            incr n_rounds;
-            let tasks = Array.of_list (List.rev st.pending) in
-            st.pending <- [];
-            n_tasks := !n_tasks + Array.length tasks;
-            (match pool with
-            | Some p when Array.length tasks >= 2 * Pool.size p ->
-                let ops = Array.make (Array.length tasks) [||] in
-                let describe_at i = ops.(i) <- describe st tasks.(i) in
-                (* parallel describe over frozen tables; slots are claimed
-                   through one atomic cursor *)
-                Metrics.time m "pta.describe" (fun () ->
-                    let cursor = Atomic.make 0 in
-                    Pool.run p (fun _ ->
-                        let rec work () =
-                          let i = Atomic.fetch_and_add cursor 1 in
-                          if i < Array.length tasks then begin
-                            describe_at i;
-                            work ()
-                          end
-                        in
-                        work ()));
-                (* serial apply barrier, in task order: interning and graph
-                   mutation happen here in an order independent of [jobs] *)
-                Metrics.time m "pta.apply" (fun () ->
-                    Array.iter
-                      (fun batch -> Array.iter (apply_op st) batch)
-                      ops)
-            | _ ->
-                (* no pool worth feeding: describe and apply fuse into one
-                   pass, skipping the op-batch materialization. Describe is
-                   pure, so the op sequence applied here is exactly the
-                   split path's — facts stay byte-identical *)
-                Metrics.time m "pta.apply" (fun () ->
-                    Array.iter
-                      (fun t -> describe_into st t ~emit:(apply_op st))
-                      tasks));
-            (* adaptive collapse cadence: a Tarjan pass is linear in the
-               whole graph, so an acyclic workload must not pay for one
-               every few edges — each fruitless pass quadruples the edge
-               growth required to try again (deterministic: depends only on
-               the jobs-independent edge counts) *)
-            if Pag.n_edges pag - !last_edges >= !scc_threshold then begin
-              let merged =
-                Metrics.time m "pta.scc" (fun () -> Pag.collapse_sccs pag)
-              in
-              if merged = 0 then scc_threshold := !scc_threshold * 4;
-              last_edges := Pag.n_edges pag
-            end;
-            Metrics.time m "pta.propagate" (fun () ->
-                Pag.propagate ?check ?pool pag);
-            let fired =
-              Metrics.time m "pta.flush" (fun () -> Pag.flush_fires pag)
-            in
-            quiescent := (not fired) && st.pending == []
-          done));
+  Metrics.span m "pta.solve" (fun () ->
+      a_reach st main ectx;
+      let last_edges = ref 0 in
+      let scc_threshold = ref 1024 in
+      let quiescent = ref false in
+      while not !quiescent do
+        incr n_rounds;
+        let tasks = List.rev st.pending in
+        st.pending <- [];
+        n_tasks := !n_tasks + List.length tasks;
+        Metrics.time m "pta.apply" (fun () -> List.iter (add_body st) tasks);
+        (* adaptive collapse cadence: a Tarjan pass is linear in the whole
+           graph, so an acyclic workload must not pay for one every few
+           edges — each fruitless pass quadruples the edge growth required
+           to try again *)
+        if Pag.n_edges pag - !last_edges >= !scc_threshold then begin
+          let merged =
+            Metrics.time m "pta.scc" (fun () -> Pag.collapse_sccs pag)
+          in
+          if merged = 0 then scc_threshold := !scc_threshold * 4;
+          last_edges := Pag.n_edges pag
+        end;
+        Metrics.time m "pta.propagate" (fun () -> Pag.propagate ?check pag);
+        let fired = Metrics.time m "pta.flush" (fun () -> Pag.flush_fires pag) in
+        quiescent := (not fired) && st.pending == []
+      done);
   record_spawn st ~site:(-1) ~entry:main ~ectx ~obj:(-1) ~kind:`Main
     ~in_loop:false ~attr_nodes:[];
   let sps =
@@ -904,7 +801,6 @@ let analyze ?(policy = Context.Korigin 1) ?(jobs = 1) ?metrics ?budget program
   Metrics.set m "pta.tasks" !n_tasks;
   Metrics.set m "pta.fires" (Pag.n_fires pag);
   Metrics.set m "pta.scc_collapsed" (Pag.n_collapsed pag);
-  Metrics.set m "pta.jobs" jobs;
   Metrics.set m "pta.spawns" (Array.length spawn_arr);
   Metrics.set m "pta.origins"
     (match policy with
@@ -918,7 +814,6 @@ let analyze ?(policy = Context.Korigin 1) ?(jobs = 1) ?metrics ?budget program
     program;
     flat = fl;
     policy;
-    jobs;
     pag;
     spawns = spawn_arr;
     joins = st.join_list;

@@ -14,20 +14,16 @@
     - ❾ origin entry points ([start]/[post]) run the entry method in the
       origin attached to the receiver object at its allocation.
 
-    {2 The round engine}
+    {2 The solve loop}
 
-    The solve alternates {e describe} and {e apply} phases until quiescent.
-    Describe renders each newly reached method instance into a batch of
-    constraint ops against frozen tables — pure, so a round's bodies are
-    described concurrently on a domain pool, with node-key hashing off the
-    serial path. Apply replays the batches serially in task order: all
-    interning and graph mutation happen at this barrier, in an order
-    independent of [jobs], which is why every result — internal ids
-    included — is byte-identical for any shard count. Points-to deltas then
-    propagate across the origin-sharded worklists ({!Pag.propagate}),
-    watcher deliveries flush at the barrier, and newly reached bodies seed
-    the next round. Copy cycles are collapsed ({!Pag.collapse_sccs}) as the
-    graph grows.
+    One serial difference-propagation worklist, run in rounds until
+    quiescent. A round first turns each newly reached method instance into
+    constraints, scanning its flat opcode stream in task order (the
+    ["pta.apply"] timer). Copy cycles are then collapsed
+    ({!Pag.collapse_sccs}) when the graph has grown enough, points-to
+    deltas propagate to fixpoint ({!Pag.propagate}), and watcher deliveries
+    flush ({!Pag.flush_fires}); the bodies those deliveries reach seed the
+    next round. Every result, internal ids included, is deterministic.
 
     Besides points-to sets, the solver records everything the downstream
     analyses need: the context-sensitive call graph, the {e spawns} (static
@@ -89,9 +85,8 @@ type icg = {
     whole record. *)
 type result = {
   program : Program.t;
-  flat : Flat.t;  (** the dense lowering the describe phase ran over *)
+  flat : Flat.t;  (** the dense lowering the solve scanned *)
   policy : Context.policy;
-  jobs : int;  (** shard / domain count the solve ran with *)
   pag : Pag.t;  (** the solved pointer-assignment graph *)
   spawns : spawn array;  (** all origin instances, [main] first *)
   joins : join list;  (** join sites; targets resolve via {!pts_var} *)
@@ -106,23 +101,22 @@ type result = {
     analysis from [main]. Default policy is [Korigin 1] (the paper's O2
     configuration).
 
-    [jobs] is the parallelism degree: the PAG is sharded [jobs] ways by
-    origin and describe/propagate phases run on a pool of [jobs] domains
-    ([1] = fully serial, the default). The result is byte-identical for
-    every [jobs] value.
+    [jobs] has no effect: the solve is serial. The label is accepted
+    (and validated) so callers that pass one keep compiling.
 
     When [metrics] is given it is used as the observability sink: the solve
     is wrapped in a ["pta.solve"] span and the Table 6 counters
     ([pta.pointers], [pta.objects], [pta.edges], [pta.worklist_iters],
-    [pta.pts_facts], [pta.origins], …) plus the round-engine counters
+    [pta.pts_facts], [pta.origins], …) plus the solve-loop counters
     ([pta.rounds], [pta.tasks], [pta.fires], [pta.scc_collapsed]) are
     recorded into it.
 
     When [budget] is given, the propagation loop checks it on every pop and
     lets {!O2_util.Budget.Exhausted} escape when the wall-clock deadline
     or the worklist-step ceiling is passed — callers (the batch driver)
-    turn that into a structured timeout entry. The worker pool is shut down
-    on any exit, including exceptions.
+    turn that into a structured timeout entry. The step count it sees is
+    exact: a solve needing [N] pops ([pta.worklist_iters]) completes under
+    a ceiling of [N] and is exhausted under [N - 1].
 
     @raise Invalid_argument on a k-limited policy with [k < 1]
     (see {!Context.validate_policy}) or [jobs < 1].

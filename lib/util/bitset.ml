@@ -98,13 +98,6 @@ let union_span_into ~into src ~lo ~hi =
     if hi > into.top then into.top <- hi
   end
 
-(* [copy_span src ~lo ~hi] is a fresh bitset holding exactly words [lo,hi)
-   of [src]. *)
-let copy_span src ~lo ~hi =
-  let a = Array.make (max hi 0) 0 in
-  if hi > lo then Array.blit src.words lo a lo (hi - lo);
-  { words = a; top = max hi 0 }
-
 let inter_into ~into src =
   let hi = top_word into in
   let ns = Array.length src.words in
@@ -232,10 +225,6 @@ let take_fresh_span ~scratch ~pts ~delta =
       (!lo, !hi)
     end
   end
-
-let take_fresh_into ~scratch ~pts ~delta =
-  let _, hi = take_fresh_span ~scratch ~pts ~delta in
-  hi > 0
 
 let take_fresh ~pts ~delta =
   let nd = Array.length delta.words in

@@ -42,22 +42,14 @@ val clear : t -> unit
     span [lo, hi) holding them is returned ([(0, 0)] when there were
     none). Scratch words outside the span are stale from earlier calls —
     consumers must stay within the span (see {!union_span_into},
-    {!copy_span}, {!cardinal_span}). The worklist drain reuses one
-    scratch set per shard, so the hot pop allocates nothing, and all
-    downstream work is bounded by the delta's live content. *)
+    {!cardinal_span}). The worklist drain reuses one scratch set, so the
+    hot pop allocates nothing, and all downstream work is bounded by the
+    delta's live content. *)
 val take_fresh_span : scratch:t -> pts:t -> delta:t -> int * int
-
-(** [take_fresh_into ~scratch ~pts ~delta] is {!take_fresh_span} reduced
-    to whether any fresh element was found. *)
-val take_fresh_into : scratch:t -> pts:t -> delta:t -> bool
 
 (** [union_span_into ~into src ~lo ~hi] unions words [lo, hi) of [src]
     into [into]. *)
 val union_span_into : into:t -> t -> lo:int -> hi:int -> unit
-
-(** [copy_span src ~lo ~hi] is a fresh bitset holding exactly words
-    [lo, hi) of [src]. *)
-val copy_span : t -> lo:int -> hi:int -> t
 
 (** [cardinal_span s ~lo ~hi] counts elements in words [lo, hi). *)
 val cardinal_span : t -> lo:int -> hi:int -> int

@@ -1,9 +1,7 @@
 module Make (H : Hashtbl.HashedType) = struct
-  (* A hand-rolled bucket table rather than [Hashtbl.Make], for two
-     capabilities the stdlib cannot offer: interning with an externally
-     precomputed hash (the parallel describe phases of the PTA solver hash
-     keys off the serial path) and lock-free concurrent lookups while the
-     table is frozen (no writer). Reads never mutate the structure. *)
+  (* A bucket table that keeps each key's hash next to it: a probe compares
+     the int hash before the structural [H.equal], which dominates on deep
+     keys such as PAG nodes carrying contexts. *)
   type slot = { s_hash : int; s_key : H.t; s_id : int }
 
   type t = {
@@ -14,9 +12,7 @@ module Make (H : Hashtbl.HashedType) = struct
 
   let create () = { buckets = Array.make 16 []; values = [||]; next = 0 }
 
-  let hash_key = H.hash
-
-  let find_hashed t ~hash v =
+  let find t ~hash v =
     let b = t.buckets.(hash land (Array.length t.buckets - 1)) in
     let rec go = function
       | [] -> -1
@@ -36,8 +32,9 @@ module Make (H : Hashtbl.HashedType) = struct
       old;
     t.buckets <- fresh
 
-  let intern_hashed t ~hash v =
-    match find_hashed t ~hash v with
+  let intern t v =
+    let hash = H.hash v in
+    match find t ~hash v with
     | id when id >= 0 -> id
     | _ ->
         let id = t.next in
@@ -54,10 +51,8 @@ module Make (H : Hashtbl.HashedType) = struct
         t.values.(id) <- v;
         id
 
-  let intern t v = intern_hashed t ~hash:(H.hash v) v
-
   let find_opt t v =
-    match find_hashed t ~hash:(H.hash v) v with
+    match find t ~hash:(H.hash v) v with
     | -1 -> None
     | id -> Some id
 

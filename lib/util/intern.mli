@@ -4,11 +4,7 @@
     integer identifiers so that equality is [(==)]-cheap and the analyses can
     use them as bitset indices and array offsets.
 
-    Concurrency contract: the table is {e not} synchronized. Lookups
-    ({!Make.find_opt}, {!Make.find_hashed}, {!Make.value}) are safe from
-    multiple domains only while no domain interns — the PTA solver freezes
-    its tables during parallel phases and interns exclusively at serial
-    barriers. *)
+    The table is not synchronized: use it from one domain. *)
 
 module Make (H : Hashtbl.HashedType) : sig
   type t
@@ -16,24 +12,12 @@ module Make (H : Hashtbl.HashedType) : sig
   (** [create ()] is a fresh table with no interned values. *)
   val create : unit -> t
 
-  (** [hash_key v] is [H.hash v] — precompute it once (possibly off the
-      serial path) and feed it to the [_hashed] variants. *)
-  val hash_key : H.t -> int
-
   (** [intern t v] returns the unique dense id of [v], assigning the next
       fresh id on first sight. Ids start at 0. *)
   val intern : t -> H.t -> int
 
-  (** [intern_hashed t ~hash v] is [intern t v] with [hash = H.hash v]
-      already computed by the caller. *)
-  val intern_hashed : t -> hash:int -> H.t -> int
-
   (** [find_opt t v] is the id of [v] if already interned. *)
   val find_opt : t -> H.t -> int option
-
-  (** [find_hashed t ~hash v] is the id of [v], or [-1] when absent —
-      the allocation-free lookup used on hot paths. *)
-  val find_hashed : t -> hash:int -> H.t -> int
 
   (** [value t id] recovers the interned value. @raise Invalid_argument on an
       id never returned by [intern]. *)

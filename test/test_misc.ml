@@ -395,6 +395,10 @@ let test_policy_entry_validation () =
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.fail "Solver.analyze accepted non-positive k")
     [ Context.Korigin 0; Context.Kcfa 0; Context.Kobj (-1) ];
+  (* the solver ignores [jobs] but still rejects a non-positive value *)
+  (match Solver.analyze ~jobs:0 (entry_prog "Thread" "run") with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "Solver.analyze accepted jobs = 0");
   (* valid policies still build an entry context *)
   List.iter
     (fun p -> ignore (Context.entry p))

@@ -1,8 +1,8 @@
-(* The parallel solver's contract: for ANY shard count, the round-based
-   difference-propagation engine computes byte-for-byte the facts of the
-   serial reference solver (Oracle), and the whole pipeline's output is
+(* The solver's contract: the difference-propagation worklist computes
+   byte-for-byte the facts of the frozen reference solver (Oracle), and the
+   whole pipeline's output — race detection fans out over domains — is
    byte-identical across [jobs]. Plus unit coverage for the cycle-collapsing
-   and difference-propagation primitives the engine is built on. *)
+   and difference-propagation primitives the solver is built on. *)
 
 open O2_pta
 
@@ -27,7 +27,7 @@ let policies =
     Context.Korigin 1;
   ]
 
-(* ---------------- engine ≡ oracle, for every jobs value ---------------- *)
+(* ---------------- engine ≡ oracle ---------------- *)
 
 let test_oracle_equivalence () =
   List.iter
@@ -37,47 +37,13 @@ let test_oracle_equivalence () =
           List.iter
             (fun policy ->
               let p = program () in
-              let want = Oracle.fingerprint (Oracle.analyze ~policy p) in
-              List.iter
-                (fun jobs ->
-                  let got =
-                    Solver.fingerprint (Solver.analyze ~policy ~jobs p)
-                  in
-                  check_str
-                    (Printf.sprintf "%s/%s/jobs=%d" name
-                       (Context.policy_name policy) jobs)
-                    want got)
-                jobs_list)
+              check_str
+                (Printf.sprintf "%s/%s" name (Context.policy_name policy))
+                (Oracle.fingerprint (Oracle.analyze ~policy p))
+                (Solver.fingerprint (Solver.analyze ~policy p)))
             policies)
         [ (m.name, m.program); (m.name ^ "_fixed", m.fixed) ])
     O2_workloads.Models.all
-
-(* internal ids — not just facts — must be jobs-independent: interning
-   happens only at serial barriers in deterministic task order *)
-let test_id_determinism () =
-  let m = O2_workloads.Models.find "zookeeper" in
-  let base = Solver.analyze ~jobs:1 (m.program ()) in
-  List.iter
-    (fun jobs ->
-      let r = Solver.analyze ~jobs (m.program ()) in
-      check_int
-        (Printf.sprintf "n_nodes jobs=%d" jobs)
-        (Pag.n_nodes base.Solver.pag)
-        (Pag.n_nodes r.Solver.pag);
-      check_int
-        (Printf.sprintf "n_objs jobs=%d" jobs)
-        (Pag.n_objs base.Solver.pag)
-        (Pag.n_objs r.Solver.pag);
-      check_int
-        (Printf.sprintf "pts_adds jobs=%d" jobs)
-        (Pag.n_pts_adds base.Solver.pag)
-        (Pag.n_pts_adds r.Solver.pag);
-      Pag.iter_nodes
-        (fun id n _ ->
-          if Pag.node r.Solver.pag id <> n then
-            Alcotest.failf "node id %d differs under jobs=%d" id jobs)
-        base.Solver.pag)
-    jobs_list
 
 (* the full pipeline — solve, SHB, detection, OSA, rendering — is
    byte-identical across jobs *)
@@ -238,8 +204,6 @@ let () =
         [
           Alcotest.test_case "fingerprints: engine = oracle" `Quick
             test_oracle_equivalence;
-          Alcotest.test_case "ids independent of jobs" `Quick
-            test_id_determinism;
           Alcotest.test_case "pipeline byte-identity" `Quick
             test_pipeline_byte_identity;
         ] );

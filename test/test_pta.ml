@@ -547,6 +547,29 @@ let prop_deterministic =
       in
       run () = run ())
 
+(* the budget sees the exact pop count: a solve that needs N pops
+   completes under a ceiling of N, with the unbudgeted facts, and is
+   exhausted under N - 1 *)
+let test_budget_boundary () =
+  let p = O2_workloads.Synth.program (O2_workloads.Synth.find "zookeeper") in
+  let free = Solver.analyze p in
+  let n = O2_util.Metrics.get free.Solver.stats "pta.worklist_iters" in
+  check_bool "solve pops something" true (n > 1);
+  let at_n =
+    Solver.analyze ~budget:(O2_util.Budget.make ~max_steps:n ()) p
+  in
+  Alcotest.(check string)
+    "ceiling N: same facts" (Solver.fingerprint free)
+    (Solver.fingerprint at_n);
+  check_int "ceiling N: same pop count" n
+    (O2_util.Metrics.get at_n.Solver.stats "pta.worklist_iters");
+  Alcotest.check_raises "ceiling N-1: exhausted"
+    (O2_util.Budget.Exhausted `Steps) (fun () ->
+      ignore
+        (Solver.analyze
+           ~budget:(O2_util.Budget.make ~max_steps:(n - 1) ())
+           p))
+
 let () =
   Alcotest.run "pta"
     [
@@ -587,6 +610,8 @@ let () =
           Alcotest.test_case "recursion terminates" `Quick
             test_recursion_terminates;
           Alcotest.test_case "joins recorded" `Quick test_joins_recorded;
+          Alcotest.test_case "budget step boundary" `Quick
+            test_budget_boundary;
         ] );
       ( "properties",
         [
