@@ -349,64 +349,42 @@ let ablations () =
 
    plus one "pta:<workload>" row per workload pitting the
    difference-propagation solver against the frozen reference solver
-   (Oracle): both median solve times, the speedup (oracle / solver), the
-   solver's worklist/SCC counters, and a fingerprint-equality bit. CI
-   gates on these rows: counters must match the committed run exactly,
-   facts_equal must hold, and the speedup has a floor. *)
+   (O2_fuzz.Ref_pta): both median solve times, the speedup
+   (oracle / solver), the solver's worklist/SCC counters, and a
+   fingerprint-equality bit. CI gates on these rows: counters must match
+   the committed run exactly, facts_equal must hold, and the speedup has
+   a floor. *)
 (* stage:<name> rows: the flat-IR post-PTA stages (SHB build, race
-   detection, OSA scan) against the legacy AST tree-walkers kept as test
-   oracles, on the heaviest distributed workload. Each row carries the
-   stage medians for both paths, the speedup, the stage's deterministic
-   counters and a parity bit (byte-identical rendered reports and equal
-   counters). CI gates parity, exact counters and a speedup floor; the
-   committed run records the real flat-vs-legacy factor. *)
+   detection, OSA scan) against the reference engines of the differential
+   tester (O2_fuzz.Ref_stages: the seed's AST walkers and structural-key
+   detection loop), on the heaviest distributed workload. Each row carries
+   the stage medians for both (legacy_ms times the reference), the
+   speedup, the stage's deterministic counters and a parity bit from the
+   stage-by-stage comparator. CI gates parity, exact counters and a
+   speedup floor; the committed run records the real factor. *)
 let stage_rows () =
+  let module R = O2_fuzz.Ref_stages in
   let p = O2_workloads.Synth.program (O2_workloads.Synth.find "zookeeper") in
   let a = Solver.analyze ~policy:(Context.Korigin 1) p in
-  let legacy_shb =
-    median_time ~runs:5 (fun () -> ignore (O2_shb.Graph.build ~oracle:true a))
+  let legacy_shb = median_time ~runs:5 (fun () -> ignore (R.shb a)) in
+  let flat_shb =
+    median_time ~runs:5 (fun () -> ignore (O2_shb.Graph.build a))
   in
-  let flat_shb = median_time ~runs:5 (fun () -> ignore (O2_shb.Graph.build a)) in
-  let g_o = O2_shb.Graph.build ~oracle:true a in
   let g_f = O2_shb.Graph.build a in
-  let legacy_race =
-    median_time ~runs:5 (fun () ->
-        ignore (O2_race.Detect.run ~oracle:true g_o))
-  in
+  let legacy_race = median_time ~runs:5 (fun () -> ignore (R.detect g_f)) in
   let flat_race =
     median_time ~runs:5 (fun () -> ignore (O2_race.Detect.run g_f))
   in
-  let r_o = O2_race.Detect.run ~oracle:true g_o
-  and r_f = O2_race.Detect.run g_f in
-  let legacy_osa =
-    median_time ~runs:5 (fun () -> ignore (O2_osa.Osa.run ~oracle:true a))
-  in
+  let r_f = O2_race.Detect.run g_f in
+  let legacy_osa = median_time ~runs:5 (fun () -> ignore (R.osa a)) in
   let flat_osa = median_time ~runs:5 (fun () -> ignore (O2_osa.Osa.run a)) in
-  let osa_o = O2_osa.Osa.run ~oracle:true a and osa_f = O2_osa.Osa.run a in
-  let rep_o =
-    O2_race.Report.render
-      { O2_race.Report.solver = a; graph = g_o; report = r_o }
-  in
-  let rep_f =
-    O2_race.Report.render
-      { O2_race.Report.solver = a; graph = g_f; report = r_f }
-  in
+  let osa_f = O2_osa.Osa.run a in
+  let diffs = R.check a g_f r_f in
+  let parity stage = not (List.mem_assoc stage diffs) in
   let shb_nodes = Array.length (O2_shb.Graph.nodes g_f) in
-  let shb_parity =
-    Array.length (O2_shb.Graph.nodes g_o) = shb_nodes
-    && Array.length (O2_shb.Graph.accesses g_o)
-       = Array.length (O2_shb.Graph.accesses g_f)
-  in
-  let race_parity =
-    String.equal rep_o rep_f
-    && O2_race.Detect.n_races r_o = O2_race.Detect.n_races r_f
-    && r_o.O2_race.Detect.n_pairs_checked = r_f.O2_race.Detect.n_pairs_checked
-  in
-  let osa_parity =
-    O2_osa.Osa.n_shared_accesses osa_o = O2_osa.Osa.n_shared_accesses osa_f
-    && List.length (O2_osa.Osa.shared_locations osa_o)
-       = List.length (O2_osa.Osa.shared_locations osa_f)
-  in
+  let shb_parity = parity "shb"
+  and race_parity = parity "race"
+  and osa_parity = parity "osa" in
   let row name legacy flat parity extra =
     pf "stage:%-8s legacy %.4fs  flat %.4fs  %.2fx  parity %s\n" name legacy
       flat
@@ -445,7 +423,8 @@ let trajectory ?(path = "BENCH_o2.json") () =
       (fun name ->
         let p = O2_workloads.Synth.program (O2_workloads.Synth.find name) in
         let oracle_dt =
-          median_time ~runs:5 (fun () -> ignore (Oracle.analyze p))
+          median_time ~runs:5 (fun () ->
+              ignore (O2_fuzz.Ref_pta.analyze p))
         in
         let solver_dt =
           median_time ~runs:5 (fun () -> ignore (Solver.analyze p))
@@ -453,7 +432,8 @@ let trajectory ?(path = "BENCH_o2.json") () =
         let r = Solver.analyze p in
         let m = r.Solver.stats in
         let facts_equal =
-          Solver.fingerprint r = Oracle.fingerprint (Oracle.analyze p)
+          Solver.fingerprint r
+          = O2_fuzz.Ref_pta.(fingerprint (analyze p))
         in
         let speedup = oracle_dt /. max 1e-9 solver_dt in
         pf

@@ -770,8 +770,8 @@ let fuzz_cmd =
            `P
              "Generates $(b,--count) programs from the QCheck shape space \
               and drives each through the agreement-class differential \
-              harness: flat-IR vs tree-walking oracle parity, naive = \
-              optimized race sites, lock-region merge containment, the \
+              harness: every pipeline stage against its reference engine, \
+              naive = optimized witnesses, lock-region merge containment, the \
               RacerD must-race subset and dynamic-witness containment, \
               plus a printer/parser round trip. Any divergence is shrunk \
               to a minimized $(b,.cir) reproducer under $(b,--out).";

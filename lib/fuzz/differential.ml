@@ -35,9 +35,7 @@ let first_diff a b =
   in
   go 1 la lb
 
-let field_of_target = function
-  | Access.Tfield (_, f) -> f
-  | Access.Tstatic (c, f) -> c ^ "::" ^ f
+let field_of_target = Ref_stages.field_of_target
 
 let sid_pair (r : Detect.race) =
   ( min r.Detect.r_a.Graph.n_sid r.Detect.r_b.Graph.n_sid,
@@ -50,32 +48,6 @@ let race_site (r : Detect.race) =
 
 let race_sites report =
   List.map race_site report.Detect.races |> List.sort_uniq compare
-
-(* the post-PTA counters both the flat path and the legacy oracles set —
-   the same gate as test_flat.ml and the stage:* bench rows *)
-let gated_counters =
-  [
-    "shb.nodes"; "shb.edges"; "race.pairs_checked"; "race.hb_pruned";
-    "race.lock_pruned"; "race.class_pruned"; "race.candidates"; "race.races";
-    "osa.stmts_scanned"; "osa.accesses"; "osa.locations";
-    "osa.shared_locations";
-  ]
-
-(* one post-PTA pipeline over a shared solve: SHB build, detection, OSA
-   scan, report rendering — flat by default, legacy tree-walkers under
-   [oracle] *)
-let pipeline ~oracle a =
-  let m = O2_util.Metrics.create () in
-  let g = Graph.build ~oracle ~metrics:m a in
-  let r = Detect.run ~metrics:m ~oracle g in
-  let osa = O2_osa.Osa.run ~oracle ~metrics:m a in
-  let res = { O2_race.Report.solver = a; graph = g; report = r } in
-  let text = O2_race.Report.render res in
-  let json = O2_race.Report.render ~format:`Json res in
-  let counters =
-    List.map (fun k -> (k, O2_util.Metrics.get m k)) gated_counters
-  in
-  (text, json, counters, O2_osa.Osa.n_shared_accesses osa, r)
 
 (* ---------------- RacerD must-race subset ---------------- *)
 
@@ -234,65 +206,64 @@ let check ?policy ?budget ?(naive_max_stmts = 1500) ?(dynamic_max_stmts = 400)
           if not (String.equal src src2) then
             add "roundtrip" (first_diff src src2)));
   tick ();
-  (* 2. one shared solve, then flat vs oracle parity on the default
-     (merged) pipeline *)
+  (* 2. one shared solve; on the merged graph every post-PTA stage agrees
+     with its reference engine *)
   let solved =
     match budget with
     | Some b -> Solver.analyze ~policy ~budget:b p
     | None -> Solver.analyze ~policy p
   in
-  let flat = guard "flat pipeline" (fun () -> pipeline ~oracle:false solved) in
-  tick ();
-  let oracle =
-    guard "oracle pipeline" (fun () -> pipeline ~oracle:true solved)
+  let pipeline lock_region =
+    guard
+      (Printf.sprintf "detect (lock_region=%b)" lock_region)
+      (fun () ->
+        let g = Graph.build ~lock_region solved in
+        (g, Detect.run g))
   in
+  let flat = pipeline true in
   tick ();
-  (match (flat, oracle) with
-  | Some (t_f, j_f, c_f, sa_f, _), Some (t_o, j_o, c_o, sa_o, _) ->
-      if not (String.equal t_f t_o) then
-        add "oracle" ("text report: " ^ first_diff t_o t_f);
-      if not (String.equal j_f j_o) then
-        add "oracle" ("json report: " ^ first_diff j_o j_f);
-      List.iter2
-        (fun (k, vo) (_, vf) ->
-          if vo <> vf then
-            add "oracle" (Printf.sprintf "counter %s: %d vs %d" k vo vf))
-        c_o c_f;
-      if sa_f <> sa_o then
-        add "oracle"
-          (Printf.sprintf "osa shared accesses: %d vs %d" sa_o sa_f)
-  | _ -> ());
-  (* 3/4. unmerged graph: naive = fast, and merged ⊆ unmerged *)
-  let unmerged =
-    guard "unmerged detect" (fun () ->
-        let g = Graph.build ~lock_region:false solved in
-        Detect.run g)
-  in
+  (match flat with
+  | Some (g, r) -> (
+      match
+        guard "reference stages" (fun () -> Ref_stages.check solved g r)
+      with
+      | Some diffs ->
+          List.iter (fun (stage, d) -> add "oracle" (stage ^ ": " ^ d)) diffs
+      | None -> ())
+  | None -> ());
+  tick ();
+  (* 3/4. merged and unmerged graphs: the pairwise-DFS naive engine finds
+     the same witnesses on each, and merged ⊆ unmerged *)
+  let unmerged = pipeline false in
   tick ();
   let naive_ran = ref false in
   let must_pairs = ref 0 in
+  if n_stmts <= naive_max_stmts then begin
+    naive_ran := true;
+    List.iter
+      (fun (lock_region, run) ->
+        match run with
+        | None -> ()
+        | Some (g, fast) -> (
+            match guard "naive detect" (fun () -> O2_race.Naive.run g) with
+            | Some naive when naive.Detect.races <> fast.Detect.races ->
+                add "naive"
+                  (Printf.sprintf
+                     "lock_region=%b: pairwise-DFS witnesses (%d) differ from \
+                      optimized (%d)"
+                     lock_region
+                     (List.length naive.Detect.races)
+                     (List.length fast.Detect.races))
+            | _ -> ()))
+      [ (true, flat); (false, unmerged) ];
+    tick ()
+  end;
+  let flat = Option.map snd flat and unmerged = Option.map snd unmerged in
   (match unmerged with
   | None -> ()
   | Some fast_u ->
-      if n_stmts <= naive_max_stmts then begin
-        naive_ran := true;
-        (match
-           guard "naive detect" (fun () ->
-               let g = Graph.build ~lock_region:false solved in
-               O2_race.Naive.run g)
-         with
-        | None -> ()
-        | Some naive ->
-            let sn = race_sites naive and sf = race_sites fast_u in
-            if sn <> sf then
-              add "naive"
-                (Printf.sprintf
-                   "pairwise-DFS sites (%d) differ from optimized sites (%d)"
-                   (List.length sn) (List.length sf)));
-        tick ()
-      end;
       (match flat with
-      | Some (_, _, _, _, merged) ->
+      | Some merged ->
           let su = race_sites merged and all = race_sites fast_u in
           List.iter
             (fun site ->
@@ -385,7 +356,7 @@ let check ?policy ?budget ?(naive_max_stmts = 1500) ?(dynamic_max_stmts = 400)
               `Ran (List.length drs))
   in
   let races =
-    match flat with Some (_, _, _, _, r) -> Detect.n_races r | None -> 0
+    match flat with Some r -> Detect.n_races r | None -> 0
   in
   {
     o_divergences = List.rev !divergences;

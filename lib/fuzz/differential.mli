@@ -1,16 +1,17 @@
-(** The five-engine differential harness behind [o2 fuzz].
+(** The multi-engine differential harness behind [o2 fuzz].
 
-    One program is driven through flat-IR O2 (the default pipeline), the
-    seed tree-walkers ([~oracle:true]), the pairwise-DFS naive engine,
-    the RacerD-style syntactic baseline and the dynamic vector-clock
-    detector, asserting {e agreement classes} rather than exact outputs
-    (the equivalence-class differential-testing idiom):
+    One program is driven through the O2 pipeline, the reference engines
+    ({!Ref_stages}), the pairwise-DFS naive engine, the RacerD-style
+    syntactic baseline and the dynamic vector-clock detector, asserting
+    {e agreement classes} rather than exact outputs (the equivalence-class
+    differential-testing idiom):
 
-    - {b oracle ≡ flat}: rendered text/JSON reports, the gated stage
-      counters and the OSA shared-access count are byte-identical;
-    - {b naive = O2} at site granularity on the same unmerged
-      ([~lock_region:false]) graph — the §4.1 optimizations are sound
-      and complete w.r.t. the pairwise loop;
+    - {b oracle}: on one solve, the SHB trace, the detection report and the
+      OSA counts and shared locations equal their references
+      ({!Ref_stages.check});
+    - {b naive = O2}: on the merged and on the unmerged
+      ([~lock_region:false]) graph, the pairwise loop reports the same
+      witnesses — the §4.1 optimizations are sound and complete w.r.t. it;
     - {b merged ⊆ unmerged}: every lock-region-merged race names a site
       pair present in the unmerged report, and both report the same
       field set;

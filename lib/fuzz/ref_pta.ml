@@ -1,16 +1,16 @@
 open O2_ir
 open O2_util
+open O2_pta
 
 (* The seed's immediate-firing serial solver, preserved as the executable
-   specification of Table 2. The production engine ({!Solver}) restructures
-   constraint generation into parallel describe phases and difference
-   propagation; this module keeps the straightforward recursive formulation
-   so property tests can certify the engine against it and the benchmarks
-   can report an honest serial baseline. Nothing here is reachable from the
+   specification of Table 2. The production engine ({!Solver}) uses
+   difference propagation and SCC collapse; this module keeps the
+   straightforward recursive formulation so property tests can certify the
+   engine against it and the benchmarks can report an honest serial
+   baseline. It lives in the differential tester, out of reach of the
    analysis pipeline. *)
 
 module OPag = struct
-  [@@@warning "-32"]
   module ObjIntern = Intern.Make (struct
     type t = Pag.obj
 
@@ -63,8 +63,6 @@ module OPag = struct
     let id = NodeIntern.intern g.nodes n in
     ensure_pts g id;
     id
-
-  let pts g id = g.pts.(id)
 
   let schedule g n delta =
     if delta <> [] then g.worklist <- (n, delta) :: g.worklist
@@ -490,135 +488,13 @@ let analyze ?(policy = Context.Korigin 1) program =
     ~in_loop:false;
   st
 
-(* -- canonical fingerprint ---------------------------------------------- *)
-
-(* Identifier-free dump of the solved facts. Interned ids (objects,
-   origins) depend on discovery order, which differs between this oracle
-   and the round-based engine, so everything is rendered structurally;
-   {!Solver.fingerprint} emits the same format and equality of the two
-   strings is the property the tests assert. *)
-
-let rec canon_origin origin_of buf og_id =
-  let og : Context.origin = origin_of og_id in
-  if og.Context.og_site = -1 then Buffer.add_string buf "O<main>"
-  else begin
-    Buffer.add_string buf
-      (Printf.sprintf "O(%s@%d/w%d'%d" og.Context.og_class og.Context.og_site
-         og.Context.og_wrapper og.Context.og_copy);
-    List.iter
-      (fun parent ->
-        Buffer.add_char buf '<';
-        canon_origin origin_of buf parent)
-      og.Context.og_parent;
-    Buffer.add_char buf ')'
-  end
-
-let canon_ctx origin_of buf (ctx : Context.t) =
-  match ctx with
-  | Context.Cempty -> Buffer.add_string buf "[]"
-  | Context.Ccall xs ->
-      Buffer.add_string buf "cfa[";
-      List.iter (fun s -> Buffer.add_string buf (string_of_int s ^ ";")) xs;
-      Buffer.add_char buf ']'
-  | Context.Cobj xs ->
-      Buffer.add_string buf "obj[";
-      List.iter (fun s -> Buffer.add_string buf (string_of_int s ^ ";")) xs;
-      Buffer.add_char buf ']'
-  | Context.Corigin xs ->
-      Buffer.add_string buf "org[";
-      List.iter
-        (fun og ->
-          canon_origin origin_of buf og;
-          Buffer.add_char buf ';')
-        xs;
-      Buffer.add_char buf ']'
-
-let canon_obj origin_of buf (o : Pag.obj) =
-  Buffer.add_string buf
-    (Printf.sprintf "obj<%s@%d|" o.Pag.ob_class o.Pag.ob_site);
-  canon_ctx origin_of buf o.Pag.ob_hctx;
-  Buffer.add_char buf '>'
-
-let canon_node origin_of buf (n : Pag.node) obj_of =
-  match n with
-  | Pag.NVar (c, m, v, ctx) ->
-      Buffer.add_string buf (Printf.sprintf "var %s.%s.%s @" c m v);
-      canon_ctx origin_of buf ctx
-  | Pag.NRet (c, m, ctx) ->
-      Buffer.add_string buf (Printf.sprintf "ret %s.%s @" c m);
-      canon_ctx origin_of buf ctx
-  | Pag.NField (oid, f) ->
-      Buffer.add_string buf "fld ";
-      canon_obj origin_of buf (obj_of oid);
-      Buffer.add_string buf ("." ^ f)
-  | Pag.NStatic (c, f) -> Buffer.add_string buf (Printf.sprintf "static %s.%s" c f)
-
-let fingerprint_parts ~origin_of ~iter_nodes ~obj_of ~spawns ~call_edges
-    ~joins =
-  let lines = ref [] in
-  let add line = lines := line :: !lines in
-  iter_nodes (fun (n : Pag.node) (set : Bitset.t) ->
-      if not (Bitset.is_empty set) then begin
-        let buf = Buffer.create 64 in
-        canon_node origin_of buf n obj_of;
-        Buffer.add_string buf " => {";
-        let objs =
-          Bitset.fold
-            (fun oid acc ->
-              let b = Buffer.create 32 in
-              canon_obj origin_of b (obj_of oid);
-              Buffer.contents b :: acc)
-            set []
-          |> List.sort compare
-        in
-        List.iter
-          (fun s ->
-            Buffer.add_string buf s;
-            Buffer.add_char buf ' ')
-          objs;
-        Buffer.add_char buf '}';
-        add (Buffer.contents buf)
-      end);
-  List.iter
-    (fun (site, kind, (entry : Program.meth), ectx, obj, in_loop) ->
-      let buf = Buffer.create 64 in
-      Buffer.add_string buf
-        (Printf.sprintf "spawn %s@%d %s.%s loop=%b obj=" kind site
-           entry.Program.m_class entry.Program.m_name in_loop);
-      (match obj with
-      | None -> Buffer.add_string buf "<main>"
-      | Some o -> canon_obj origin_of buf o);
-      Buffer.add_string buf " ectx=";
-      canon_ctx origin_of buf ectx;
-      add (Buffer.contents buf))
-    spawns;
-  List.iter
-    (fun (site, ctx, (target : Program.meth), cctx) ->
-      let buf = Buffer.create 64 in
-      Buffer.add_string buf (Printf.sprintf "call @%d " site);
-      canon_ctx origin_of buf ctx;
-      Buffer.add_string buf
-        (Printf.sprintf " -> %s.%s @" target.Program.m_class
-           target.Program.m_name);
-      canon_ctx origin_of buf cctx;
-      add (Buffer.contents buf))
-    call_edges;
-  List.iter
-    (fun (site, c, m, ctx, v) ->
-      let buf = Buffer.create 64 in
-      Buffer.add_string buf (Printf.sprintf "join @%d %s.%s.%s @" site c m v);
-      canon_ctx origin_of buf ctx;
-      add (Buffer.contents buf))
-    joins;
-  String.concat "\n" (List.sort compare !lines)
-
 let fingerprint st =
   let kind_name = function
     | `Main -> "main"
     | `Thread -> "thread"
     | `Event -> "event"
   in
-  fingerprint_parts
+  Solver.fingerprint_parts
     ~origin_of:(fun og -> OriginIntern.value st.origin_reg og)
     ~iter_nodes:(fun f -> OPag.iter_nodes (fun _ n set -> f n set) st.pag)
     ~obj_of:(fun oid -> OPag.obj st.pag oid)
@@ -640,5 +516,3 @@ let fingerprint st =
              acc !l)
          st.call_edges [])
     ~joins:st.join_list
-
-let n_spawns st = List.length st.spawn_list

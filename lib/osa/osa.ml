@@ -21,7 +21,7 @@ type mut_sharing = {
 (* Internally everything is keyed by flat location id (tid) — the scan
    table probes ints, never structural targets. The target-typed public
    queries encode/decode at the boundary; the tid encoding is injective,
-   so every count and set below matches the structural-keyed legacy. *)
+   so every count and set below matches a structural-keyed scan. *)
 type t = {
   flat : Flat.t;
   locs : mut_sharing option array;  (* tid-indexed; None = never accessed *)
@@ -70,36 +70,8 @@ let freeze t tid (s : mut_sharing) =
     sh_writers = s.writers;
   }
 
-(* Legacy scan, retained as the test oracle ([run ~oracle:true]): the AST
-   walker plus structural target resolution, encoding each target at the
-   recording boundary. *)
-let scan_ast a t n_scanned =
-  let fl = a.Solver.flat in
-  Array.iter
-    (fun (sp : Solver.spawn) ->
-      let origin = Solver.origin_of_spawn a sp in
-      Walk.iter_origin a sp (fun m ctx s ->
-          incr n_scanned;
-          match Access.of_stmt a m ctx s with
-          | None -> ()
-          | Some (targets, is_write) ->
-              List.iter
-                (fun target ->
-                  let tid =
-                    match Access.tid_of fl target with
-                    | Some tid -> tid
-                    | None -> assert false
-                  in
-                  compute_origin_sharing t ~site:s.Ast.sid ~tid ~origin
-                    ~is_write;
-                  match target with
-                  | Access.Tfield (oid, _) -> touch t origin oid
-                  | Access.Tstatic _ -> ())
-                targets))
-      a.Solver.spawns
-
-(* The default scan: a linear pass over the flat opcode streams, counting
-   every instruction (the walker's statement count) and recursing into
+(* The scan: a linear pass over the flat opcode streams, counting every
+   instruction (the walker's statement count) and recursing into
    callees at call instructions, exactly the {!Walk.iter_origin} DFS.
    Instances, callees and variable points-to sets all come from the
    solver's dense instance call graph ({!Solver.icg}): the whole scan is
@@ -208,7 +180,7 @@ let scan_flat a t n_scanned =
       visit icg.Solver.ic_entry.(sp.Solver.sp_id))
     a.Solver.spawns
 
-let run ?(oracle = false) ?metrics a =
+let run ?metrics a =
   let t =
     {
       flat = a.Solver.flat;
@@ -227,9 +199,7 @@ let run ?(oracle = false) ?metrics a =
     }
   in
   let n_scanned = ref 0 in
-  let scan () =
-    if oracle then scan_ast a t n_scanned else scan_flat a t n_scanned
-  in
+  let scan () = scan_flat a t n_scanned in
   (match metrics with
   | None -> scan ()
   | Some m -> O2_util.Metrics.span m "osa.scan" scan);

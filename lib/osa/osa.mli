@@ -29,17 +29,12 @@ val is_shared : sharing -> bool
 
 type t
 
-(** [run ?oracle ?metrics a] scans all origins of the analysis result [a]
+(** [run ?metrics a] scans all origins of the analysis result [a]
     by a linear pass over the flat opcode streams of [a.flat]. With a sink
     the scan runs inside an ["osa.scan"] span and records
     [osa.stmts_scanned], [osa.accesses], [osa.locations] and
-    [osa.shared_locations] (the Table 7 volume columns).
-
-    @param oracle use the legacy AST tree-walk with structural target
-    resolution instead of the flat scan (default [false]). Kept only as the
-    certification oracle the property tests compare the flat path
-    against. *)
-val run : ?oracle:bool -> ?metrics:O2_util.Metrics.t -> Solver.result -> t
+    [osa.shared_locations] (the Table 7 volume columns). *)
+val run : ?metrics:O2_util.Metrics.t -> Solver.result -> t
 
 (** [sharing_of t target] is the recorded sharing for a location, if any
     origin accessed it. *)

@@ -882,13 +882,134 @@ let n_origins r =
   | Context.Korigin _ -> max 0 (OriginIntern.count r.tables.origin_reg - 1)
   | _ -> max 0 (Array.length r.spawns - 1)
 
+(* -- canonical fingerprint ---------------------------------------------- *)
+
+(* Identifier-free dump of the solved facts. Interned ids (objects,
+   origins) depend on discovery order, which differs between solvers, so
+   everything is rendered structurally: two solves agree on every fact iff
+   their fingerprints are equal strings. *)
+
+let rec canon_origin origin_of buf og_id =
+  let og : Context.origin = origin_of og_id in
+  if og.Context.og_site = -1 then Buffer.add_string buf "O<main>"
+  else begin
+    Buffer.add_string buf
+      (Printf.sprintf "O(%s@%d/w%d'%d" og.Context.og_class og.Context.og_site
+         og.Context.og_wrapper og.Context.og_copy);
+    List.iter
+      (fun parent ->
+        Buffer.add_char buf '<';
+        canon_origin origin_of buf parent)
+      og.Context.og_parent;
+    Buffer.add_char buf ')'
+  end
+
+let canon_ctx origin_of buf (ctx : Context.t) =
+  match ctx with
+  | Context.Cempty -> Buffer.add_string buf "[]"
+  | Context.Ccall xs ->
+      Buffer.add_string buf "cfa[";
+      List.iter (fun s -> Buffer.add_string buf (string_of_int s ^ ";")) xs;
+      Buffer.add_char buf ']'
+  | Context.Cobj xs ->
+      Buffer.add_string buf "obj[";
+      List.iter (fun s -> Buffer.add_string buf (string_of_int s ^ ";")) xs;
+      Buffer.add_char buf ']'
+  | Context.Corigin xs ->
+      Buffer.add_string buf "org[";
+      List.iter
+        (fun og ->
+          canon_origin origin_of buf og;
+          Buffer.add_char buf ';')
+        xs;
+      Buffer.add_char buf ']'
+
+let canon_obj origin_of buf (o : Pag.obj) =
+  Buffer.add_string buf
+    (Printf.sprintf "obj<%s@%d|" o.Pag.ob_class o.Pag.ob_site);
+  canon_ctx origin_of buf o.Pag.ob_hctx;
+  Buffer.add_char buf '>'
+
+let canon_node origin_of buf (n : Pag.node) obj_of =
+  match n with
+  | Pag.NVar (c, m, v, ctx) ->
+      Buffer.add_string buf (Printf.sprintf "var %s.%s.%s @" c m v);
+      canon_ctx origin_of buf ctx
+  | Pag.NRet (c, m, ctx) ->
+      Buffer.add_string buf (Printf.sprintf "ret %s.%s @" c m);
+      canon_ctx origin_of buf ctx
+  | Pag.NField (oid, f) ->
+      Buffer.add_string buf "fld ";
+      canon_obj origin_of buf (obj_of oid);
+      Buffer.add_string buf ("." ^ f)
+  | Pag.NStatic (c, f) -> Buffer.add_string buf (Printf.sprintf "static %s.%s" c f)
+
+let fingerprint_parts ~origin_of ~iter_nodes ~obj_of ~spawns ~call_edges
+    ~joins =
+  let lines = ref [] in
+  let add line = lines := line :: !lines in
+  iter_nodes (fun (n : Pag.node) (set : Bitset.t) ->
+      if not (Bitset.is_empty set) then begin
+        let buf = Buffer.create 64 in
+        canon_node origin_of buf n obj_of;
+        Buffer.add_string buf " => {";
+        let objs =
+          Bitset.fold
+            (fun oid acc ->
+              let b = Buffer.create 32 in
+              canon_obj origin_of b (obj_of oid);
+              Buffer.contents b :: acc)
+            set []
+          |> List.sort compare
+        in
+        List.iter
+          (fun s ->
+            Buffer.add_string buf s;
+            Buffer.add_char buf ' ')
+          objs;
+        Buffer.add_char buf '}';
+        add (Buffer.contents buf)
+      end);
+  List.iter
+    (fun (site, kind, (entry : Program.meth), ectx, obj, in_loop) ->
+      let buf = Buffer.create 64 in
+      Buffer.add_string buf
+        (Printf.sprintf "spawn %s@%d %s.%s loop=%b obj=" kind site
+           entry.Program.m_class entry.Program.m_name in_loop);
+      (match obj with
+      | None -> Buffer.add_string buf "<main>"
+      | Some o -> canon_obj origin_of buf o);
+      Buffer.add_string buf " ectx=";
+      canon_ctx origin_of buf ectx;
+      add (Buffer.contents buf))
+    spawns;
+  List.iter
+    (fun (site, ctx, (target : Program.meth), cctx) ->
+      let buf = Buffer.create 64 in
+      Buffer.add_string buf (Printf.sprintf "call @%d " site);
+      canon_ctx origin_of buf ctx;
+      Buffer.add_string buf
+        (Printf.sprintf " -> %s.%s @" target.Program.m_class
+           target.Program.m_name);
+      canon_ctx origin_of buf cctx;
+      add (Buffer.contents buf))
+    call_edges;
+  List.iter
+    (fun (site, c, m, ctx, v) ->
+      let buf = Buffer.create 64 in
+      Buffer.add_string buf (Printf.sprintf "join @%d %s.%s.%s @" site c m v);
+      canon_ctx origin_of buf ctx;
+      add (Buffer.contents buf))
+    joins;
+  String.concat "\n" (List.sort compare !lines)
+
 let fingerprint r =
   let kind_name = function
     | `Main -> "main"
     | `Thread -> "thread"
     | `Event -> "event"
   in
-  Oracle.fingerprint_parts
+  fingerprint_parts
     ~origin_of:(fun og -> OriginIntern.value r.tables.origin_reg og)
     ~iter_nodes:(fun f -> Pag.iter_nodes (fun _ n set -> f n set) r.pag)
     ~obj_of:(fun oid -> Pag.obj r.pag oid)

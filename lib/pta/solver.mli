@@ -166,6 +166,22 @@ val is_reached : result -> Program.meth -> bool
 val n_origins : result -> int
 
 (** [fingerprint r] is the canonical identifier-free dump of all solved
-    facts, in {!Oracle.fingerprint}'s format — equal strings iff the two
-    analyses agree on every fact. *)
+    facts: every non-empty points-to set, every spawn, every call edge and
+    every join site, rendered structurally (interned object/origin ids are
+    expanded) and sorted — equal strings iff the two analyses agree on
+    every fact. *)
 val fingerprint : result -> string
+
+(** [fingerprint_parts] renders {!fingerprint}'s format from raw parts, so
+    any solver — including a reference implementation with its own tables —
+    can emit comparable fingerprints; [origin_of] expands an interned
+    origin id into its structural record. *)
+val fingerprint_parts :
+  origin_of:(int -> Context.origin) ->
+  iter_nodes:((Pag.node -> O2_util.Bitset.t -> unit) -> unit) ->
+  obj_of:(int -> Pag.obj) ->
+  spawns:
+    (int * string * Program.meth * Context.t * Pag.obj option * bool) list ->
+  call_edges:(int * Context.t * Program.meth * Context.t) list ->
+  joins:(int * Types.cname * Types.mname * Context.t * Types.vname) list ->
+  string

@@ -405,294 +405,6 @@ let check_group g ~disjoint ~hb ~tb ~qb ~nls ~ostamp ~ivl ~gi acc target
 
 (* ------------------------------------------------------------------ *)
 
-(* The seed's group check, preserved verbatim as the test oracle for the
-   integer-keyed fast path above: per-group hash tables on structural keys
-   through the polymorphic hash, relation matrices as nested bool arrays
-   compared with structural [=], and direct (unmemoized) closure queries.
-   The report and every gated counter are identical to [check_group] —
-   only the constant factors differ. *)
-let check_group_oracle g ~disjoint acc target (ns : Graph.node list) =
-  (* quick origin-sharing filter: skip single-origin or read-only groups *)
-  let origin_seen = Hashtbl.create 8 in
-  let n_origins = ref 0 and first_origin = ref (-1) in
-  List.iter
-    (fun (n : Graph.node) ->
-      if not (Hashtbl.mem origin_seen n.Graph.n_origin) then begin
-        Hashtbl.add origin_seen n.Graph.n_origin ();
-        if !n_origins = 0 then first_origin := n.Graph.n_origin;
-        incr n_origins
-      end)
-    ns;
-  let has_write = List.exists is_write ns in
-  let single_origin_ok =
-    !n_origins = 1 && not (Graph.self_parallel g !first_origin)
-  in
-  if has_write && not single_origin_ok then begin
-    let locks = Graph.locks g in
-    let intervals = Hashtbl.create 64 in
-    let interval n =
-      match Hashtbl.find_opt intervals n.Graph.n_id with
-      | Some tq -> tq
-      | None ->
-          let tq = Graph.hb_interval g n in
-          Hashtbl.add intervals n.Graph.n_id tq;
-          tq
-    in
-    (* per-origin occupancy, first-seen (= id) order *)
-    let by_origin = Hashtbl.create 8 and origin_order = ref [] in
-    List.iter
-      (fun (n : Graph.node) ->
-        match Hashtbl.find_opt by_origin n.Graph.n_origin with
-        | Some l -> l := n :: !l
-        | None ->
-            Hashtbl.add by_origin n.Graph.n_origin (ref [ n ]);
-            origin_order := n.Graph.n_origin :: !origin_order)
-      ns;
-    let oinfos =
-      List.rev_map
-        (fun o ->
-          let members = List.rev !(Hashtbl.find by_origin o) in
-          let distinct proj =
-            List.map proj members |> List.sort_uniq compare |> Array.of_list
-          in
-          {
-            o_id = o;
-            o_self_par = Graph.self_parallel g o;
-            o_ts = distinct (fun n -> fst (interval n));
-            o_qs = distinct (fun n -> snd (interval n));
-          })
-        !origin_order
-      |> List.rev
-    in
-    let hb_state ~src ~t_idx ~dst ~q_idx =
-      acc.a_hbq <- acc.a_hbq + 1;
-      Graph.hb_state g ~src ~t_idx ~dst ~q_idx
-    in
-    (* the full ordered relation table over occupied intervals: rel.(i).(j)
-       is the matrix of hb_state answers from origin i's thresholds to
-       origin j's entry positions *)
-    let oarr = Array.of_list oinfos in
-    let m = Array.length oarr in
-    let rel =
-      Array.init m (fun i ->
-          Array.init m (fun j ->
-              if i = j then [||]
-              else
-                let u = oarr.(i) and v = oarr.(j) in
-                Array.map
-                  (fun t ->
-                    Array.map
-                      (fun q ->
-                        hb_state ~src:u.o_id ~t_idx:t ~dst:v.o_id ~q_idx:q)
-                      v.o_qs)
-                  u.o_ts))
-    in
-    (* [equiv i r]: origins i and r are interchangeable inside this group —
-       same self-parallelism and occupied slots, symmetric relation between
-       the two, and identical relations toward every third origin. The
-       relation is transitive (each third-origin row/column equality chains,
-       and the pairwise entries themselves are pinned by any third member),
-       so testing a candidate against one representative per block suffices *)
-    let equiv i r =
-      let u = oarr.(i) and v = oarr.(r) in
-      u.o_self_par = v.o_self_par
-      && u.o_ts = v.o_ts
-      && u.o_qs = v.o_qs
-      && rel.(i).(r) = rel.(r).(i)
-      &&
-      let ok = ref true in
-      let x = ref 0 in
-      while !ok && !x < m do
-        if !x <> i && !x <> r then
-          ok :=
-            rel.(i).(!x) = rel.(r).(!x) && rel.(!x).(i) = rel.(!x).(r);
-        incr x
-      done;
-      !ok
-    in
-    (* greedy origin blocks, deterministic (first-node order both ways) *)
-    let reps = ref [] and members = Hashtbl.create 8 in
-    for i = 0 to m - 1 do
-      match List.find_opt (fun r -> equiv i r) (List.rev !reps) with
-      | Some r -> Hashtbl.replace members r (i :: Hashtbl.find members r)
-      | None ->
-          reps := i :: !reps;
-          Hashtbl.add members i [ i ]
-    done;
-    let blocks =
-      List.rev !reps
-      |> List.map (fun r ->
-             {
-               bk_members =
-                 List.rev (Hashtbl.find members r)
-                 |> List.map (fun i -> oarr.(i))
-                 |> Array.of_list;
-               bk_self_par = oarr.(r).o_self_par;
-             })
-      |> Array.of_list
-    in
-    let block_of_origin = Hashtbl.create 8 in
-    Array.iteri
-      (fun i blk ->
-        Array.iter (fun o -> Hashtbl.replace block_of_origin o.o_id i)
-          blk.bk_members)
-      blocks;
-    (* node classes, first-member (= id) order *)
-    let cls_tbl = Hashtbl.create 16 and cls_order = ref [] in
-    List.iter
-      (fun (n : Graph.node) ->
-        let t, q = interval n in
-        let key =
-          ( Hashtbl.find block_of_origin n.Graph.n_origin,
-            t,
-            q,
-            n.Graph.n_lockset,
-            is_write n )
-        in
-        match Hashtbl.find_opt cls_tbl key with
-        | Some members -> members := n :: !members
-        | None ->
-            let members = ref [ n ] in
-            Hashtbl.add cls_tbl key members;
-            cls_order := (key, members) :: !cls_order)
-      ns;
-    let classes =
-      List.rev !cls_order
-      |> List.map (fun ((blk, t, q, ls, w), members) ->
-             let c_nodes = Array.of_list (List.rev !members) in
-             let c_by_origin = Hashtbl.create 4 in
-             Array.iter
-               (fun (n : Graph.node) ->
-                 Hashtbl.replace c_by_origin n.Graph.n_origin
-                   (1
-                   + Option.value ~default:0
-                       (Hashtbl.find_opt c_by_origin n.Graph.n_origin)))
-               c_nodes;
-             {
-               c_nodes;
-               c_block = blk;
-               c_t = t;
-               c_q = q;
-               c_ls = ls;
-               c_write = w;
-               c_by_origin;
-             })
-      |> Array.of_list
-    in
-    let k = Array.length classes in
-    (* a write by a self-parallel origin races with the same access in
-       another run-time instance of that origin — unless the access holds a
-       lock, which the other instance would hold too *)
-    Array.iter
-      (fun c ->
-        if
-          c.c_write
-          && blocks.(c.c_block).bk_self_par
-          && c.c_ls = Lockset.empty locks
-        then begin
-          acc.a_pairs <- acc.a_pairs + 1;
-          acc.a_cls <- acc.a_cls + Array.length c.c_nodes - 1;
-          Array.iter
-            (fun a ->
-              acc.a_races <-
-                { r_target = target; r_a = a; r_b = a } :: acc.a_races)
-            c.c_nodes
-        end)
-      classes;
-    for i = 0 to k - 1 do
-      for j = i to k - 1 do
-        let ci = classes.(i) and cj = classes.(j) in
-        if ci.c_write || cj.c_write then begin
-          let same_block = ci.c_block = cj.c_block in
-          let sp_i = blocks.(ci.c_block).bk_self_par
-          and sp_j = blocks.(cj.c_block).bk_self_par in
-          let ni = Array.length ci.c_nodes and nj = Array.length cj.c_nodes in
-          let total = if i = j then ni * (ni - 1) / 2 else ni * nj in
-          (* member pairs drawn from one origin: candidates only under
-             self-parallelism, exactly as in the pairwise loop *)
-          let same_origin_pairs =
-            if not same_block then 0
-            else if i = j then
-              Hashtbl.fold
-                (fun _ c acc -> acc + (c * (c - 1) / 2))
-                ci.c_by_origin 0
-            else
-              Hashtbl.fold
-                (fun o c acc ->
-                  acc
-                  + c
-                    * Option.value ~default:0 (Hashtbl.find_opt cj.c_by_origin o))
-                ci.c_by_origin 0
-          in
-          let candidates =
-            if same_block && not sp_i then total - same_origin_pairs else total
-          in
-          if candidates > 0 then begin
-            acc.a_pairs <- acc.a_pairs + 1;
-            acc.a_cls <- acc.a_cls + candidates - 1;
-            if not (disjoint ci.c_ls cj.c_ls) then
-              acc.a_lock <- acc.a_lock + 1
-            else begin
-              (* HB edges in/out of a self-parallel origin order each
-                 run-time instance only with its own children — the static
-                 graph cannot tell instances apart, so HB pruning is
-                 unsound there and only locksets apply *)
-              let hb_usable = (not sp_i) && not sp_j in
-              let hb_hit =
-                hb_usable
-                &&
-                if same_block then
-                  (* candidates > 0 and no self-parallelism means the block
-                     holds ≥ 2 origins; any ordered pair carries the one
-                     shared relation matrix *)
-                  let mem = blocks.(ci.c_block).bk_members in
-                  Array.length mem >= 2
-                  &&
-                  let u = mem.(0) and v = mem.(1) in
-                  hb_state ~src:u.o_id ~t_idx:ci.c_t ~dst:v.o_id ~q_idx:cj.c_q
-                  || hb_state ~src:u.o_id ~t_idx:cj.c_t ~dst:v.o_id
-                       ~q_idx:ci.c_q
-                else
-                  let u = blocks.(ci.c_block).bk_members.(0)
-                  and v = blocks.(cj.c_block).bk_members.(0) in
-                  hb_state ~src:u.o_id ~t_idx:ci.c_t ~dst:v.o_id ~q_idx:cj.c_q
-                  || hb_state ~src:v.o_id ~t_idx:cj.c_t ~dst:u.o_id
-                       ~q_idx:ci.c_q
-              in
-              if hb_hit then acc.a_hb <- acc.a_hb + 1
-              else begin
-                let skip_same_origin = same_block && not sp_i in
-                let emit (a : Graph.node) (b : Graph.node) =
-                  if
-                    not
-                      (skip_same_origin && a.Graph.n_origin = b.Graph.n_origin)
-                  then
-                    let a, b =
-                      if a.Graph.n_id <= b.Graph.n_id then (a, b) else (b, a)
-                    in
-                    acc.a_races <-
-                      { r_target = target; r_a = a; r_b = b } :: acc.a_races
-                in
-                if i = j then
-                  for x = 0 to ni - 1 do
-                    for y = x + 1 to ni - 1 do
-                      emit ci.c_nodes.(x) ci.c_nodes.(y)
-                    done
-                  done
-                else
-                  Array.iter
-                    (fun a -> Array.iter (emit a) cj.c_nodes)
-                    ci.c_nodes
-              end
-            end
-          end
-        end
-      done
-    done
-  end
-
-(* ------------------------------------------------------------------ *)
-
 (* Lockset-id disjointness for a worker domain. The canonical disjointness
    cache inside Lockset.t is a shared mutable Hashtbl, so the parallel path
    gives each domain a local cache over the read-only interned elements. *)
@@ -735,51 +447,29 @@ let hb_memo g =
           Bytes.unsafe_set memo k (if v then '\002' else '\001');
           v
 
-let run_detect ?(jobs = 1) ?(oracle = false) g =
+let run_detect ?(jobs = 1) g =
   let locks = Graph.locks g in
   (* group access nodes by flat location id — one int-keyed probe per
      access, with the structural target decoded once per group to label
-     its witnesses. [oracle] restores the seed's grouping: every access
-     keys the table on its structural target through the polymorphic
-     hash. Either way the group members and all downstream accounting are
-     identical (the tid encoding is injective); only the keying cost
-     differs. *)
+     its witnesses (the tid encoding is injective, so the groups are
+     exactly the structural-target groups) *)
   let group_arr =
-    if oracle then begin
-      let groups : (Access.target, Graph.node list ref) Hashtbl.t =
-        Hashtbl.create 256
-      in
-      Array.iter
-        (fun (n : Graph.node) ->
-          match n.Graph.n_kind with
-          | Graph.Read t | Graph.Write t -> (
-              let tgt = Graph.target_of g t in
-              match Hashtbl.find_opt groups tgt with
-              | Some l -> l := n :: !l
-              | None -> Hashtbl.add groups tgt (ref [ n ]))
-          | _ -> ())
-        (Graph.accesses g);
-      Hashtbl.fold (fun tgt l acc -> (tgt, List.rev !l) :: acc) groups []
-      |> Array.of_list
-    end
-    else begin
-      let groups : Graph.node list ref IntTbl.t = IntTbl.create 256 in
-      Array.iter
-        (fun (n : Graph.node) ->
-          match n.Graph.n_kind with
-          | Graph.Read t | Graph.Write t -> (
-              match IntTbl.find_opt groups t with
-              | Some l -> l := n :: !l
-              | None -> IntTbl.add groups t (ref [ n ]))
-          | _ -> ())
-        (Graph.accesses g);
-      (* accesses arrive id-ascending, so reversing the consed list keeps
-         each group's members id-ascending *)
-      IntTbl.fold
-        (fun t l acc -> (Graph.target_of g t, List.rev !l) :: acc)
-        groups []
-      |> Array.of_list
-    end
+    let groups : Graph.node list ref IntTbl.t = IntTbl.create 256 in
+    Array.iter
+      (fun (n : Graph.node) ->
+        match n.Graph.n_kind with
+        | Graph.Read t | Graph.Write t -> (
+            match IntTbl.find_opt groups t with
+            | Some l -> l := n :: !l
+            | None -> IntTbl.add groups t (ref [ n ]))
+        | _ -> ())
+      (Graph.accesses g);
+    (* accesses arrive id-ascending, so reversing the consed list keeps
+       each group's members id-ascending *)
+    IntTbl.fold
+      (fun t l acc -> (Graph.target_of g t, List.rev !l) :: acc)
+      groups []
+    |> Array.of_list
   in
   let tb, qb = Graph.interval_bounds g in
   let nls = Lockset.n_distinct locks in
@@ -787,26 +477,16 @@ let run_detect ?(jobs = 1) ?(oracle = false) g =
     let acc =
       { a_races = []; a_pairs = 0; a_hb = 0; a_lock = 0; a_cls = 0; a_hbq = 0 }
     in
-    if oracle then begin
-      let i = ref first in
-      while !i < Array.length group_arr do
-        let target, ns = group_arr.(!i) in
-        check_group_oracle g ~disjoint acc target ns;
-        i := !i + step
-      done
-    end
-    else begin
-      let hb = hb_memo g in
-      let ostamp = Array.make (max 1 (Graph.n_origins g)) (-1) in
-      let ivl = Array.make (max 1 (Array.length (Graph.nodes g))) 0 in
-      let i = ref first in
-      while !i < Array.length group_arr do
-        let target, ns = group_arr.(!i) in
-        check_group g ~disjoint ~hb ~tb ~qb ~nls ~ostamp ~ivl ~gi:!i acc target
-          ns;
-        i := !i + step
-      done
-    end;
+    let hb = hb_memo g in
+    let ostamp = Array.make (max 1 (Graph.n_origins g)) (-1) in
+    let ivl = Array.make (max 1 (Array.length (Graph.nodes g))) 0 in
+    let i = ref first in
+    while !i < Array.length group_arr do
+      let target, ns = group_arr.(!i) in
+      check_group g ~disjoint ~hb ~tb ~qb ~nls ~ostamp ~ivl ~gi:!i acc target
+        ns;
+      i := !i + step
+    done;
     acc
   in
   let accs =
@@ -854,13 +534,13 @@ let run_detect ?(jobs = 1) ?(oracle = false) g =
     n_class_pruned = sum (fun a -> a.a_cls);
   }
 
-let run ?metrics ?(jobs = 1) ?(oracle = false) g =
+let run ?metrics ?(jobs = 1) g =
   match metrics with
-  | None -> run_detect ~jobs ~oracle g
+  | None -> run_detect ~jobs g
   | Some m ->
       let report =
         O2_util.Metrics.span m "race.detect" (fun () ->
-            run_detect ~jobs ~oracle g)
+            run_detect ~jobs g)
       in
       let open O2_util in
       let locks = Graph.locks g in

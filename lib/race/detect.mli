@@ -53,16 +53,8 @@ val n_races : report -> int
     deduplicated at the end, so the output is byte-identical to the serial
     run; each domain keeps a local lockset-disjointness cache (the shared
     cache in {!O2_shb.Lockset} is not safe for concurrent mutation), which
-    means [shb.lockset_cache_hits/misses] only reflect serial runs.
-
-    [oracle] (default false) runs the seed's detection loop, preserved
-    verbatim — access groups and equivalence classes keyed on structural
-    values through the polymorphic hash, relation matrices as nested bool
-    arrays, no closure-query memo — as the legacy baseline and test oracle
-    for the default integer-indexed fast path. The report and every gated
-    counter are identical either way. *)
-val run :
-  ?metrics:O2_util.Metrics.t -> ?jobs:int -> ?oracle:bool -> Graph.t -> report
+    means [shb.lockset_cache_hits/misses] only reflect serial runs. *)
+val run : ?metrics:O2_util.Metrics.t -> ?jobs:int -> Graph.t -> report
 
 (** [analyze ?policy ?serial_events p] is the full O2 pipeline:
     pointer analysis → SHB → detection. [metrics] is threaded through all

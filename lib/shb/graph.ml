@@ -67,14 +67,6 @@ let sem_edges g = g.sems_e
 (* ------------------------------------------------------------------ *)
 (* construction *)
 
-type region_state = {
-  mutable seen : int list;
-      (* packed (lockset, tid, is_write) keys already represented in this
-         region; packing is injective (see [build_origin_flat]), so the int
-         keys dedup exactly the structural (lockset, target, is_write)
-         triples the seed's walker deduped *)
-}
-
 let emit g ~origin ~sid ~pos ~kind ~lockset =
   let n =
     {
@@ -89,166 +81,14 @@ let emit g ~origin ~sid ~pos ~kind ~lockset =
   g.all_nodes <- n :: g.all_nodes;
   n
 
-(* Legacy AST walker, retained as the test oracle for the flat walker
-   below ([build ~oracle:true]). Behaviour is the seed's, except access
-   nodes carry the encoded tid of their structural target (injective, so
-   region dedup and all downstream grouping are unchanged). *)
-let build_origin_ast g (sp : Solver.spawn) spawn_index =
-  let a = g.solver in
-  let fl = a.Solver.flat in
-  let origin = sp.Solver.sp_id in
-  let base_ls =
-    if g.serial_events && sp.Solver.sp_kind = `Event then
-      Lockset.id g.locks [ Lockset.dispatcher_lock ]
-    else Lockset.empty g.locks
-  in
-  let tid_bound =
-    Flat.n_statics fl + (Pag.n_objs a.Solver.pag * Flat.n_fields fl) + 1
-  in
-  let pack ls tid w = (((ls * tid_bound) + tid) * 2) + if w then 1 else 0 in
-  let visited = Hashtbl.create 64 in
-  let region = { seen = [] } in
-  let reset_region () = region.seen <- [] in
-  let rec visit (m : Program.meth) ctx ls =
-    let key = (m.Program.m_class, m.Program.m_name, ctx) in
-    if not (Hashtbl.mem visited key) then begin
-      Hashtbl.add visited key ();
-      body m ctx ls m.Program.m_body
-    end
-  and body m ctx ls stmts = List.iter (fun s -> stmt m ctx ls s) stmts
-  and follow_calls m ctx ls (s : Ast.stmt) =
-    ignore m;
-    List.iter
-      (fun (callee, cctx) -> visit callee cctx ls)
-      (Solver.callees a ~site:s.Ast.sid ~ctx)
-  and emit_access m ctx ls (s : Ast.stmt) targets is_write =
-    ignore (m, ctx);
-    List.iter
-      (fun target ->
-        let tid =
-          match Access.tid_of fl target with
-          | Some tid -> tid
-          | None -> assert false (* targets come from lowered statements *)
-        in
-        let k = pack ls tid is_write in
-        let dup = g.lock_region && List.mem k region.seen in
-        if not dup then begin
-          if g.lock_region then region.seen <- k :: region.seen;
-          ignore
-            (emit g ~origin ~sid:s.Ast.sid ~pos:s.Ast.pos
-               ~kind:(if is_write then Write tid else Read tid)
-               ~lockset:ls)
-        end)
-      targets
-  and stmt m ctx ls (s : Ast.stmt) =
-    match s.Ast.sk with
-    | Ast.New _ | Ast.Call _ | Ast.StaticCall _ ->
-        (* Table 4 ⑮: the call node with HB edges to/from the callee body is
-           represented by inlining the callee's trace at the call site. *)
-        follow_calls m ctx ls s
-    | Ast.FieldWrite _ | Ast.FieldRead _ | Ast.ArrayWrite _ | Ast.ArrayRead _
-    | Ast.StaticWrite _ | Ast.StaticRead _ -> (
-        match Access.of_stmt a m ctx s with
-        | Some (targets, is_write) -> emit_access m ctx ls s targets is_write
-        | None -> ())
-    | Ast.Sync (x, sync_body) ->
-        (* Table 4 ⑯: lock/unlock nodes. A lock var counts as a must-lock
-           only when it points to a single abstract object — precision of
-           the pointer analysis directly decides protection here. *)
-        let pts = Solver.pts_var a m ctx x in
-        let ls' =
-          match O2_util.Bitset.elements pts with
-          | [ o ] ->
-              ignore (emit g ~origin ~sid:s.Ast.sid ~pos:s.Ast.pos ~kind:(Acq o) ~lockset:ls);
-              Lockset.acquire g.locks ls o
-          | _ -> ls
-        in
-        let saved = region.seen in
-        reset_region ();
-        body m ctx ls' sync_body;
-        (match O2_util.Bitset.elements pts with
-        | [ o ] ->
-            ignore (emit g ~origin ~sid:s.Ast.sid ~pos:s.Ast.pos ~kind:(Rel o) ~lockset:ls)
-        | _ -> ());
-        region.seen <- saved
-    | Ast.If (b1, b2) ->
-        body m ctx ls b1;
-        body m ctx ls b2
-    | Ast.While b -> body m ctx ls b
-    | Ast.Start x | Ast.Post (x, _) ->
-        (* Table 4 ⑰: entry(𝕆ᵢ,𝕆ⱼ) ⇒ origin_first(𝕆ⱼ) *)
-        let pts = Solver.pts_var a m ctx x in
-        let children =
-          match Hashtbl.find_opt spawn_index s.Ast.sid with
-          | Some l ->
-              List.filter
-                (fun (sp' : Solver.spawn) ->
-                  O2_util.Bitset.mem pts sp'.Solver.sp_obj)
-                l
-          | None -> []
-        in
-        List.iter
-          (fun (sp' : Solver.spawn) ->
-            let n =
-              emit g ~origin ~sid:s.Ast.sid ~pos:s.Ast.pos
-                ~kind:(SpawnTo sp'.Solver.sp_id) ~lockset:ls
-            in
-            g.spawns_e <- (origin, sp'.Solver.sp_id, n.n_id) :: g.spawns_e;
-            (* the HB position changed: accesses after this point are no
-               longer equivalent to accesses before it *)
-            reset_region ())
-          children
-    | Ast.Join x ->
-        (* Table 4 ⑱: origin_last(𝕆ⱼ) ⇒ join(𝕆ⱼ,𝕆ᵢ). A join is a must-join
-           only when the variable points to a single thread object. *)
-        let pts = Solver.pts_var a m ctx x in
-        (match O2_util.Bitset.elements pts with
-        | [ oid ] ->
-            Array.iter
-              (fun (sp' : Solver.spawn) ->
-                if sp'.Solver.sp_obj = oid && sp'.Solver.sp_kind = `Thread
-                then begin
-                  let n =
-                    emit g ~origin ~sid:s.Ast.sid ~pos:s.Ast.pos
-                      ~kind:(JoinOf sp'.Solver.sp_id) ~lockset:ls
-                  in
-                  g.joins_e <- (sp'.Solver.sp_id, origin, n.n_id) :: g.joins_e;
-                  reset_region ()
-                end)
-              (a.Solver.spawns)
-        | _ -> ())
-    | Ast.Signal x ->
-        let pts = Solver.pts_var a m ctx x in
-        O2_util.Bitset.iter
-          (fun o ->
-            ignore
-              (emit g ~origin ~sid:s.Ast.sid ~pos:s.Ast.pos
-                 ~kind:(SemSignal o) ~lockset:ls);
-            reset_region ())
-          pts
-    | Ast.Wait x ->
-        let pts = Solver.pts_var a m ctx x in
-        O2_util.Bitset.iter
-          (fun o ->
-            ignore
-              (emit g ~origin ~sid:s.Ast.sid ~pos:s.Ast.pos ~kind:(SemWait o)
-                 ~lockset:ls);
-            reset_region ())
-          pts
-    | Ast.Assign _ | Ast.Null _ | Ast.Return _ -> ()
-  in
-  visit sp.Solver.sp_entry sp.Solver.sp_ectx base_ls
-
-(* The default walker: a scan of the flat opcode streams. Statements
-   appear in AST DFS order with block bodies inlined, so only [Sync] — the
-   one construct with scoped state (lockset + region reset/restore, Table 4
+(* The walker: a scan of the flat opcode streams. Statements appear in
+   AST DFS order with block bodies inlined, so only [Sync] — the one
+   construct with scoped state (lockset + region reset/restore, Table 4
    ⑯) — needs its block length; [If]/[While] headers are skipped and their
-   bodies picked up by the linear scan, exactly like the legacy
-   recursion. Variable points-to sets come from a (mid, ctx) → slot node
-   cache instead of re-hashing structural [NVar] keys per use; the first
-   probe interns exactly the node the legacy [pts_var] would, so the PAG
-   sees the same population either way. *)
-let build_origin_flat g (icg : Solver.icg) stamp (sp : Solver.spawn)
+   bodies picked up by the linear scan, exactly like an AST recursion.
+   Instances, callees and variable points-to sets come from the solver's
+   dense instance call graph. *)
+let build_origin g (icg : Solver.icg) stamp (sp : Solver.spawn)
     spawn_index =
   let a = g.solver in
   let fl = a.Solver.flat in
@@ -265,12 +105,11 @@ let build_origin_flat g (icg : Solver.icg) stamp (sp : Solver.spawn)
     Flat.n_statics fl + (Pag.n_objs a.Solver.pag * Flat.n_fields fl) + 1
   in
   let pack ls tid w = (((ls * tid_bound) + tid) * 2) + if w then 1 else 0 in
-  (* the region set itself is generation-stamped: membership means "bound
-     to the CURRENT generation", so a reset is one int bump instead of a
-     list drop, and probes are O(1) instead of a [List.mem] scan. [Sync]
-     scopes shadow with [Hashtbl.add] and unwind their own trail on exit,
-     re-exposing the outer region's bindings — exactly the legacy
-     save/reset/restore list discipline. *)
+  (* the region set is generation-stamped: membership means "bound to the
+     CURRENT generation", so a reset is one int bump and probes are O(1).
+     [Sync] scopes shadow with [Hashtbl.add] and unwind their own trail on
+     exit, re-exposing the outer region's bindings — a save/reset/restore
+     discipline per lock region. *)
   let rtbl : (int, int) Hashtbl.t = Hashtbl.create 256 in
   let cur_gen = ref 0 and next_gen = ref 1 in
   let trail = ref [] in
@@ -287,6 +126,8 @@ let build_origin_flat g (icg : Solver.icg) stamp (sp : Solver.spawn)
     Hashtbl.add rtbl k !cur_gen;
     trail := k :: !trail
   in
+  (* children this origin has spawned so far, for the join rule *)
+  let started = ref [] in
   (* visited set over instance ids: one shared stamp array, stamped with
      the spawn id — no per-spawn allocation, no structural hashing *)
   let rec visit iid ls =
@@ -317,8 +158,8 @@ let build_origin_flat g (icg : Solver.icg) stamp (sp : Solver.spawn)
         end)
       tids
   and field_tids (pts : O2_util.Bitset.t array) base fid =
-    (* cons under an ascending fold: descending-oid order, the legacy
-       [Access.base_targets] emission order *)
+    (* cons under an ascending fold: descending-oid order, the
+       [Access.base_targets] order *)
     O2_util.Bitset.fold
       (fun oid acc -> Flat.tid_field fl ~oid ~fid :: acc)
       pts.(base) []
@@ -413,6 +254,7 @@ let build_origin_flat g (icg : Solver.icg) stamp (sp : Solver.spawn)
                       ~lockset:ls
                   in
                   g.spawns_e <- (origin, sp'.Solver.sp_id, n.n_id) :: g.spawns_e;
+                  started := sp'.Solver.sp_id :: !started;
                   (* the HB position changed: accesses after this point are
                      no longer equivalent to accesses before it *)
                   reset_region ()
@@ -423,14 +265,20 @@ let build_origin_flat g (icg : Solver.icg) stamp (sp : Solver.spawn)
       end
       else if op = Flat.op_join then begin
         (* Table 4 ⑱: origin_last(𝕆ⱼ) ⇒ join(𝕆ⱼ,𝕆ᵢ). A join is a must-join
-           only when the variable points to a single thread object. *)
+           only when the variable points to a single thread object, and
+           only for a child this origin started earlier in its own trace:
+           a join on a thread that has not started returns at once and
+           orders nothing *)
         let jpts = pts.(code.(j + 2)) in
         let pos = Flat.pos_of_sid fl sid in
         (match O2_util.Bitset.elements jpts with
         | [ oid ] ->
             Array.iter
               (fun (sp' : Solver.spawn) ->
-                if sp'.Solver.sp_obj = oid && sp'.Solver.sp_kind = `Thread
+                if
+                  sp'.Solver.sp_obj = oid
+                  && sp'.Solver.sp_kind = `Thread
+                  && List.mem sp'.Solver.sp_id !started
                 then begin
                   let n =
                     emit g ~origin ~sid ~pos ~kind:(JoinOf sp'.Solver.sp_id)
@@ -703,7 +551,7 @@ let multi_exec_self_par (a : Solver.result) =
   done;
   sp_par
 
-let build_graph ~serial_events ~lock_region ~oracle a =
+let build_graph ~serial_events ~lock_region a =
   let sps = a.Solver.spawns in
   let self_par =
     match a.Solver.policy with
@@ -750,12 +598,9 @@ let build_graph ~serial_events ~lock_region ~oracle a =
         in
         Hashtbl.replace spawn_index sp.Solver.sp_site (sp :: l))
     sps;
-  (if oracle then Array.iter (fun sp -> build_origin_ast g sp spawn_index) sps
-   else begin
-     let icg = a.Solver.icg in
-     let stamp = Array.make (max 1 icg.Solver.ic_n) (-1) in
-     Array.iter (fun sp -> build_origin_flat g icg stamp sp spawn_index) sps
-   end);
+  let icg = a.Solver.icg in
+  let stamp = Array.make (max 1 icg.Solver.ic_n) (-1) in
+  Array.iter (fun sp -> build_origin g icg stamp sp spawn_index) sps;
   (* transitive self-parallelism (a child spawned by a self-parallel
      origin has as many run-time instances as its parent) falls out of
      [multi_exec_self_par]: the parent's entry instance is marked
@@ -796,14 +641,13 @@ let build_graph ~serial_events ~lock_region ~oracle a =
   build_hb_closure g;
   g
 
-let build ?(serial_events = true) ?(lock_region = true) ?(oracle = false)
-    ?metrics a =
+let build ?(serial_events = true) ?(lock_region = true) ?metrics a =
   match metrics with
-  | None -> build_graph ~serial_events ~lock_region ~oracle a
+  | None -> build_graph ~serial_events ~lock_region a
   | Some m ->
       let g =
         O2_util.Metrics.span m "shb.build" (fun () ->
-            build_graph ~serial_events ~lock_region ~oracle a)
+            build_graph ~serial_events ~lock_region a)
       in
       let open O2_util in
       Metrics.set m "shb.nodes" (Array.length g.nodes_arr);
@@ -821,58 +665,12 @@ let build ?(serial_events = true) ?(lock_region = true) ?(oracle = false)
 (* ------------------------------------------------------------------ *)
 (* happens-before *)
 
-(* Legacy BFS over (origin, position) states, kept as the test oracle for
-   the precomputed closure (set O2_HB_BFS=1 to route hb through it). From a
-   position p in origin X one can follow: a spawn edge of X at node id
-   s ≥ p into the start of the child, or X's join into its parent at node
-   id j (everything in X happens before j in the parent). Intra-origin
-   order is the id order. *)
-let hb_bfs g (a : node) (b : node) =
-  if a.n_origin = b.n_origin then a.n_id < b.n_id
-  else begin
-    let best = Hashtbl.create 8 in
-    (* best.(origin) = minimal position reached so far *)
-    let queue = Queue.create () in
-    let push origin pos =
-      match Hashtbl.find_opt best origin with
-      | Some p when p <= pos -> ()
-      | _ ->
-          Hashtbl.replace best origin pos;
-          Queue.push (origin, pos) queue
-    in
-    push a.n_origin a.n_id;
-    let found = ref false in
-    while (not !found) && not (Queue.is_empty queue) do
-      let x, p = Queue.pop queue in
-      if x = b.n_origin && p <= b.n_id then found := true
-      else begin
-        List.iter
-          (fun (parent, child, sid) ->
-            if parent = x && sid >= p then push child min_int)
-          g.spawns_e;
-        List.iter
-          (fun (child, parent, jid) -> if child = x then push parent jid)
-          g.joins_e;
-        List.iter
-          (fun (so, sid, wo, wid) -> if so = x && sid >= p then push wo wid)
-          g.sems_e
-      end
-    done;
-    !found
-  end
-
-let hb_use_bfs_oracle =
-  match Sys.getenv_opt "O2_HB_BFS" with
-  | Some ("1" | "true" | "yes") -> true
-  | _ -> false
-
 (* O(1) happens-before: locate a's threshold interval by binary search,
    then compare the precomputed minimal reachable position in b's origin
    against b's id. *)
 let hb g (a : node) (b : node) =
   Atomic.incr g.hb_queries;
   if a.n_origin = b.n_origin then a.n_id < b.n_id
-  else if hb_use_bfs_oracle then hb_bfs g a b
   else
     let i = lower_bound g.hb_thresholds.(a.n_origin) a.n_id in
     g.hb_closure.(a.n_origin).(i).(b.n_origin) <= b.n_id

@@ -6,7 +6,9 @@
     are globally monotone during construction, so intra-origin
     happens-before is an integer comparison. The only explicit edges are
     inter-origin: [entry(𝕆ᵢ,𝕆ⱼ) ⇒ origin_first(𝕆ⱼ)] at spawns and
-    [origin_last(𝕆ⱼ) ⇒ join(𝕆ⱼ,𝕆ᵢ)] at joins (Table 4 ⑰/⑱).
+    [origin_last(𝕆ⱼ) ⇒ join(𝕆ⱼ,𝕆ᵢ)] at joins (Table 4 ⑰/⑱). A join
+    counts only when 𝕆ᵢ itself spawned 𝕆ⱼ earlier in its trace: joining a
+    thread that has not started returns at once and orders nothing.
 
     Each access node carries a canonical lockset id ({!Lockset}); with
     [~lock_region:true] (the default, §4.1's third optimization) repeated
@@ -46,10 +48,6 @@ type t
     (default [true]).
     @param lock_region enable lock-region access merging (default [true];
     the ablation benchmark disables it).
-    @param oracle use the legacy AST tree-walk instead of the flat scan
-    (default [false]). Kept only as the certification oracle: the two
-    walkers must produce identical graphs, and the property tests compare
-    full pipeline output across them.
     @param metrics observability sink: construction runs inside an
     ["shb.build"] span and records [shb.nodes], [shb.access_nodes],
     [shb.edges] (spawn + join + semaphore), [shb.locksets] and
@@ -57,7 +55,6 @@ type t
 val build :
   ?serial_events:bool ->
   ?lock_region:bool ->
-  ?oracle:bool ->
   ?metrics:O2_util.Metrics.t ->
   Solver.result ->
   t
@@ -101,15 +98,8 @@ val sem_edges : t -> (int * int * int * int) list
 (** [hb g a b] decides statically-must happens-before between two nodes:
     intra-origin by integer comparison, inter-origin via the origin-level
     HB closure precomputed at build time — a binary search over [a]'s
-    outgoing-edge thresholds, one table lookup and one integer compare.
-    Setting the environment variable [O2_HB_BFS=1] routes inter-origin
-    queries through the legacy BFS instead (debugging aid). *)
+    outgoing-edge thresholds, one table lookup and one integer compare. *)
 val hb : t -> node -> node -> bool
-
-(** [hb_bfs g a b] is the legacy memoized-BFS happens-before over the raw
-    spawn/join/semaphore edge lists — the oracle the closure-based {!hb} is
-    property-tested against. *)
-val hb_bfs : t -> node -> node -> bool
 
 (** [hb_interval g n] is [(t_idx, q_idx)]: the index of [n] among its
     origin's outgoing timed-edge thresholds, and the count of its origin's

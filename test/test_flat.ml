@@ -1,14 +1,12 @@
-(* Flat-IR parity: the integer-indexed fast path is the ONLY default path
-   through SHB construction, race detection and the OSA scan — the legacy
-   AST walkers survive behind [~oracle:true] purely as test oracles. This
-   suite pins the contract: byte-identical rendered reports and equal
-   gated counters between the two paths, across every bundled model ×
-   context policy × jobs, plus a QCheck sweep over random programs and
-   unit coverage for the lowering invariants themselves. *)
+(* Flat-IR stages against their references: SHB construction, race
+   detection and the OSA scan each have one engine, a scan of the flat
+   opcode streams. {!O2_fuzz.Ref_stages.check} compares each with the
+   seed's engine on one solve, across every bundled model × context policy
+   × [serial_events]/[lock_region] setting, zookeeper × jobs and random
+   programs; plus unit coverage for the lowering invariants themselves. *)
 
 open O2_pta
 
-let check_str = Alcotest.(check string)
 let check_int = Alcotest.(check int)
 
 (* [O2_TEST_JOBS="1,2,8"] widens the matrix, e.g. on a many-core machine *)
@@ -23,44 +21,14 @@ let jobs_list =
 let policies =
   [ Context.Insensitive; Context.Kcfa 2; Context.Kobj 2; Context.Korigin 1 ]
 
-(* the post-PTA counters both paths set; PTA itself is shared, so the
-   pta.* entries of {!O2_batch.key_counter_names} cannot diverge *)
-let gated_counters =
-  [
-    "shb.nodes"; "shb.edges"; "race.pairs_checked"; "race.hb_pruned";
-    "race.lock_pruned"; "race.class_pruned"; "race.candidates"; "race.races";
-    "osa.stmts_scanned"; "osa.accesses"; "osa.locations";
-    "osa.shared_locations";
-  ]
+let check_stages ?serial_events ?lock_region ?jobs label a =
+  let g = O2_shb.Graph.build ?serial_events ?lock_region a in
+  List.iter
+    (fun (stage, detail) -> Alcotest.failf "%s %s: %s" label stage detail)
+    (O2_fuzz.Ref_stages.check ?serial_events ?lock_region ?jobs a g
+       (O2_race.Detect.run g))
 
-(* one post-PTA pipeline over a shared solve: SHB build, detection, OSA
-   scan, report rendering — flat by default, legacy walkers under
-   [oracle] *)
-let pipeline ?(jobs = 1) ~oracle a =
-  let m = O2_util.Metrics.create () in
-  let g = O2_shb.Graph.build ~oracle ~metrics:m a in
-  let r = O2_race.Detect.run ~metrics:m ~jobs ~oracle g in
-  let osa = O2_osa.Osa.run ~oracle ~metrics:m a in
-  let res = { O2_race.Report.solver = a; graph = g; report = r } in
-  let text = O2_race.Report.render res in
-  let json = O2_race.Report.render ~format:`Json res in
-  let counters = List.map (fun k -> (k, O2_util.Metrics.get m k)) gated_counters in
-  (text, json, counters, osa)
-
-let check_parity label a jobs =
-  let t_o, j_o, c_o, osa_o = pipeline ~oracle:true a in
-  let t_f, j_f, c_f, osa_f = pipeline ~jobs ~oracle:false a in
-  check_str (label ^ " text") t_o t_f;
-  check_str (label ^ " json") j_o j_f;
-  List.iter2
-    (fun (k, vo) (_, vf) -> check_int (label ^ " " ^ k) vo vf)
-    c_o c_f;
-  check_int
-    (label ^ " shared_accesses")
-    (O2_osa.Osa.n_shared_accesses osa_o)
-    (O2_osa.Osa.n_shared_accesses osa_f)
-
-(* ---------------- flat ≡ oracle across the model corpus ---------------- *)
+(* ---------------- flat = reference across the model corpus ---------------- *)
 
 let test_models_parity () =
   List.iter
@@ -68,20 +36,23 @@ let test_models_parity () =
       List.iter
         (fun policy ->
           let a = Solver.analyze ~policy (m.program ()) in
-          check_parity
-            (Printf.sprintf "%s/%s" m.name (Context.policy_name policy))
-            a 1)
+          List.iter
+            (fun (serial_events, lock_region) ->
+              check_stages ~serial_events ~lock_region
+                (Printf.sprintf "%s/%s/serial_events=%b/lock_region=%b"
+                   m.name (Context.policy_name policy) serial_events
+                   lock_region)
+                a)
+            [ (true, true); (false, true); (true, false) ])
         policies)
     O2_workloads.Models.all
 
-(* the jobs axis on the heaviest distributed workload: the flat detection
-   path fanned across domains must still match the serial oracle *)
+(* the jobs axis on the heaviest distributed workload: detection fanned
+   across domains must still equal the serial reference *)
 let test_zookeeper_jobs_parity () =
   let p = O2_workloads.Synth.program (O2_workloads.Synth.find "zookeeper") in
   let a = Solver.analyze ~policy:(Context.Korigin 1) p in
-  List.iter
-    (fun jobs -> check_parity (Printf.sprintf "zookeeper/jobs=%d" jobs) a jobs)
-    jobs_list
+  check_stages ~jobs:jobs_list "zookeeper" a
 
 (* ---------------- random programs ---------------- *)
 
@@ -91,9 +62,8 @@ let prop_flat_parity =
     (fun spec ->
       let p = O2_test_helpers.Gen.program_of_spec spec in
       let a = Solver.analyze ~policy:(Context.Korigin 1) p in
-      let t_o, j_o, c_o, _ = pipeline ~oracle:true a in
-      let t_f, j_f, c_f, _ = pipeline ~oracle:false a in
-      String.equal t_o t_f && String.equal j_o j_f && c_o = c_f)
+      check_stages "random program" a;
+      true)
 
 (* ---------------- lowering invariants ---------------- *)
 

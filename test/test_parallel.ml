@@ -1,8 +1,9 @@
 (* The solver's contract: the difference-propagation worklist computes
-   byte-for-byte the facts of the frozen reference solver (Oracle), and the
-   whole pipeline's output — race detection fans out over domains — is
-   byte-identical across [jobs]. Plus unit coverage for the cycle-collapsing
-   and difference-propagation primitives the solver is built on. *)
+   byte-for-byte the facts of the frozen reference solver
+   ({!O2_fuzz.Ref_pta}), and the whole pipeline's output — race detection
+   fans out over domains — is byte-identical across [jobs]. Plus unit
+   coverage for the cycle-collapsing and difference-propagation
+   primitives the solver is built on. *)
 
 open O2_pta
 
@@ -39,7 +40,7 @@ let test_oracle_equivalence () =
               let p = program () in
               check_str
                 (Printf.sprintf "%s/%s" name (Context.policy_name policy))
-                (Oracle.fingerprint (Oracle.analyze ~policy p))
+                O2_fuzz.Ref_pta.(fingerprint (analyze ~policy p))
                 (Solver.fingerprint (Solver.analyze ~policy p)))
             policies)
         [ (m.name, m.program); (m.name ^ "_fixed", m.fixed) ])

@@ -478,9 +478,95 @@ let test_self_parallel_loop_spawn () =
   check_bool "copies not self-parallel" false
     (Graph.self_parallel gO 1 || Graph.self_parallel gO 2)
 
-(* the closure-based hb must agree with the legacy BFS oracle on every node
-   pair of a randomized graph (and hb_state with both, at the node's
-   intervals) *)
+(* Rule ⑱ orders a join only after a spawn by the joining origin itself:
+   here Y joins E, which main may not have started yet — the join then
+   returns at once and Y's write races with main's. Every race systematic
+   exploration finds must be reported under every policy. *)
+let unstarted_join_src =
+  {|main Main;
+class D { field v; }
+class E extends Thread {
+  method run() { local x; x = new D(); x.v = x; }
+}
+class Y extends Thread {
+  field d; field e;
+  method init(d, e) { this.d = d; this.e = e; }
+  method run() { local e, d; e = this.e; join e; d = this.d; d.v = d; }
+}
+class Main {
+  static method main() {
+    local d, e, y;
+    d = new D(); e = new E(); y = new Y(d, e);
+    start y; d.v = d; start e;
+  }
+}
+|}
+
+let test_join_unstarted_thread () =
+  let p = O2_frontend.Parser.parse_string unstarted_join_src in
+  let explored = (O2_runtime.Explore.explore p).O2_runtime.Explore.races in
+  check_bool "exploration finds the race" true (explored <> []);
+  List.iter
+    (fun policy ->
+      let _, _, r = O2_race.Detect.analyze ~policy ~lock_region:false p in
+      let sites =
+        List.map
+          (fun (x : O2_race.Detect.race) ->
+            ( min x.r_a.Graph.n_sid x.r_b.Graph.n_sid,
+              max x.r_a.Graph.n_sid x.r_b.Graph.n_sid ))
+          r.O2_race.Detect.races
+      in
+      List.iter
+        (fun (d : O2_runtime.Dynrace.race) ->
+          check_bool
+            (Printf.sprintf "%s: explored race (%d,%d) reported"
+               (Context.policy_name policy) d.d_sid_a d.d_sid_b)
+            true
+            (List.mem (d.d_sid_a, d.d_sid_b) sites))
+        explored)
+    [ Context.Insensitive; Context.Kcfa 2; Context.Kobj 2; Context.Korigin 1 ]
+
+(* The reference happens-before: a BFS over (origin, position) states on
+   the raw edge lists. From a position p in origin X one can follow a spawn
+   edge of X at node id s ≥ p into the start of the child, X's join into
+   its parent at node id j (everything in X happens before j in the
+   parent), or a semaphore edge of X signalled at s ≥ p. Intra-origin
+   order is the id order. *)
+let hb_bfs g (a : Graph.node) (b : Graph.node) =
+  if a.Graph.n_origin = b.Graph.n_origin then a.Graph.n_id < b.Graph.n_id
+  else begin
+    let best = Hashtbl.create 8 in
+    let queue = Queue.create () in
+    let push origin pos =
+      match Hashtbl.find_opt best origin with
+      | Some p when p <= pos -> ()
+      | _ ->
+          Hashtbl.replace best origin pos;
+          Queue.push (origin, pos) queue
+    in
+    push a.Graph.n_origin a.Graph.n_id;
+    let found = ref false in
+    while (not !found) && not (Queue.is_empty queue) do
+      let x, p = Queue.pop queue in
+      if x = b.Graph.n_origin && p <= b.Graph.n_id then found := true
+      else begin
+        List.iter
+          (fun (parent, child, sid) ->
+            if parent = x && sid >= p then push child min_int)
+          (Graph.spawn_edges g);
+        List.iter
+          (fun (child, parent, jid) -> if child = x then push parent jid)
+          (Graph.join_edges g);
+        List.iter
+          (fun (so, sid, wo, wid) -> if so = x && sid >= p then push wo wid)
+          (Graph.sem_edges g)
+      end
+    done;
+    !found
+  end
+
+(* the closure-based hb must agree with the BFS on every node pair of a
+   randomized graph (and hb_state with both, at the node's intervals) *)
 let prop_hb_closure_matches_bfs =
   QCheck2.Test.make ~name:"HB closure = BFS oracle" ~count:60
     ~print:O2_test_helpers.Gen.print_spec O2_test_helpers.Gen.spec_gen
@@ -500,7 +586,7 @@ let prop_hb_closure_matches_bfs =
             while !ok && !j < len do
               let x = ns.(!i) and y = ns.(!j) in
               let hb = Graph.hb g x y in
-              ok := hb = Graph.hb_bfs g x y;
+              ok := hb = hb_bfs g x y;
               if !ok && x.Graph.n_origin <> y.Graph.n_origin then begin
                 let t, _ = Graph.hb_interval g x in
                 let _, q = Graph.hb_interval g y in
@@ -544,6 +630,8 @@ let () =
           Alcotest.test_case "post-spawn unordered" `Quick
             test_hb_after_spawn_not_ordered;
           Alcotest.test_case "join edge" `Quick test_hb_join_edge;
+          Alcotest.test_case "join on an unstarted thread" `Quick
+            test_join_unstarted_thread;
           Alcotest.test_case "transitive spawns" `Quick
             test_hb_transitive_spawn_chain;
           QCheck_alcotest.to_alcotest prop_hb_closure_matches_bfs;

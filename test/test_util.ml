@@ -138,24 +138,24 @@ let test_intern_many () =
   SIntern.iter (fun id v -> if string_of_int id = v then incr seen) t;
   check_int "iter consistent" 1000 !seen
 
-(* ---------------- Stats / Idgen ---------------- *)
+(* ---------------- Metrics / Idgen ---------------- *)
 
 let test_stats () =
-  let s = Stats.create () in
-  Stats.incr s "a";
-  Stats.incr s "a";
-  Stats.add s "b" 5;
-  Stats.set s "c" 7;
-  check_int "a" 2 (Stats.get s "a");
-  check_int "b" 5 (Stats.get s "b");
-  check_int "c" 7 (Stats.get s "c");
-  check_int "missing" 0 (Stats.get s "zzz");
-  let x = Stats.time s "t" (fun () -> 41 + 1) in
+  let s = Metrics.create () in
+  Metrics.incr s "a";
+  Metrics.incr s "a";
+  Metrics.add s "b" 5;
+  Metrics.set s "c" 7;
+  check_int "a" 2 (Metrics.get s "a");
+  check_int "b" 5 (Metrics.get s "b");
+  check_int "c" 7 (Metrics.get s "c");
+  check_int "missing" 0 (Metrics.get s "zzz");
+  let x = Metrics.time s "t" (fun () -> 41 + 1) in
   check_int "time result" 42 x;
-  check "timer recorded" true (Stats.get_time s "t" >= 0.0);
+  check "timer recorded" true (Metrics.get_time s "t" >= 0.0);
   Alcotest.(check (list string))
     "counters sorted" [ "a"; "b"; "c" ]
-    (List.map fst (Stats.counters s))
+    (List.map fst (Metrics.counters s))
 
 let test_idgen () =
   let g = Idgen.create () in
