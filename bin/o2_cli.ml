@@ -37,7 +37,7 @@ let policy_conv =
   Arg.conv (parse, print)
 
 let jobs_conv =
-  (* shared by analyze and batch: the same validation story as
+  (* shared by batch and fuzz: the same validation story as
      [policy_conv] — a non-positive count is a usage error at the CLI
      boundary, not something to patch up downstream *)
   let parse s =
@@ -93,24 +93,17 @@ let serial_arg =
 
 let load ?entry file = O2_frontend.Parser.parse_file ?entry file
 
+(* input errors (including an unreadable file that passed Cmdliner's
+   existence check) become one stderr line and exit 1; anything else
+   escapes *)
 let handle_errors f =
-  try f () with
-  | O2_frontend.Parser.Parse_error (msg, line) ->
-      Printf.eprintf "parse error at line %d: %s\n" line msg;
-      exit 1
-  | O2_frontend.Lexer.Lex_error (msg, line) ->
-      Printf.eprintf "lexical error at line %d: %s\n" line msg;
-      exit 1
-  | O2_ir.Program.Ill_formed msg ->
-      Printf.eprintf "ill-formed program: %s\n" msg;
-      exit 1
-  | O2_ir.Harness.No_activity msg ->
-      Printf.eprintf "harness error: %s\n" msg;
-      exit 1
-  | Sys_error msg ->
-      (* e.g. an unreadable file that passed Cmdliner's existence check *)
-      Printf.eprintf "error: %s\n" msg;
-      exit 1
+  try f ()
+  with e -> (
+    match O2.error_message e with
+    | Some msg ->
+        prerr_endline msg;
+        exit 1
+    | None -> raise e)
 
 (* ---- analyze ---- *)
 
@@ -140,17 +133,7 @@ let analyze_cmd =
              sharing, lockset-cache hit rate, race checks). With $(b,--json) \
              the report gains a $(b,metrics) field.")
   in
-  let jobs =
-    Arg.(
-      value & opt jobs_conv 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Fan the per-target race checks out over $(docv) worker \
-             domains (default 1 = serial); the pointer analysis is always \
-             serial. Output is byte-identical to a serial run. Ignored by \
-             $(b,--naive).")
-  in
-  let run file entry policy no_serial naive no_region json stats jobs =
+  let run file entry policy no_serial naive no_region json stats =
     handle_errors @@ fun () ->
     let p = load ~entry file in
     let serial_events = not no_serial in
@@ -171,7 +154,6 @@ let analyze_cmd =
           serial_events;
           lock_region = not no_region;
           metrics;
-          jobs;
           budget = None;
         }
       in
@@ -183,7 +165,7 @@ let analyze_cmd =
     (Cmd.info "analyze" ~doc:"Detect data races in a CIR program")
     Term.(
       const run $ file_arg $ entry_arg $ policy_arg $ serial_arg $ naive
-      $ no_region $ json $ stats $ jobs)
+      $ no_region $ json $ stats)
 
 (* ---- batch ---- *)
 
@@ -202,9 +184,9 @@ let batch_cmd =
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
             "Analyze up to $(docv) files concurrently on worker domains. \
-             Per-file detection stays serial, so per-file reports are \
-             byte-identical to serial $(b,o2 analyze) runs and the \
-             aggregate report is deterministic for any $(docv).")
+             Each file's analysis is serial, so per-file reports are \
+             byte-identical to $(b,o2 analyze) runs and the aggregate \
+             report is deterministic for any $(docv).")
   in
   let json =
     Arg.(
@@ -494,20 +476,13 @@ let diff_cmd =
   let side name file policy =
     match O2_race.Diff.keys ~policy (load file) with
     | ks -> Ok ks
-    | exception O2_frontend.Parser.Parse_error (msg, line) ->
-        Error (Printf.sprintf "%s %s: parse error at line %d: %s" name file line msg)
-    | exception O2_frontend.Lexer.Lex_error (msg, line) ->
-        Error
-          (Printf.sprintf "%s %s: lexical error at line %d: %s" name file line msg)
-    | exception O2_ir.Program.Ill_formed msg ->
-        Error (Printf.sprintf "%s %s: ill-formed program: %s" name file msg)
-    | exception O2_ir.Harness.No_activity msg ->
-        Error (Printf.sprintf "%s %s: harness error: %s" name file msg)
-    | exception Sys_error msg -> Error (Printf.sprintf "%s %s: %s" name file msg)
     | exception e ->
-        Error
-          (Printf.sprintf "%s %s: analyzer failure: %s" name file
-             (Printexc.to_string e))
+        let msg =
+          match O2.error_message e with
+          | Some msg -> msg
+          | None -> "analyzer failure: " ^ Printexc.to_string e
+        in
+        Error (Printf.sprintf "%s %s: %s" name file msg)
   in
   let run old_f new_f policy =
     match (side "old" old_f policy, side "new" new_f policy) with
@@ -555,13 +530,9 @@ let android_cmd =
         (fun () -> really_input_string ic (in_channel_length ic))
     in
     let classes = O2_frontend.Parser.parse_classes ~file src in
-    match O2_ir.Harness.android ?main_activity:activity classes with
-    | p ->
-        let r = O2.run { O2.Config.default with O2.Config.policy } p in
-        Format.printf "%a@." (O2.pp_report r) ()
-    | exception O2_ir.Harness.No_activity msg ->
-        Printf.eprintf "harness error: %s\n" msg;
-        exit 1
+    let p = O2_ir.Harness.android ?main_activity:activity classes in
+    let r = O2.run { O2.Config.default with O2.Config.policy } p in
+    Format.printf "%a@." (O2.pp_report r) ()
   in
   Cmd.v
     (Cmd.info "android"

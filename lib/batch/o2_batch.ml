@@ -206,10 +206,6 @@ let analyze_one cfg (cache : cache_tbl) file =
             serial_events = cfg.serial_events;
             lock_region = cfg.lock_region;
             metrics = Some m;
-            (* detection stays serial inside one file: batch parallelism is
-               across files, and per-file output must be byte-identical to
-               a serial `o2 analyze` *)
-            jobs = 1;
             budget;
           }
         in
@@ -236,18 +232,13 @@ let analyze_one cfg (cache : cache_tbl) file =
             List.map (fun k -> (k, Metrics.get m k)) key_counter_names;
         }
       with
-      | O2_frontend.Parser.Parse_error (msg, line) ->
-          fail (`Error (Printf.sprintf "parse error at line %d: %s" line msg))
-      | O2_frontend.Lexer.Lex_error (msg, line) ->
-          fail (`Error (Printf.sprintf "lexical error at line %d: %s" line msg))
-      | O2_ir.Program.Ill_formed msg ->
-          fail (`Error ("ill-formed program: " ^ msg))
-      | O2_ir.Harness.No_activity msg ->
-          fail (`Error ("no activity class: " ^ msg))
       | Budget.Exhausted reason -> fail (`Timeout (Budget.reason_to_string reason))
-      | Sys_error msg -> fail (`Error msg)
       | Invalid_argument msg -> fail (`Error msg)
-      | exn -> fail (`Error ("uncaught exception: " ^ Printexc.to_string exn)))
+      | exn -> (
+          match O2.error_message exn with
+          | Some msg -> fail (`Error msg)
+          | None ->
+              fail (`Error ("uncaught exception: " ^ Printexc.to_string exn))))
 
 (* ---------------- the corpus run ---------------- *)
 
@@ -257,31 +248,13 @@ let run cfg files =
   let cache = load_cache cfg.cache_file in
   let files_arr = Array.of_list files in
   let n = Array.length files_arr in
-  let results = Array.make n None in
-  let next = Atomic.make 0 in
-  (* each worker claims the next unanalyzed file; the cache table is only
-     read during the run (writes happen after the join below) *)
-  let worker () =
-    let rec go () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        results.(i) <- Some (analyze_one cfg cache files_arr.(i));
-        go ()
-      end
-    in
-    go ()
-  in
-  let jobs = max 1 (min cfg.jobs (max 1 n)) in
-  Metrics.span bm "batch" (fun () ->
-      if jobs <= 1 then worker ()
-      else begin
-        let domains = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-        worker ();
-        Array.iter Domain.join domains
-      end);
+  (* the cache table is only read during the fan-out (writes happen after
+     it returns) *)
   let entries =
-    Array.to_list results
-    |> List.map (function Some e -> e | None -> assert false)
+    Metrics.span bm "batch" (fun () ->
+        Fanout.init ~jobs:cfg.jobs n (fun i ->
+            analyze_one cfg cache files_arr.(i)))
+    |> Array.to_list
     |> List.sort (fun a b -> compare a.e_file b.e_file)
   in
   (* aggregate counters; per-file metrics were kept out of the entries to
@@ -327,7 +300,7 @@ let run cfg files =
       save_cache path cache);
   {
     b_policy = cfg.policy;
-    b_jobs = jobs;
+    b_jobs = Fanout.workers ~jobs:cfg.jobs n;
     b_format = cfg.format;
     b_entries = entries;
     b_elapsed = Unix.gettimeofday () -. t0;

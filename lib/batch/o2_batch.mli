@@ -6,10 +6,10 @@
     boundary — parse/lex/ill-formed errors, uncaught exceptions and
     {!O2_util.Budget} exhaustion each downgrade that one file to a
     structured [`Error]/[`Timeout] entry instead of killing the run — and
-    files fan out across OCaml 5 domains ([config.jobs]). Per-file reports
-    are rendered with detection jobs pinned to 1 and no metrics attached,
-    so they are byte-identical to a serial [o2 analyze] of the same file
-    regardless of batch parallelism.
+    files fan out across OCaml 5 domains ([config.jobs], via
+    {!O2_util.Fanout}). Each file's analysis is serial, and its report is
+    rendered without metrics, so it is byte-identical to [o2 analyze] of
+    the same file regardless of batch parallelism.
 
     Results can persist in an on-disk cache keyed by source digest and
     analysis configuration; a rerun serves digest-unchanged files from the
@@ -52,7 +52,7 @@ type config = {
       (** entry-point selection per file (default [Auto]: [main C;]
           programs and Android-style class lists both analyze); part of
           the cache key *)
-  jobs : int;  (** worker domains across files (per-file detection is serial) *)
+  jobs : int;  (** worker domains across files (each file's analysis is serial) *)
   format : [ `Text | `Json ];  (** per-file report format *)
   wall : float option;  (** per-file wall-clock budget, seconds *)
   max_steps : int option;  (** per-file PTA worklist-step ceiling *)

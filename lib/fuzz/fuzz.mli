@@ -43,8 +43,8 @@ val default_gates : gates
 (** [sweep ~seed ~count ()] generates [count] programs from
     [Synth.spec_of_seed] and checks each under the batch fault boundary:
     budget exhaustion becomes [`Timeout], any other escape [`Divergent]
-    of class ["crash"]. [jobs] fans programs out over worker domains;
-    entries come back in index order either way. *)
+    of class ["crash"]. [jobs] fans programs out over worker domains
+    ({!O2_util.Fanout}); entries come back in index order either way. *)
 val sweep : ?jobs:int -> ?gates:gates -> seed:int -> count:int -> unit -> report
 
 (** The sorted distinct [dv_class]es of a divergent status ([[]] otherwise). *)

@@ -594,7 +594,7 @@ let node_str (n : Graph.node) =
   Printf.sprintf "#%d O%d sid %d %s %d ls %d" n.Graph.n_id n.Graph.n_origin
     n.Graph.n_sid kind x n.Graph.n_lockset
 
-let check ?serial_events ?lock_region ?(jobs = []) a g report =
+let check ?serial_events ?lock_region a g report =
   let out = ref [] in
   let fail stage fmt =
     Printf.ksprintf (fun d -> out := (stage, d) :: !out) fmt
@@ -615,17 +615,10 @@ let check ?serial_events ?lock_region ?(jobs = []) a g report =
   if Graph.spawn_edges g <> t.spawn_edges then fail "shb" "spawn edges differ";
   if Graph.join_edges g <> t.join_edges then fail "shb" "join edges differ";
   let want = detect g in
-  let compare_report label (r : Detect.report) =
-    if r <> want then
-      fail "race" "%s: %d witnesses, %d class pairs vs reference %d, %d" label
-        (List.length r.Detect.races) r.Detect.n_pairs_checked
-        (List.length want.Detect.races) want.Detect.n_pairs_checked
-  in
-  compare_report "report" report;
-  List.iter
-    (fun jobs ->
-      compare_report (Printf.sprintf "jobs=%d" jobs) (Detect.run ~jobs g))
-    jobs;
+  if report <> want then
+    fail "race" "report: %d witnesses, %d class pairs vs reference %d, %d"
+      (List.length report.Detect.races) report.Detect.n_pairs_checked
+      (List.length want.Detect.races) want.Detect.n_pairs_checked;
   let m = O2_util.Metrics.create () in
   let o = Osa.run ~metrics:m a and r = osa a in
   let count name v want =

@@ -54,15 +54,13 @@ val osa : Solver.result -> osa
     with their references: [g] is the SHB graph built from [a] under the
     same [serial_events]/[lock_region] and [report] its detection report.
     The trace is compared node for node (id, origin, sid, pos, kind,
-    lockset) plus both edge lists; [report], and [Detect.run ~jobs g] for
-    every value in [jobs] (default none), must be [=] to {!detect}'s; the
+    lockset) plus both edge lists; [report] must be [=] to {!detect}'s; the
     OSA counts and shared locations of [Osa.run a] must equal {!osa}'s.
     It returns one [(stage, detail)] per disagreement, stage being
     ["shb"], ["race"] or ["osa"]; [[]] means every stage agrees. *)
 val check :
   ?serial_events:bool ->
   ?lock_region:bool ->
-  ?jobs:int list ->
   Solver.result ->
   Graph.t ->
   Detect.report ->

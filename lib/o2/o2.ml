@@ -4,7 +4,6 @@ module Config = struct
     serial_events : bool;
     lock_region : bool;
     metrics : O2_util.Metrics.t option;
-    jobs : int;
     budget : O2_util.Budget.t option;
   }
 
@@ -14,12 +13,21 @@ module Config = struct
       serial_events = true;
       lock_region = true;
       metrics = None;
-      jobs = 1;
       budget = None;
     }
 
   let with_metrics cfg = { cfg with metrics = Some (O2_util.Metrics.create ()) }
 end
+
+let error_message = function
+  | O2_frontend.Parser.Parse_error (msg, line) ->
+      Some (Printf.sprintf "parse error at line %d: %s" line msg)
+  | O2_frontend.Lexer.Lex_error (msg, line) ->
+      Some (Printf.sprintf "lexical error at line %d: %s" line msg)
+  | O2_ir.Program.Ill_formed msg -> Some ("ill-formed program: " ^ msg)
+  | O2_ir.Harness.No_activity msg -> Some ("harness error: " ^ msg)
+  | Sys_error msg -> Some msg
+  | _ -> None
 
 type result = {
   config : Config.t;
@@ -60,8 +68,7 @@ let run (cfg : Config.t) p =
         in
         deadline_gate ();
         let report =
-          sp "race" (fun () ->
-              O2_race.Detect.run ?metrics:m ~jobs:cfg.Config.jobs graph)
+          sp "race" (fun () -> O2_race.Detect.run ?metrics:m graph)
         in
         deadline_gate ();
         let osa = sp "osa" (fun () -> O2_osa.Osa.run ?metrics:m solver) in

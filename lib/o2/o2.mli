@@ -35,12 +35,6 @@ module Config : sig
     metrics : O2_util.Metrics.t option;
         (** observability sink threaded through every stage; [None]
             (default) costs nothing on any hot path *)
-    jobs : int;
-        (** worker domains for race detection (default 1 = serial;
-            requires OCaml 5): the race-detection pair scan fans out over
-            [jobs] domains, and the batch driver reuses the same knob for
-            corpus fan-out. The PTA solve is always serial. Output is
-            byte-identical for every value. *)
     budget : O2_util.Budget.t option;
         (** resource budget: the PTA worklist checks it every step, and the
             wall-clock deadline is re-checked between pipeline stages.
@@ -50,12 +44,20 @@ module Config : sig
   }
 
   (** The paper's defaults: 1-origin OPA, serialized events, lock-region
-      merging, no metrics, serial detection. *)
+      merging, no metrics, no budget. *)
   val default : t
 
   (** [with_metrics cfg] is [cfg] with a fresh metrics sink attached. *)
   val with_metrics : t -> t
 end
+
+(** [error_message e] is the one-line message for an input error: a
+    parse or lexical error, an ill-formed program, a class list without an
+    Activity for the lifecycle harness, or a [Sys_error] (whose message
+    names the path). [None] for any other exception, which each caller
+    handles by its own policy. The CLI, [o2 diff] and the batch driver all
+    report input errors with this text. *)
+val error_message : exn -> string option
 
 type result = {
   config : Config.t;  (** the configuration that produced this result *)

@@ -76,15 +76,15 @@ type cls = {
   c_by_origin : (int, int) Hashtbl.t;  (* origin -> member count *)
 }
 
-(* per-worker accumulator: merged (and the race list re-sorted) at the end,
-   so the parallel path stays byte-identical to the serial one *)
+(* the detection run's accumulator: witnesses (re-sorted and deduplicated
+   at the end) and the pruning counters *)
 type acc = {
   mutable a_races : race list;
   mutable a_pairs : int;
   mutable a_hb : int;
   mutable a_lock : int;
   mutable a_cls : int;
-  mutable a_hbq : int;  (* interval-level HB queries issued by this worker *)
+  mutable a_hbq : int;  (* interval-level HB queries, flushed to the graph *)
 }
 
 (* [tb]/[qb]/[nls] are the packing bounds for the int class keys: exclusive
@@ -92,9 +92,9 @@ type acc = {
    lockset ids. *)
 (* [ostamp] (over origins, stamped with the group ordinal [gi]) and [ivl]
    (a node-id-indexed interval memo, packed [1 + t*qb + q], 0 = unset) are
-   slice-local scratch arrays — per-group hash tables on these hot paths
+   run-local scratch arrays — per-group hash tables on these hot paths
    cost more than the group work itself. *)
-let check_group g ~disjoint ~hb ~tb ~qb ~nls ~ostamp ~ivl ~gi acc target
+let check_group g ~hb ~tb ~qb ~nls ~ostamp ~ivl ~gi acc target
     (ns : Graph.node list) =
   (* quick origin-sharing filter: skip single-origin or read-only groups *)
   let n_origins = ref 0 and first_origin = ref (-1) in
@@ -342,7 +342,7 @@ let check_group g ~disjoint ~hb ~tb ~qb ~nls ~ostamp ~ivl ~gi acc target
           if candidates > 0 then begin
             acc.a_pairs <- acc.a_pairs + 1;
             acc.a_cls <- acc.a_cls + candidates - 1;
-            if not (disjoint ci.c_ls cj.c_ls) then
+            if not (Lockset.disjoint locks ci.c_ls cj.c_ls) then
               acc.a_lock <- acc.a_lock + 1
             else begin
               (* HB edges in/out of a self-parallel origin order each
@@ -405,30 +405,11 @@ let check_group g ~disjoint ~hb ~tb ~qb ~nls ~ostamp ~ivl ~gi acc target
 
 (* ------------------------------------------------------------------ *)
 
-(* Lockset-id disjointness for a worker domain. The canonical disjointness
-   cache inside Lockset.t is a shared mutable Hashtbl, so the parallel path
-   gives each domain a local cache over the read-only interned elements. *)
-let local_disjoint locks =
-  let cache = Hashtbl.create 64 in
-  fun a b ->
-    if a = b then a = Lockset.empty locks
-    else if a = Lockset.empty locks || b = Lockset.empty locks then true
-    else
-      let key = if a <= b then (a, b) else (b, a) in
-      match Hashtbl.find_opt cache key with
-      | Some v -> v
-      | None ->
-          let la = Lockset.elements locks a and lb = Lockset.elements locks b in
-          let v = not (List.exists (fun l -> List.mem l lb) la) in
-          Hashtbl.add cache key v;
-          v
-
 (* Interval-level HB answers are pure functions of four small dense ints
    (source origin, threshold index, destination origin, entry index), and
    target groups re-ask the same questions — over a hundred times each on
-   the bigger workloads. One byte-array memo per worker answers repeats
-   with a single probe. (Per worker, not per graph: domains must not race
-   on a shared cache.) *)
+   the bigger workloads. One byte-array memo per detection run answers
+   repeats with a single probe. *)
 let hb_memo g =
   let tb, qb = Graph.interval_bounds g in
   let n = Graph.n_origins g in
@@ -447,71 +428,45 @@ let hb_memo g =
           Bytes.unsafe_set memo k (if v then '\002' else '\001');
           v
 
-let run_detect ?(jobs = 1) g =
+let run_detect g =
   let locks = Graph.locks g in
   (* group access nodes by flat location id — one int-keyed probe per
      access, with the structural target decoded once per group to label
      its witnesses (the tid encoding is injective, so the groups are
      exactly the structural-target groups) *)
-  let group_arr =
-    let groups : Graph.node list ref IntTbl.t = IntTbl.create 256 in
-    Array.iter
-      (fun (n : Graph.node) ->
-        match n.Graph.n_kind with
-        | Graph.Read t | Graph.Write t -> (
-            match IntTbl.find_opt groups t with
-            | Some l -> l := n :: !l
-            | None -> IntTbl.add groups t (ref [ n ]))
-        | _ -> ())
-      (Graph.accesses g);
-    (* accesses arrive id-ascending, so reversing the consed list keeps
-       each group's members id-ascending *)
-    IntTbl.fold
-      (fun t l acc -> (Graph.target_of g t, List.rev !l) :: acc)
-      groups []
-    |> Array.of_list
+  let groups : Graph.node list ref IntTbl.t = IntTbl.create 256 in
+  Array.iter
+    (fun (n : Graph.node) ->
+      match n.Graph.n_kind with
+      | Graph.Read t | Graph.Write t -> (
+          match IntTbl.find_opt groups t with
+          | Some l -> l := n :: !l
+          | None -> IntTbl.add groups t (ref [ n ]))
+      | _ -> ())
+    (Graph.accesses g);
+  let acc =
+    { a_races = []; a_pairs = 0; a_hb = 0; a_lock = 0; a_cls = 0; a_hbq = 0 }
   in
   let tb, qb = Graph.interval_bounds g in
   let nls = Lockset.n_distinct locks in
-  let detect_slice ~disjoint first step =
-    let acc =
-      { a_races = []; a_pairs = 0; a_hb = 0; a_lock = 0; a_cls = 0; a_hbq = 0 }
-    in
-    let hb = hb_memo g in
-    let ostamp = Array.make (max 1 (Graph.n_origins g)) (-1) in
-    let ivl = Array.make (max 1 (Array.length (Graph.nodes g))) 0 in
-    let i = ref first in
-    while !i < Array.length group_arr do
-      let target, ns = group_arr.(!i) in
-      check_group g ~disjoint ~hb ~tb ~qb ~nls ~ostamp ~ivl ~gi:!i acc target
-        ns;
-      i := !i + step
-    done;
-    acc
-  in
-  let accs =
-    if jobs <= 1 then [ detect_slice ~disjoint:(Lockset.disjoint locks) 0 1 ]
-    else
-      let nd = max 1 (min jobs (Array.length group_arr)) in
-      let domains =
-        Array.init nd (fun d ->
-            Domain.spawn (fun () ->
-                detect_slice ~disjoint:(local_disjoint locks) d nd))
-      in
-      Array.to_list (Array.map Domain.join domains)
-  in
-  let sum f = List.fold_left (fun s a -> s + f a) 0 accs in
-  (* workers count their interval-level HB queries locally (the shared
-     atomic would make domains contend on one cache line); flush once *)
-  Graph.note_hb_queries g (sum (fun a -> a.a_hbq));
-  let races = List.concat_map (fun a -> a.a_races) accs in
+  let hb = hb_memo g in
+  let ostamp = Array.make (max 1 (Graph.n_origins g)) (-1) in
+  let ivl = Array.make (max 1 (Array.length (Graph.nodes g))) 0 in
+  (* accesses arrive id-ascending, so reversing the consed list keeps
+     each group's members id-ascending *)
+  IntTbl.fold
+    (fun t l acc -> (Graph.target_of g t, List.rev !l) :: acc)
+    groups []
+  |> List.iteri (fun gi (target, ns) ->
+         check_group g ~hb ~tb ~qb ~nls ~ostamp ~ivl ~gi acc target ns);
+  Graph.note_hb_queries g acc.a_hbq;
   let races =
     List.sort
       (fun r1 r2 ->
         compare
           (r1.r_a.Graph.n_id, r1.r_b.Graph.n_id)
           (r2.r_a.Graph.n_id, r2.r_b.Graph.n_id))
-      races
+      acc.a_races
   in
   (* deduplicate identical source-site pairs, keeping the first witness *)
   let seen = Hashtbl.create 64 in
@@ -528,19 +483,18 @@ let run_detect ?(jobs = 1) g =
   in
   {
     races;
-    n_pairs_checked = sum (fun a -> a.a_pairs);
-    n_hb_pruned = sum (fun a -> a.a_hb);
-    n_lock_pruned = sum (fun a -> a.a_lock);
-    n_class_pruned = sum (fun a -> a.a_cls);
+    n_pairs_checked = acc.a_pairs;
+    n_hb_pruned = acc.a_hb;
+    n_lock_pruned = acc.a_lock;
+    n_class_pruned = acc.a_cls;
   }
 
-let run ?metrics ?(jobs = 1) g =
+let run ?metrics ?jobs:_ g =
   match metrics with
-  | None -> run_detect ~jobs g
+  | None -> run_detect g
   | Some m ->
       let report =
-        O2_util.Metrics.span m "race.detect" (fun () ->
-            run_detect ~jobs g)
+        O2_util.Metrics.span m "race.detect" (fun () -> run_detect g)
       in
       let open O2_util in
       let locks = Graph.locks g in
@@ -550,7 +504,6 @@ let run ?metrics ?(jobs = 1) g =
       Metrics.set m "race.class_pruned" report.n_class_pruned;
       Metrics.set m "race.candidates" (List.length report.races);
       Metrics.set m "race.races" (n_races report);
-      Metrics.set m "race.jobs" jobs;
       Metrics.set m "shb.hb_queries" (Graph.hb_queries g);
       (* the lockset disjointness cache is exercised by detection: snapshot
          its hit rate here (cumulative over all runs on this graph) *)
@@ -559,8 +512,8 @@ let run ?metrics ?(jobs = 1) g =
       report
 
 let analyze ?(policy = Context.Korigin 1) ?(serial_events = true)
-    ?(lock_region = true) ?metrics ?jobs p =
+    ?(lock_region = true) ?metrics p =
   let a = Solver.analyze ~policy ?metrics p in
   let g = Graph.build ~serial_events ~lock_region ?metrics a in
-  let report = run ?metrics ?jobs g in
+  let report = run ?metrics g in
   (a, g, report)

@@ -41,19 +41,15 @@ type report = {
     paper's Tables 8–10 report. *)
 val n_races : report -> int
 
-(** [run ?metrics ?jobs g] detects races on a built SHB graph. With a sink,
-    detection runs inside a ["race.detect"] span and records
-    [race.pairs_checked], [race.hb_pruned], [race.lock_pruned],
+(** [run ?metrics g] detects races on a built SHB graph in one serial
+    pass. With a sink, detection runs inside a ["race.detect"] span and
+    records [race.pairs_checked], [race.hb_pruned], [race.lock_pruned],
     [race.class_pruned], [race.candidates] (witnesses kept), [race.races]
     (after source-site dedup), [shb.hb_queries] and the lockset-cache
     hit/miss snapshot.
 
-    [jobs] (default 1) fans the per-target-group checks across that many
-    OCaml [Domain]s. Per-domain accumulators are merged, sorted and
-    deduplicated at the end, so the output is byte-identical to the serial
-    run; each domain keeps a local lockset-disjointness cache (the shared
-    cache in {!O2_shb.Lockset} is not safe for concurrent mutation), which
-    means [shb.lockset_cache_hits/misses] only reflect serial runs. *)
+    [jobs] has no effect: detection is serial. The label is accepted so
+    callers that still pass it keep compiling. *)
 val run : ?metrics:O2_util.Metrics.t -> ?jobs:int -> Graph.t -> report
 
 (** [analyze ?policy ?serial_events p] is the full O2 pipeline:
@@ -64,6 +60,5 @@ val analyze :
   ?serial_events:bool ->
   ?lock_region:bool ->
   ?metrics:O2_util.Metrics.t ->
-  ?jobs:int ->
   O2_ir.Program.t ->
   Solver.result * Graph.t * report

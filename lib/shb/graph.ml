@@ -50,7 +50,7 @@ type t = {
   mutable hb_thresholds : int array array;
   mutable hb_inpos : int array array;
   mutable hb_closure : int array array array;
-  hb_queries : int Atomic.t;
+  mutable hb_queries : int;
 }
 
 let solver g = g.solver
@@ -433,11 +433,12 @@ let hb_state g ~src ~t_idx ~dst ~q_idx =
   let c = g.hb_closure.(src).(t_idx).(dst) in
   c = min_int || (c <> max_int && lower_bound g.hb_inpos.(dst) c < q_idx)
 
-(* hb_state is pure (no per-call counting — worker domains would contend on
-   the shared counter); batch callers account for their queries here *)
-let note_hb_queries g k = ignore (Atomic.fetch_and_add g.hb_queries k)
+(* hb_state is pure (no per-call counting: the race engine memoizes its
+   answers and counts every query, memo hits included); it reports the
+   total here *)
+let note_hb_queries g k = g.hb_queries <- g.hb_queries + k
 
-let hb_queries g = Atomic.get g.hb_queries
+let hb_queries g = g.hb_queries
 
 let hb_closure_entries g =
   Array.fold_left
@@ -584,7 +585,7 @@ let build_graph ~serial_events ~lock_region a =
       hb_thresholds = [||];
       hb_inpos = [||];
       hb_closure = [||];
-      hb_queries = Atomic.make 0;
+      hb_queries = 0;
     }
   in
   let spawn_index = Hashtbl.create 16 in
@@ -669,7 +670,7 @@ let build ?(serial_events = true) ?(lock_region = true) ?metrics a =
    then compare the precomputed minimal reachable position in b's origin
    against b's id. *)
 let hb g (a : node) (b : node) =
-  Atomic.incr g.hb_queries;
+  g.hb_queries <- g.hb_queries + 1;
   if a.n_origin = b.n_origin then a.n_id < b.n_id
   else
     let i = lower_bound g.hb_thresholds.(a.n_origin) a.n_id in

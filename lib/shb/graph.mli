@@ -118,8 +118,8 @@ val interval_bounds : t -> int * int
     [src] in threshold interval [t_idx] and every node [b] of [dst] with
     [q_idx] incoming entry positions before it. The race engine uses it to
     compare whole equivalence classes (and origin blocks) at once. Pure —
-    no per-call accounting, so worker domains never contend; batch callers
-    report their query counts with {!note_hb_queries}. *)
+    no per-call accounting: the race engine memoizes the answers, counts
+    every query it asks and reports the total with {!note_hb_queries}. *)
 val hb_state : t -> src:int -> t_idx:int -> dst:int -> q_idx:int -> bool
 
 (** [hb_queries g] is the number of HB queries answered so far: {!hb} calls
@@ -128,7 +128,7 @@ val hb_state : t -> src:int -> t_idx:int -> dst:int -> q_idx:int -> bool
 val hb_queries : t -> int
 
 (** [note_hb_queries g k] adds [k] interval-level queries ({!hb_state}
-    calls) to the {!hb_queries} counter. Thread-safe. *)
+    calls) to the {!hb_queries} counter. *)
 val note_hb_queries : t -> int -> unit
 
 (** [hb_closure_entries g] counts the finite (reachable) entries of the

@@ -297,6 +297,24 @@ let test_cache_timeout_budget () =
   check_bool "tight rerun prefers the terminal result" true
     (e5.O2_batch.e_cached && e5.O2_batch.e_status = `Ok)
 
+(* a class list without an Activity: entry auto-detection hands it to the
+   lifecycle harness, which finds nothing to drive. The batch entry carries
+   the CLI's stderr line for the same file, word for word. *)
+let test_no_activity_message () =
+  let dir = fresh_dir () in
+  let file = write_file dir "noact.cir" "class D { field f; }\n" in
+  let r = O2_batch.run O2_batch.default [ file ] in
+  let cli =
+    match O2_frontend.Parser.parse_file file with
+    | exception e -> O2.error_message e
+    | _ -> None
+  in
+  check_bool "CLI names the harness error" true
+    (cli = Some "harness error: no class extends Activity");
+  match (find_entry r "noact.cir").O2_batch.e_status with
+  | `Error msg -> check_bool "same text as the CLI" true (Some msg = cli)
+  | _ -> Alcotest.fail "noact.cir should be an error entry"
+
 (* ---------------- jobs>1 determinism ---------------- *)
 
 let entry_key (e : O2_batch.entry) =
@@ -368,6 +386,8 @@ let () =
         [
           Alcotest.test_case "mixed corpus" `Quick test_mixed_corpus;
           Alcotest.test_case "wall deadline" `Quick test_wall_deadline;
+          Alcotest.test_case "no activity class" `Quick
+            test_no_activity_message;
         ] );
       ( "byte-identity",
         [

@@ -2,30 +2,21 @@
    detection and the OSA scan each have one engine, a scan of the flat
    opcode streams. {!O2_fuzz.Ref_stages.check} compares each with the
    seed's engine on one solve, across every bundled model × context policy
-   × [serial_events]/[lock_region] setting, zookeeper × jobs and random
+   × [serial_events]/[lock_region] setting, zookeeper and random
    programs; plus unit coverage for the lowering invariants themselves. *)
 
 open O2_pta
 
 let check_int = Alcotest.(check int)
 
-(* [O2_TEST_JOBS="1,2,8"] widens the matrix, e.g. on a many-core machine *)
-let jobs_list =
-  match Sys.getenv_opt "O2_TEST_JOBS" with
-  | Some s ->
-      String.split_on_char ',' s |> List.map String.trim
-      |> List.filter (fun s -> s <> "")
-      |> List.map int_of_string
-  | None -> [ 1; 2; 4 ]
-
 let policies =
   [ Context.Insensitive; Context.Kcfa 2; Context.Kobj 2; Context.Korigin 1 ]
 
-let check_stages ?serial_events ?lock_region ?jobs label a =
+let check_stages ?serial_events ?lock_region label a =
   let g = O2_shb.Graph.build ?serial_events ?lock_region a in
   List.iter
     (fun (stage, detail) -> Alcotest.failf "%s %s: %s" label stage detail)
-    (O2_fuzz.Ref_stages.check ?serial_events ?lock_region ?jobs a g
+    (O2_fuzz.Ref_stages.check ?serial_events ?lock_region a g
        (O2_race.Detect.run g))
 
 (* ---------------- flat = reference across the model corpus ---------------- *)
@@ -47,12 +38,11 @@ let test_models_parity () =
         policies)
     O2_workloads.Models.all
 
-(* the jobs axis on the heaviest distributed workload: detection fanned
-   across domains must still equal the serial reference *)
-let test_zookeeper_jobs_parity () =
+(* the heaviest distributed workload *)
+let test_zookeeper_parity () =
   let p = O2_workloads.Synth.program (O2_workloads.Synth.find "zookeeper") in
   let a = Solver.analyze ~policy:(Context.Korigin 1) p in
-  check_stages ~jobs:jobs_list "zookeeper" a
+  check_stages "zookeeper" a
 
 (* ---------------- random programs ---------------- *)
 
@@ -107,8 +97,7 @@ let () =
       ( "parity",
         [
           Alcotest.test_case "models x policies" `Quick test_models_parity;
-          Alcotest.test_case "zookeeper x jobs" `Quick
-            test_zookeeper_jobs_parity;
+          Alcotest.test_case "zookeeper" `Quick test_zookeeper_parity;
           QCheck_alcotest.to_alcotest prop_flat_parity;
         ] );
       ( "lowering",

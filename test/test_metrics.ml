@@ -123,7 +123,7 @@ let expected_counters =
     "shb.lockset_cache_hits"; "shb.lockset_cache_misses";
     "shb.hb_closure_size"; "shb.hb_queries";
     "race.pairs_checked"; "race.hb_pruned"; "race.lock_pruned";
-    "race.class_pruned"; "race.candidates"; "race.races"; "race.jobs";
+    "race.class_pruned"; "race.candidates"; "race.races";
     "o2.races"; "o2.origins";
   ]
 
@@ -170,6 +170,25 @@ let test_counters_match_result () =
   check_int "osa.shared_locations = |shared_locations|"
     (List.length (O2.shared_locations r))
     (Metrics.get m "osa.shared_locations")
+
+(* The detection counters on Synth zookeeper, pinned to exact values: the
+   class-based engine's accounting (class pairs, their HB/lock pruning,
+   node pairs answered by class sharing) and the interval-level HB queries
+   it reports to the graph. A change to any of them is a change to the
+   engine's work, not noise. *)
+let test_detection_counters_pinned () =
+  let p = O2_workloads.Synth.program (O2_workloads.Synth.find "zookeeper") in
+  let r = O2.run (O2.Config.with_metrics O2.Config.default) p in
+  let m = Option.get r.O2.config.O2.Config.metrics in
+  List.iter
+    (fun (k, want) -> check_int k want (Metrics.get m k))
+    [
+      ("race.pairs_checked", 2012);
+      ("race.hb_pruned", 704);
+      ("race.lock_pruned", 1288);
+      ("race.class_pruned", 77590);
+      ("shb.hb_queries", 82992);
+    ]
 
 (* ---------------- the Config / render API ---------------- *)
 
@@ -232,6 +251,8 @@ let () =
           Alcotest.test_case "stage spans" `Quick test_pipeline_spans;
           Alcotest.test_case "counters match result" `Quick
             test_counters_match_result;
+          Alcotest.test_case "zookeeper detection counters" `Quick
+            test_detection_counters_pinned;
         ] );
       ( "api",
         [

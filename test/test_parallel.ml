@@ -1,24 +1,13 @@
 (* The solver's contract: the difference-propagation worklist computes
    byte-for-byte the facts of the frozen reference solver
-   ({!O2_fuzz.Ref_pta}), and the whole pipeline's output — race detection
-   fans out over domains — is byte-identical across [jobs]. Plus unit
-   coverage for the cycle-collapsing and difference-propagation
-   primitives the solver is built on. *)
+   ({!O2_fuzz.Ref_pta}). Plus unit coverage for the cycle-collapsing and
+   difference-propagation primitives the solver is built on. *)
 
 open O2_pta
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
-
-(* [O2_TEST_JOBS="1,2,8"] widens the matrix, e.g. on a many-core machine *)
-let jobs_list =
-  match Sys.getenv_opt "O2_TEST_JOBS" with
-  | Some s ->
-      String.split_on_char ',' s |> List.map String.trim
-      |> List.filter (fun s -> s <> "")
-      |> List.map int_of_string
-  | None -> [ 1; 2; 4 ]
 
 let policies =
   [
@@ -44,27 +33,6 @@ let test_oracle_equivalence () =
                 (Solver.fingerprint (Solver.analyze ~policy p)))
             policies)
         [ (m.name, m.program); (m.name ^ "_fixed", m.fixed) ])
-    O2_workloads.Models.all
-
-(* the full pipeline — solve, SHB, detection, OSA, rendering — is
-   byte-identical across jobs *)
-let test_pipeline_byte_identity () =
-  List.iter
-    (fun (m : O2_workloads.Models.model) ->
-      let render jobs =
-        let r =
-          O2.run { O2.Config.default with O2.Config.jobs } (m.program ())
-        in
-        O2.render ~format:`Json r
-      in
-      let want = render 1 in
-      List.iter
-        (fun jobs ->
-          if jobs <> 1 then
-            check_str
-              (Printf.sprintf "%s jobs=%d" m.name jobs)
-              want (render jobs))
-        jobs_list)
     O2_workloads.Models.all
 
 (* ---------------- cycle collapsing ---------------- *)
@@ -205,8 +173,6 @@ let () =
         [
           Alcotest.test_case "fingerprints: engine = oracle" `Quick
             test_oracle_equivalence;
-          Alcotest.test_case "pipeline byte-identity" `Quick
-            test_pipeline_byte_identity;
         ] );
       ( "scc",
         [

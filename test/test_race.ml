@@ -431,43 +431,12 @@ let prop_o2_subset_0ctx =
       let z = races Context.Insensitive in
       List.for_all (fun k -> List.mem k z) o2)
 
-
-(* ---------------- parallel determinism ---------------- *)
-
-(* --jobs N must be byte-identical to serial: same witnesses in the same
-   order and the same counters, on every workload model *)
-let test_jobs_deterministic () =
-  let check_program name p =
-    let a = Solver.analyze ~policy:(Context.Korigin 1) p in
-    let g = O2_shb.Graph.build a in
-    let serial = O2_race.Detect.run g in
-    List.iter
-      (fun jobs ->
-        let par = O2_race.Detect.run ~jobs g in
-        check_bool (Printf.sprintf "%s: jobs=%d = serial" name jobs) true
-          (par = serial))
-      [ 2; 4 ]
-  in
-  List.iter
-    (fun (m : O2_workloads.Models.model) -> check_program m.name (m.program ()))
-    O2_workloads.Models.all;
-  List.iter
-    (fun n ->
-      check_program n (O2_workloads.Synth.program (O2_workloads.Synth.find n)))
-    [ "lusearch"; "memcached"; "zookeeper"; "redis" ];
-  (* and through the facade: rendered output is byte-identical *)
-  let p = O2_workloads.Models.(find "zookeeper").program () in
-  let render jobs =
-    O2.render (O2.run { O2.Config.default with jobs } p)
-  in
-  check_bool "facade --jobs 4 output identical" true (render 4 = render 1)
-
 (* class-based accounting: one check per class pair must cover exactly the
-   node pairs the naive O(n²) loop counts, and the parallel path must agree
-   with serial on arbitrary programs *)
+   node pairs the naive O(n²) loop counts, on arbitrary programs *)
 let prop_class_accounting =
-  QCheck2.Test.make ~name:"pairs+class_pruned = naive pairs; jobs = serial"
-    ~count:60 ~print:O2_test_helpers.Gen.print_spec O2_test_helpers.Gen.spec_gen
+  QCheck2.Test.make
+    ~name:"pairs+class_pruned = naive pairs on random programs" ~count:60
+    ~print:O2_test_helpers.Gen.print_spec O2_test_helpers.Gen.spec_gen
     (fun spec ->
       let p = O2_test_helpers.Gen.program_of_spec spec in
       List.for_all
@@ -476,11 +445,9 @@ let prop_class_accounting =
           let g = O2_shb.Graph.build ~lock_region:false a in
           let fast = O2_race.Detect.run g in
           let slow = O2_race.Naive.run g in
-          let par = O2_race.Detect.run ~jobs:3 g in
           slow.O2_race.Detect.n_pairs_checked
           = fast.O2_race.Detect.n_pairs_checked
-            + fast.O2_race.Detect.n_class_pruned
-          && par = fast)
+            + fast.O2_race.Detect.n_class_pruned)
         [ Context.Insensitive; Context.Korigin 1 ])
 
 (* ---------------- differential reporting ---------------- *)
@@ -585,11 +552,6 @@ let () =
         [
           Alcotest.test_case "dedup+order" `Quick test_report_dedup_and_order;
           Alcotest.test_case "prune counters" `Quick test_prune_counters;
-        ] );
-      ( "parallel",
-        [
-          Alcotest.test_case "jobs deterministic" `Quick
-            test_jobs_deterministic;
         ] );
       ( "properties",
         [
