@@ -1,17 +1,15 @@
 (* Benchmark harness: regenerates every table of the paper's evaluation
    (§5, Tables 3 and 5–10) on the synthetic workload suites and the
-   real-world race models, plus the §4.1 ablations, and finishes with a
-   Bechamel micro-benchmark per table kernel.
+   real-world race models, plus the §4.1 ablations.
 
-     dune exec bench/main.exe                # tables + trajectory + bechamel
-     dune exec bench/main.exe -- tables      # tables + trajectory
-     dune exec bench/main.exe -- bech        # bechamel only
-     dune exec bench/main.exe -- trajectory  # only write BENCH_o2.json
+     dune exec bench/main.exe
 
    Absolute numbers are machine- and substrate-dependent; the claims being
    reproduced are the *shapes*: who wins, by what rough factor, and where
    the precision spread comes from. EXPERIMENTS.md records paper-vs-measured
-   for every table. *)
+   for every table. The exact counts are pinned in
+   test/golden/workloads.counters.expected; end-to-end timing claims
+   belong to perfbench/. *)
 
 open O2_pta
 
@@ -333,268 +331,8 @@ let ablations () =
     [ 1; 2; 3 ]
 
 (* ------------------------------------------------------------------ *)
-(* Trajectory: machine-readable per-workload metrics dump.             *)
 
-(* One instrumented O2 run per workload, serialized to BENCH_o2.json so
-   tooling can track the pipeline's counters/timers across commits:
-
-     { "schema": "bench_o2/v1",
-       "runs": [ { "bench": "<workload>", "policy": "O2",
-                   "elapsed": <seconds>, "races": <n>,
-                   "metrics": <O2_util.Metrics.to_json> }, ... ] }
-
-   plus one "O2-batch" row per examples/programs corpus file (status and
-   race count through the batch fault boundary), so corpus-level race
-   drift is tracked alongside the synthetic workloads,
-
-   plus one "pta:<workload>" row per workload pitting the
-   difference-propagation solver against the frozen reference solver
-   (O2_fuzz.Ref_pta): both median solve times, the speedup
-   (oracle / solver), the solver's worklist/SCC counters, and a
-   fingerprint-equality bit. CI gates on these rows: counters must match
-   the committed run exactly, facts_equal must hold, and the speedup has
-   a floor. *)
-(* stage:<name> rows: the flat-IR post-PTA stages (SHB build, race
-   detection, OSA scan) against the reference engines of the differential
-   tester (O2_fuzz.Ref_stages: the seed's AST walkers and structural-key
-   detection loop), on the heaviest distributed workload. Each row carries
-   the stage medians for both (legacy_ms times the reference), the
-   speedup, the stage's deterministic counters and a parity bit from the
-   stage-by-stage comparator. CI gates parity, exact counters and a
-   speedup floor; the committed run records the real factor. *)
-let stage_rows () =
-  let module R = O2_fuzz.Ref_stages in
-  let p = O2_workloads.Synth.program (O2_workloads.Synth.find "zookeeper") in
-  let a = Solver.analyze ~policy:(Context.Korigin 1) p in
-  let legacy_shb = median_time ~runs:5 (fun () -> ignore (R.shb a)) in
-  let flat_shb =
-    median_time ~runs:5 (fun () -> ignore (O2_shb.Graph.build a))
-  in
-  let g_f = O2_shb.Graph.build a in
-  let legacy_race = median_time ~runs:5 (fun () -> ignore (R.detect g_f)) in
-  let flat_race =
-    median_time ~runs:5 (fun () -> ignore (O2_race.Detect.run g_f))
-  in
-  let r_f = O2_race.Detect.run g_f in
-  let legacy_osa = median_time ~runs:5 (fun () -> ignore (R.osa a)) in
-  let flat_osa = median_time ~runs:5 (fun () -> ignore (O2_osa.Osa.run a)) in
-  let osa_f = O2_osa.Osa.run a in
-  let diffs = R.check a g_f r_f in
-  let parity stage = not (List.mem_assoc stage diffs) in
-  let shb_nodes = Array.length (O2_shb.Graph.nodes g_f) in
-  let shb_parity = parity "shb"
-  and race_parity = parity "race"
-  and osa_parity = parity "osa" in
-  let row name legacy flat parity extra =
-    pf "stage:%-8s legacy %.4fs  flat %.4fs  %.2fx  parity %s\n" name legacy
-      flat
-      (legacy /. max 1e-9 flat)
-      (if parity then "ok" else "BROKEN");
-    Printf.sprintf
-      {|{"bench":"stage:%s","policy":"O2","legacy_ms":%.3f,"flat_ms":%.3f,"speedup":%.2f,"parity":%b%s}|}
-      name (legacy *. 1e3) (flat *. 1e3)
-      (legacy /. max 1e-9 flat)
-      parity extra
-  in
-  [
-    row "shb" legacy_shb flat_shb shb_parity
-      (Printf.sprintf {|,"nodes":%d|} shb_nodes);
-    row "race" legacy_race flat_race race_parity
-      (Printf.sprintf {|,"races":%d,"pairs":%d|}
-         (O2_race.Detect.n_races r_f)
-         r_f.O2_race.Detect.n_pairs_checked);
-    row "osa" legacy_osa flat_osa osa_parity
-      (Printf.sprintf {|,"shared_accesses":%d|}
-         (O2_osa.Osa.n_shared_accesses osa_f));
-    row "combined"
-      (legacy_shb +. legacy_race +. legacy_osa)
-      (flat_shb +. flat_race +. flat_osa)
-      (shb_parity && race_parity && osa_parity)
-      "";
-  ]
-
-let trajectory ?(path = "BENCH_o2.json") () =
-  rule "Trajectory — instrumented runs (BENCH_o2.json)";
-  let workloads =
-    [ "lusearch"; "memcached"; "zookeeper"; "redis"; "cyclic"; "chainstorm" ]
-  in
-  let pta_runs =
-    List.map
-      (fun name ->
-        let p = O2_workloads.Synth.program (O2_workloads.Synth.find name) in
-        let oracle_dt =
-          median_time ~runs:5 (fun () ->
-              ignore (O2_fuzz.Ref_pta.analyze p))
-        in
-        let solver_dt =
-          median_time ~runs:5 (fun () -> ignore (Solver.analyze p))
-        in
-        let r = Solver.analyze p in
-        let m = r.Solver.stats in
-        let facts_equal =
-          Solver.fingerprint r
-          = O2_fuzz.Ref_pta.(fingerprint (analyze p))
-        in
-        let speedup = oracle_dt /. max 1e-9 solver_dt in
-        pf
-          "pta:%-9s oracle %.4fs  solver %.4fs  %.2fx  iters %d  scc %d  \
-           facts %s\n"
-          name oracle_dt solver_dt speedup
-          (O2_util.Metrics.get m "pta.worklist_iters")
-          (O2_util.Metrics.get m "pta.scc_collapsed")
-          (if facts_equal then "equal" else "DIFFER");
-        Printf.sprintf
-          {|{"bench":"pta:%s","policy":"O2","oracle_ms":%.3f,"solver_ms":%.3f,"speedup":%.2f,"worklist_iters":%d,"scc_collapsed":%d,"facts_equal":%b}|}
-          name (oracle_dt *. 1e3) (solver_dt *. 1e3) speedup
-          (O2_util.Metrics.get m "pta.worklist_iters")
-          (O2_util.Metrics.get m "pta.scc_collapsed")
-          facts_equal)
-      workloads
-  in
-  let runs =
-    List.map
-      (fun name ->
-        let p = O2_workloads.Synth.program (O2_workloads.Synth.find name) in
-        let cfg = O2.Config.with_metrics O2.Config.default in
-        let r = O2.run cfg p in
-        let m =
-          match r.O2.config.O2.Config.metrics with
-          | Some m -> m
-          | None -> assert false
-        in
-        pf "%-12s %3d races  %.3fs\n" name (O2.n_races r) r.O2.elapsed;
-        Printf.sprintf
-          {|{"bench":"%s","policy":"O2","elapsed":%.6f,"races":%d,"metrics":%s}|}
-          name r.O2.elapsed (O2.n_races r) (O2_util.Metrics.to_json m))
-      workloads
-  in
-  let corpus_dir = "examples/programs" in
-  let corpus_runs =
-    if not (Sys.file_exists corpus_dir && Sys.is_directory corpus_dir) then []
-    else
-      match O2_batch.enumerate [ corpus_dir ] with
-      | Error _ | Ok [] -> []
-      | Ok files ->
-          let r = O2_batch.run { O2_batch.default with O2_batch.jobs = 2 } files in
-          pf "%-12s %3d races  %.3fs (%d files, %d failed)\n" "corpus"
-            (O2_batch.total_races r) r.O2_batch.b_elapsed (List.length files)
-            (O2_batch.n_failed r);
-          List.map
-            (fun (e : O2_batch.entry) ->
-              Printf.sprintf
-                {|{"bench":"corpus:%s","policy":"O2-batch","elapsed":%.6f,"races":%d,"status":"%s"}|}
-                (Filename.basename e.O2_batch.e_file)
-                e.O2_batch.e_elapsed e.O2_batch.e_races
-                (match e.O2_batch.e_status with
-                | `Ok -> "ok"
-                | `Error _ -> "error"
-                | `Timeout _ -> "timeout"))
-            r.O2_batch.b_entries
-  in
-  let fuzz_runs =
-    (* scaled-generator row: a fixed (seed, count) slice of the fuzz
-       corpus is a deterministic workload, so its aggregate race total
-       gates generator and engine drift the same way the named workloads
-       do. No wall budget — only the deterministic step ceiling — so the
-       row is machine-independent. *)
-    let gates =
-      { O2_fuzz.Fuzz.default_gates with O2_fuzz.Fuzz.g_wall = None }
-    in
-    let r = O2_fuzz.Fuzz.sweep ~gates ~seed:7 ~count:12 () in
-    let ok, timeouts, divergent = O2_fuzz.Fuzz.counts r in
-    let races =
-      List.fold_left
-        (fun a (e : O2_fuzz.Fuzz.entry) -> a + e.O2_fuzz.Fuzz.f_races)
-        0 r.O2_fuzz.Fuzz.r_entries
-    in
-    pf "%-12s %3d races  %.3fs (%d programs, %d ok, %d divergent)\n"
-      "fuzz:sweep" races r.O2_fuzz.Fuzz.r_elapsed r.O2_fuzz.Fuzz.r_count ok
-      divergent;
-    [
-      Printf.sprintf
-        {|{"bench":"fuzz:sweep","policy":"O2-diff","elapsed":%.6f,"programs":%d,"ok":%d,"timeouts":%d,"divergent":%d,"races":%d}|}
-        r.O2_fuzz.Fuzz.r_elapsed r.O2_fuzz.Fuzz.r_count ok timeouts divergent
-        races;
-    ]
-  in
-  let runs = runs @ pta_runs @ stage_rows () @ corpus_runs @ fuzz_runs in
-  let oc = open_out path in
-  Printf.fprintf oc {|{"schema":"bench_o2/v1","runs":[%s]}|}
-    (String.concat "," runs);
-  output_char oc '\n';
-  close_out oc;
-  pf "wrote %s (%d runs)\n" path (List.length runs)
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per table kernel.          *)
-
-let bechamel_suite () =
-  rule "Bechamel micro-benchmarks (one per table)";
-  let open Bechamel in
-  let p_small =
-    O2_workloads.Synth.program (O2_workloads.Synth.find "lusearch")
-  in
-  let p_med =
-    O2_workloads.Synth.program (O2_workloads.Synth.find "memcached")
-  in
-  let a_med = Solver.analyze ~policy:(Context.Korigin 1) p_med in
-  let g_med = O2_shb.Graph.build a_med in
-  let model = O2_workloads.Models.find "memcached" in
-  let p_model = model.program () in
-  let tests =
-    [
-      (* Table 3/5 kernel: the OPA solver *)
-      Test.make ~name:"table5_opa_solve"
-        (Staged.stage (fun () ->
-             ignore (Solver.analyze ~policy:(Context.Korigin 1) p_small)));
-      (* Table 5 baseline: 2-CFA on the same program *)
-      Test.make ~name:"table5_2cfa_solve"
-        (Staged.stage (fun () ->
-             ignore (Solver.analyze ~policy:(Context.Kcfa 2) p_small)));
-      (* Table 6 kernel: whole O2 pipeline on the C-style app *)
-      Test.make ~name:"table6_o2_pipeline"
-        (Staged.stage (fun () -> ignore (O2.run O2.Config.default p_med)));
-      (* Table 7 kernel: OSA scan on solved facts *)
-      Test.make ~name:"table7_osa_scan"
-        (Staged.stage (fun () -> ignore (O2_osa.Osa.run a_med)));
-      (* Table 8 kernel: race detection on a built SHB graph *)
-      Test.make ~name:"table8_detect"
-        (Staged.stage (fun () -> ignore (O2_race.Detect.run g_med)));
-      (* Table 9 kernel: SHB construction *)
-      Test.make ~name:"table9_shb_build"
-        (Staged.stage (fun () -> ignore (O2_shb.Graph.build a_med)));
-      (* Table 10 kernel: full pipeline on a real-world model *)
-      Test.make ~name:"table10_model"
-        (Staged.stage (fun () -> ignore (O2_race.Detect.analyze p_model)));
-      (* ablation kernel: naive pairwise detection *)
-      Test.make ~name:"ablation_naive_detect"
-        (Staged.stage (fun () -> ignore (O2_race.Naive.run g_med)));
-    ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let benchmark test =
-    let quota = Time.second 0.5 in
-    Benchmark.all (Benchmark.cfg ~quota ()) [ instance ] test
-  in
-  let analyze raw =
-    Analyze.all
-      (Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |])
-      instance raw
-  in
-  List.iter
-    (fun test ->
-      let results = analyze (benchmark test) in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> pf "%-26s %12.0f ns/run\n" name est
-          | _ -> pf "%-26s (no estimate)\n" name)
-        results)
-    tests
-
-(* ------------------------------------------------------------------ *)
-
-let run_tables () =
+let () =
   table3 ();
   table5 O2_workloads.Synth.(dacapo @ android @ distributed);
   table6 ();
@@ -602,18 +340,5 @@ let run_tables () =
   table8 ();
   table9 ();
   table10 ();
-  ablations ()
-
-let () =
-  let mode = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
-  (match mode with
-  | "tables" ->
-      run_tables ();
-      trajectory ()
-  | "bech" -> bechamel_suite ()
-  | "trajectory" -> trajectory ()
-  | _ ->
-      run_tables ();
-      trajectory ();
-      bechamel_suite ());
+  ablations ();
   pf "\nbench: done\n"
