@@ -2,14 +2,10 @@
 
     This is the seed's immediate-firing recursive solver, kept verbatim in
     the differential tester, out of the production pipeline. It exists for
-    two jobs:
-
-    - {b certification}: the property tests solve every workload with both
-      this oracle and the difference-propagation solver ({!Solver.analyze})
-      and assert the {!fingerprint}s are byte-identical — the
-      equivalence-class style of validation the paper's artifact used;
-    - {b honest baselines}: the benchmark trajectory reports the engine's
-      speedup against this oracle, not against itself.
+    certification: the property tests solve every workload with both this
+    oracle and the difference-propagation solver ({!Solver.analyze}) and
+    assert the {!fingerprint}s are byte-identical — the equivalence-class
+    style of validation the paper's artifact used.
 
     The oracle has no metrics, budget, jobs or incremental features; it
     supports all four {!Context.policy}s. *)

@@ -8,8 +8,9 @@
     - {!shb} walks the AST per origin with structural points-to queries
       instead of scanning the flat opcode streams;
     - {!detect} groups accesses and classes nodes on structural keys
-      through the polymorphic hash, with nested bool relation matrices and
-      no closure-query memo;
+      through the polymorphic hash, and finds origin blocks from the full
+      m×m table of nested bool relation matrices, every closure query
+      asked;
     - {!osa} runs Algorithm 1 over {!O2_pta.Walk.iter_origin} with
       structural targets.
 

@@ -52,7 +52,14 @@ let is_write (n : Graph.node) =
    block accounted combinatorially (they are candidates only under
    self-parallelism, exactly as in the pairwise loop), so the reported
    races and the total pair accounting stay identical while
-   [n_pairs_checked] drops from O(n²) to O(classes²). *)
+   [n_pairs_checked] drops from O(n²) to O(classes²).
+
+   Blocks are found without an m×m table of relation matrices: every
+   true interval-level answer lies on a finite closure entry, so each
+   origin's relation row is built from the destinations
+   {!Graph.hb_targets} lists, holds only its nonzero matrices, and yields
+   the columns by transposition. Closure queries then scale with the
+   finite entries among the group's origins, not with m². *)
 
 type oinfo = {
   o_id : int;
@@ -87,21 +94,28 @@ type acc = {
   mutable a_hbq : int;  (* interval-level HB queries, flushed to the graph *)
 }
 
+(* Run-local scratch arrays — per-group hash tables on these hot paths
+   cost more than the group work itself. *)
+type scratch = {
+  ostamp : int array;  (* origin -> ordinal of the last group holding it *)
+  oidx : int array;  (* origin -> its index in that group's origin array *)
+  wbuf : int array array;
+      (* origin -> relation words of the row being built, [||] = zero *)
+  ivl : int array;  (* node id -> interval, packed [1 + t*qb + q], 0 = unset *)
+  reps : int list IntTbl.t;
+      (* key digest -> the group's block representatives; emptied per group *)
+}
+
 (* [tb]/[qb]/[nls] are the packing bounds for the int class keys: exclusive
    upper bounds of HB intervals ({!Graph.interval_bounds}) and of canonical
-   lockset ids. *)
-(* [ostamp] (over origins, stamped with the group ordinal [gi]) and [ivl]
-   (a node-id-indexed interval memo, packed [1 + t*qb + q], 0 = unset) are
-   run-local scratch arrays — per-group hash tables on these hot paths
-   cost more than the group work itself. *)
-let check_group g ~hb ~tb ~qb ~nls ~ostamp ~ivl ~gi acc target
-    (ns : Graph.node list) =
+   lockset ids; [gi] is the group's ordinal, its stamp in [sc.ostamp]. *)
+let check_group g ~tb ~qb ~nls ~sc ~gi acc target (ns : Graph.node list) =
   (* quick origin-sharing filter: skip single-origin or read-only groups *)
   let n_origins = ref 0 and first_origin = ref (-1) in
   List.iter
     (fun (n : Graph.node) ->
-      if ostamp.(n.Graph.n_origin) <> gi then begin
-        ostamp.(n.Graph.n_origin) <- gi;
+      if sc.ostamp.(n.Graph.n_origin) <> gi then begin
+        sc.ostamp.(n.Graph.n_origin) <- gi;
         if !n_origins = 0 then first_origin := n.Graph.n_origin;
         incr n_origins
       end)
@@ -113,11 +127,11 @@ let check_group g ~hb ~tb ~qb ~nls ~ostamp ~ivl ~gi acc target
   if has_write && not single_origin_ok then begin
     let locks = Graph.locks g in
     let interval (n : Graph.node) =
-      let c = ivl.(n.Graph.n_id) in
+      let c = sc.ivl.(n.Graph.n_id) in
       if c <> 0 then ((c - 1) / qb, (c - 1) mod qb)
       else begin
         let ((t, q) as tq) = Graph.hb_interval g n in
-        ivl.(n.Graph.n_id) <- 1 + (t * qb) + q;
+        sc.ivl.(n.Graph.n_id) <- 1 + (t * qb) + q;
         tq
       end
     in
@@ -145,50 +159,67 @@ let check_group g ~hb ~tb ~qb ~nls ~ostamp ~ivl ~gi acc target
             o_qs = distinct (fun n -> snd (interval n));
           })
         !origin_order
-      |> List.rev
     in
     let hb_state ~src ~t_idx ~dst ~q_idx =
       acc.a_hbq <- acc.a_hbq + 1;
-      hb ~src ~t_idx ~dst ~q_idx
+      Graph.hb_state g ~src ~t_idx ~dst ~q_idx
     in
-    (* the full ordered relation table over occupied intervals: rel.(i).(j)
-       is the matrix of hb_state answers from origin i's thresholds to
-       origin j's entry positions *)
     let oarr = Array.of_list oinfos in
     let m = Array.length oarr in
-    (* each matrix is bit-packed into a handful of ints (row-major over
-       u.o_ts × v.o_qs): one allocation per ordered pair, and the block
-       equivalence below compares words instead of nested arrays *)
-    let rel =
-      Array.init m (fun i ->
-          Array.init m (fun j ->
-              if i = j then [||]
-              else begin
-                let u = oarr.(i) and v = oarr.(j) in
-                let nts = Array.length u.o_ts
-                and nqs = Array.length v.o_qs in
-                let words = Array.make (((nts * nqs) + 62) / 63) 0 in
-                let b = ref 0 in
-                for ti = 0 to nts - 1 do
-                  for qi = 0 to nqs - 1 do
-                    if
-                      hb_state ~src:u.o_id ~t_idx:u.o_ts.(ti) ~dst:v.o_id
-                        ~q_idx:v.o_qs.(qi)
-                    then
-                      words.(!b / 63) <-
-                        words.(!b / 63) lor (1 lsl (!b mod 63));
-                    incr b
-                  done
-                done;
-                words
-              end))
+    Array.iteri (fun i o -> sc.oidx.(o.o_id) <- i) oarr;
+    (* sparse relation rows: rows.(i) lists, by ascending origin id, each
+       group origin v whose relation matrix from origin i is nonzero, with
+       that matrix bit-packed into a handful of ints (row-major over
+       u.o_ts × v.o_qs). hb_state is false wherever the closure entry is
+       infinite, so only the group origins among the targets
+       {!Graph.hb_targets} lists are asked. *)
+    let row_of (u : oinfo) =
+      let nts = Array.length u.o_ts and touched = ref [] in
+      let ask ti t v =
+        let qs = oarr.(sc.oidx.(v)).o_qs in
+        let nqs = Array.length qs in
+        for qi = 0 to nqs - 1 do
+          if hb_state ~src:u.o_id ~t_idx:t ~dst:v ~q_idx:qs.(qi) then begin
+            if sc.wbuf.(v) == [||] then begin
+              sc.wbuf.(v) <- Array.make (((nts * nqs) + 62) / 63) 0;
+              touched := v :: !touched
+            end;
+            let b = (ti * nqs) + qi and w = sc.wbuf.(v) in
+            w.(b / 63) <- w.(b / 63) lor (1 lsl (b mod 63))
+          end
+        done
+      in
+      for ti = 0 to nts - 1 do
+        let t = u.o_ts.(ti) in
+        let tg = Graph.hb_targets g ~src:u.o_id ~t_idx:t in
+        for x = 0 to Array.length tg - 1 do
+          if sc.ostamp.(tg.(x)) = gi then ask ti t tg.(x)
+        done
+      done;
+      List.sort Int.compare !touched
+      |> List.map (fun v ->
+             let w = sc.wbuf.(v) in
+             sc.wbuf.(v) <- [||];
+             (v, w))
     in
+    let rows = Array.map row_of oarr in
+    (* columns by transposition, each in group order — one order for every
+       column, all the positional comparison below needs *)
+    let cols = Array.make m [] in
+    for i = m - 1 downto 0 do
+      List.iter
+        (fun (v, w) ->
+          let j = sc.oidx.(v) in
+          cols.(j) <- (oarr.(i).o_id, w) :: cols.(j))
+        rows.(i)
+    done;
     (* [equiv i r]: origins i and r are interchangeable inside this group —
        same self-parallelism and occupied slots, symmetric relation between
-       the two, and identical relations toward every third origin. The
-       relation is transitive (each third-origin row/column equality chains,
-       and the pairwise entries themselves are pinned by any third member),
-       so testing a candidate against one representative per block suffices *)
+       the two, and identical relations toward every third origin, compared
+       position by position (absent = zero). The relation is transitive
+       (each third-origin row/column equality chains, and the pairwise
+       entries themselves are pinned by any third member), so testing a
+       candidate against one representative per block suffices *)
     let arr_eq (a : int array) (b : int array) =
       a == b
       ||
@@ -201,51 +232,72 @@ let check_group g ~hb ~tb ~qb ~nls ~ostamp ~ivl ~gi acc target
       done;
       !k = n
     in
+    let rel_to l o = match List.assoc_opt o l with Some w -> w | None -> [||] in
+    (* l1 without key a against l2 without key b *)
+    let rec eq_without l1 a l2 b =
+      match (l1, l2) with
+      | (k, _) :: t1, _ when k = a -> eq_without t1 a l2 b
+      | _, (k, _) :: t2 when k = b -> eq_without l1 a t2 b
+      | [], [] -> true
+      | (k1, w1) :: t1, (k2, w2) :: t2 ->
+          k1 = k2 && arr_eq w1 w2 && eq_without t1 a t2 b
+      | _ -> false
+    in
     let equiv i r =
       let u = oarr.(i) and v = oarr.(r) in
       u.o_self_par = v.o_self_par
       && arr_eq u.o_ts v.o_ts
       && arr_eq u.o_qs v.o_qs
-      && arr_eq rel.(i).(r) rel.(r).(i)
-      &&
-      let ok = ref true in
-      let x = ref 0 in
-      while !ok && !x < m do
-        if !x <> i && !x <> r then
-          ok :=
-            arr_eq rel.(i).(!x) rel.(r).(!x)
-            && arr_eq rel.(!x).(i) rel.(!x).(r);
-        incr x
-      done;
-      !ok
+      && arr_eq (rel_to rows.(i) v.o_id) (rel_to rows.(r) u.o_id)
+      && eq_without rows.(i) v.o_id rows.(r) u.o_id
+      && eq_without cols.(i) v.o_id cols.(r) u.o_id
     in
-    (* greedy origin blocks, deterministic (first-node order both ways) *)
-    let reps = ref [] and members = Hashtbl.create 8 in
+    (* greedy origin blocks, deterministic (first-node order both ways).
+       Equivalent origins share (self-par, ts, qs, |row|, |col|), so a
+       candidate is tested only against the representatives whose digest
+       of that key equals its own (looked up in [sc.reps]); by transitivity
+       at most one of them is equivalent to it. blk_of.(i) is origin i's
+       block number. *)
+    let mix h x = ((h * 31) + x) land max_int in
+    let digest =
+      Array.init m (fun i ->
+          let o = oarr.(i) in
+          Array.fold_left mix
+            (Array.fold_left mix
+               (mix
+                  (mix (Bool.to_int o.o_self_par) (List.length rows.(i)))
+                  (List.length cols.(i)))
+               o.o_ts)
+            o.o_qs)
+    in
+    let blk_of = Array.make m 0 and n_blocks = ref 0 in
+    let rec find_rep i = function
+      | [] -> None
+      | r :: tl -> if equiv i r then Some r else find_rep i tl
+    in
     for i = 0 to m - 1 do
-      match List.find_opt (fun r -> equiv i r) (List.rev !reps) with
-      | Some r -> Hashtbl.replace members r (i :: Hashtbl.find members r)
+      let same =
+        Option.value ~default:[] (IntTbl.find_opt sc.reps digest.(i))
+      in
+      match find_rep i same with
+      | Some r -> blk_of.(i) <- blk_of.(r)
       | None ->
-          reps := i :: !reps;
-          Hashtbl.add members i [ i ]
+          IntTbl.replace sc.reps digest.(i) (i :: same);
+          blk_of.(i) <- !n_blocks;
+          incr n_blocks
+    done;
+    Array.iter (IntTbl.remove sc.reps) digest;
+    let block_members = Array.make !n_blocks [] in
+    for i = m - 1 downto 0 do
+      block_members.(blk_of.(i)) <- oarr.(i) :: block_members.(blk_of.(i))
     done;
     let blocks =
-      List.rev !reps
-      |> List.map (fun r ->
-             {
-               bk_members =
-                 List.rev (Hashtbl.find members r)
-                 |> List.map (fun i -> oarr.(i))
-                 |> Array.of_list;
-               bk_self_par = oarr.(r).o_self_par;
-             })
-      |> Array.of_list
+      Array.map
+        (fun mem ->
+          let mem = Array.of_list mem in
+          { bk_members = mem; bk_self_par = mem.(0).o_self_par })
+        block_members
     in
-    let block_of_origin = Hashtbl.create 8 in
-    Array.iteri
-      (fun i blk ->
-        Array.iter (fun o -> Hashtbl.replace block_of_origin o.o_id i)
-          blk.bk_members)
-      blocks;
     (* node classes, first-member (= id) order; the class key packs
        (block, t, q, lockset, is-write) into one int — blocks, intervals
        and lockset ids are all dense, so the mixed-radix code is injective
@@ -254,7 +306,7 @@ let check_group g ~hb ~tb ~qb ~nls ~ostamp ~ivl ~gi acc target
     List.iter
       (fun (n : Graph.node) ->
         let t, q = interval n in
-        let blk = Hashtbl.find block_of_origin n.Graph.n_origin in
+        let blk = blk_of.(sc.oidx.(n.Graph.n_origin)) in
         let ls = n.Graph.n_lockset in
         let w = is_write n in
         let key =
@@ -405,29 +457,6 @@ let check_group g ~hb ~tb ~qb ~nls ~ostamp ~ivl ~gi acc target
 
 (* ------------------------------------------------------------------ *)
 
-(* Interval-level HB answers are pure functions of four small dense ints
-   (source origin, threshold index, destination origin, entry index), and
-   target groups re-ask the same questions — over a hundred times each on
-   the bigger workloads. One byte-array memo per detection run answers
-   repeats with a single probe. *)
-let hb_memo g =
-  let tb, qb = Graph.interval_bounds g in
-  let n = Graph.n_origins g in
-  let size = n * tb * n * qb in
-  if size <= 0 || size > 1 lsl 26 then
-    fun ~src ~t_idx ~dst ~q_idx -> Graph.hb_state g ~src ~t_idx ~dst ~q_idx
-  else
-    let memo = Bytes.make size '\000' in
-    fun ~src ~t_idx ~dst ~q_idx ->
-      let k = ((((src * tb) + t_idx) * n + dst) * qb) + q_idx in
-      match Bytes.unsafe_get memo k with
-      | '\001' -> false
-      | '\002' -> true
-      | _ ->
-          let v = Graph.hb_state g ~src ~t_idx ~dst ~q_idx in
-          Bytes.unsafe_set memo k (if v then '\002' else '\001');
-          v
-
 let run_detect g =
   let locks = Graph.locks g in
   (* group access nodes by flat location id — one int-keyed probe per
@@ -449,16 +478,23 @@ let run_detect g =
   in
   let tb, qb = Graph.interval_bounds g in
   let nls = Lockset.n_distinct locks in
-  let hb = hb_memo g in
-  let ostamp = Array.make (max 1 (Graph.n_origins g)) (-1) in
-  let ivl = Array.make (max 1 (Array.length (Graph.nodes g))) 0 in
+  let n_o = max 1 (Graph.n_origins g) in
+  let sc =
+    {
+      ostamp = Array.make n_o (-1);
+      oidx = Array.make n_o 0;
+      wbuf = Array.make n_o [||];
+      ivl = Array.make (max 1 (Array.length (Graph.nodes g))) 0;
+      reps = IntTbl.create 64;
+    }
+  in
   (* accesses arrive id-ascending, so reversing the consed list keeps
      each group's members id-ascending *)
   IntTbl.fold
     (fun t l acc -> (Graph.target_of g t, List.rev !l) :: acc)
     groups []
   |> List.iteri (fun gi (target, ns) ->
-         check_group g ~hb ~tb ~qb ~nls ~ostamp ~ivl ~gi acc target ns);
+         check_group g ~tb ~qb ~nls ~sc ~gi acc target ns);
   Graph.note_hb_queries g acc.a_hbq;
   let races =
     List.sort

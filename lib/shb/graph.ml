@@ -46,10 +46,14 @@ type t = {
      position reachable *into* o is either min_int or one of these, so
      reachability at a node of o depends only on how many of them precede
      it. hb_closure.(o).(i).(o') is the minimal position reachable in o'
-     starting from threshold interval i of o (max_int = unreachable). *)
+     starting from threshold interval i of o (max_int = unreachable).
+     hb_targets.(o).(i) lists the origins o' ≠ o with a finite
+     hb_closure.(o).(i).(o'), ascending, once asked for ([unlisted]
+     before). *)
   mutable hb_thresholds : int array array;
   mutable hb_inpos : int array array;
   mutable hb_closure : int array array array;
+  mutable hb_targets : int array array array;
   mutable hb_queries : int;
 }
 
@@ -311,6 +315,10 @@ let build_origin g (icg : Solver.icg) stamp (sp : Solver.spawn)
 (* origin-level HB closure *)
 
 (* index of the first element ≥ v, i.e. the count of elements < v *)
+(* placeholder of an hb_targets row not listed yet, told apart by
+   physical equality *)
+let unlisted = [| -1 |]
+
 let lower_bound (a : int array) v =
   let lo = ref 0 and hi = ref (Array.length a) in
   while !lo < !hi do
@@ -406,7 +414,9 @@ let build_hb_closure g =
           (Array.length t + 1)
           (fun i ->
             let p = if i < Array.length t then t.(i) else max_int in
-            reach_from o p))
+            reach_from o p));
+  g.hb_targets <-
+    Array.map (fun rows -> Array.make (Array.length rows) unlisted) g.hb_closure
 
 (* Exclusive upper bounds of the two [hb_interval] components over all
    origins — the race engine packs (t, q) into its int class keys with
@@ -433,9 +443,30 @@ let hb_state g ~src ~t_idx ~dst ~q_idx =
   let c = g.hb_closure.(src).(t_idx).(dst) in
   c = min_int || (c <> max_int && lower_bound g.hb_inpos.(dst) c < q_idx)
 
-(* hb_state is pure (no per-call counting: the race engine memoizes its
-   answers and counts every query, memo hits included); it reports the
-   total here *)
+(* listed on first use — detection asks only for the (origin, interval)
+   pairs its groups occupy; two passes over the closure row, count then
+   fill, so no intermediate list *)
+let hb_targets g ~src ~t_idx =
+  let cached = g.hb_targets.(src).(t_idx) in
+  if cached != unlisted then cached
+  else begin
+    let best = g.hb_closure.(src).(t_idx) in
+    let k = ref 0 in
+    Array.iteri (fun v c -> if v <> src && c <> max_int then incr k) best;
+    let a = Array.make !k 0 and j = ref 0 in
+    Array.iteri
+      (fun v c ->
+        if v <> src && c <> max_int then begin
+          a.(!j) <- v;
+          incr j
+        end)
+      best;
+    g.hb_targets.(src).(t_idx) <- a;
+    a
+  end
+
+(* hb_state is pure (no per-call counting: the race engine counts every
+   query it asks); it reports the total here *)
 let note_hb_queries g k = g.hb_queries <- g.hb_queries + k
 
 let hb_queries g = g.hb_queries
@@ -585,6 +616,7 @@ let build_graph ~serial_events ~lock_region a =
       hb_thresholds = [||];
       hb_inpos = [||];
       hb_closure = [||];
+      hb_targets = [||];
       hb_queries = 0;
     }
   in

@@ -118,9 +118,16 @@ val interval_bounds : t -> int * int
     [src] in threshold interval [t_idx] and every node [b] of [dst] with
     [q_idx] incoming entry positions before it. The race engine uses it to
     compare whole equivalence classes (and origin blocks) at once. Pure —
-    no per-call accounting: the race engine memoizes the answers, counts
-    every query it asks and reports the total with {!note_hb_queries}. *)
+    no per-call accounting: the race engine counts every query it asks and
+    reports the total with {!note_hb_queries}. *)
 val hb_state : t -> src:int -> t_idx:int -> dst:int -> q_idx:int -> bool
+
+(** [hb_targets g ~src ~t_idx] lists, ascending, the origins [dst ≠ src]
+    that a node of [src] in threshold interval [t_idx] may happen before:
+    those whose closure entry is finite. {!hb_state} is false for every
+    other [dst], whatever [q_idx]. Listed on first use and cached in the
+    graph: the array is shared and must not be mutated. *)
+val hb_targets : t -> src:int -> t_idx:int -> int array
 
 (** [hb_queries g] is the number of HB queries answered so far: {!hb} calls
     plus counts reported via {!note_hb_queries} (surfaced as

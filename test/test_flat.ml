@@ -2,8 +2,9 @@
    detection and the OSA scan each have one engine, a scan of the flat
    opcode streams. {!O2_fuzz.Ref_stages.check} compares each with the
    seed's engine on one solve, across every bundled model × context policy
-   × [serial_events]/[lock_region] setting, zookeeper and random
-   programs; plus unit coverage for the lowering invariants themselves. *)
+   × [serial_events]/[lock_region] setting, zookeeper, every named
+   synthetic workload under 1-origin and 0-ctx, and random programs; plus
+   unit coverage for the lowering invariants themselves. *)
 
 open O2_pta
 
@@ -43,6 +44,22 @@ let test_zookeeper_parity () =
   let p = O2_workloads.Synth.program (O2_workloads.Synth.find "zookeeper") in
   let a = Solver.analyze ~policy:(Context.Korigin 1) p in
   check_stages "zookeeper" a
+
+(* every named synthetic workload; chainstorm and hbmix have groups whose
+   origins are HB-related to one another, so their origin blocks depend on
+   nonzero relation rows and columns *)
+let test_named_specs_parity () =
+  let open O2_workloads.Synth in
+  List.iter
+    (fun spec ->
+      let p = program spec in
+      List.iter
+        (fun policy ->
+          check_stages
+            (Printf.sprintf "%s/%s" spec.s_name (Context.policy_name policy))
+            (Solver.analyze ~policy p))
+        [ Context.Korigin 1; Context.Insensitive ])
+    (dacapo @ android @ distributed @ capps @ stress)
 
 (* ---------------- random programs ---------------- *)
 
@@ -98,6 +115,8 @@ let () =
         [
           Alcotest.test_case "models x policies" `Quick test_models_parity;
           Alcotest.test_case "zookeeper" `Quick test_zookeeper_parity;
+          Alcotest.test_case "named specs x policies" `Quick
+            test_named_specs_parity;
           QCheck_alcotest.to_alcotest prop_flat_parity;
         ] );
       ( "lowering",

@@ -450,6 +450,136 @@ let prop_class_accounting =
             + fast.O2_race.Detect.n_class_pruned)
         [ Context.Insensitive; Context.Korigin 1 ])
 
+(* Two threads alike in occupied intervals and in their relations to third
+   origins, HB-related both ways but not alike: A's first write waits for
+   B's first, and B's second waits for A's signal after A's first. Origin
+   blocks must not merge them — the block's one relation matrix would
+   stand for both directions — or a spurious first-write race appears (in
+   one spawn order or the other). The second writes do race. *)
+let one_way_pair ~a_first =
+  (* each thread: wait w1; write; signal s; wait w2; write *)
+  let starts = [ start "a"; start "b" ] in
+  prog ~main:"M"
+    [
+      cls "Data" ~fields:[ "v" ] [];
+      cls "W" ~super:"Thread" ~fields:[ "d"; "w1"; "s"; "w2" ]
+        [
+          meth "init" [ "d"; "w1"; "s"; "w2" ]
+            [
+              fwrite "this" "d" "d";
+              fwrite "this" "w1" "w1";
+              fwrite "this" "s" "s";
+              fwrite "this" "w2" "w2";
+            ];
+          meth "run" []
+            [
+              fread "d" "this" "d";
+              fread "w1" "this" "w1";
+              fread "s" "this" "s";
+              fread "w2" "this" "w2";
+              wait "w1";
+              fwrite "d" "v" "d";
+              signal "s";
+              wait "w2";
+              fwrite "d" "v" "d";
+              ret None;
+            ];
+        ];
+      cls "M"
+        [
+          meth ~static:true "main" []
+            ([
+               new_ "d" "Data" [];
+               new_ "x1" "Data" [];
+               new_ "x2" "Data" [];
+               new_ "x3" "Data" [];
+               new_ "x4" "Data" [];
+               new_ "a" "W" [ "d"; "x1"; "x2"; "x3" ];
+               new_ "b" "W" [ "d"; "x4"; "x1"; "x2" ];
+             ]
+            @ (if a_first then starts else List.rev starts)
+            @ [ signal "x3"; signal "x4" ]);
+        ];
+    ]
+
+let test_asymmetric_hb_pair () =
+  check_int "A spawned first" 1 (o2_races (one_way_pair ~a_first:true));
+  check_int "B spawned first" 1 (o2_races (one_way_pair ~a_first:false))
+
+(* Like origins A and B (one class, same intervals, unrelated to each
+   other), each HB-related to its own third thread: X and Y happen before
+   A and B respectively ([~forward:false], the two columns differ), or A
+   and B happen before X and Y ([~forward:true], the two rows differ).
+   The differing relation has the same shape on both sides, so only the
+   position-by-position comparison keyed by the third origin keeps A and
+   B apart; merged, one of the A–Y and B–X races is lost. Four races:
+   A–B, X–Y, A–Y, B–X. *)
+let third_party ~forward =
+  let wait_write = [ wait "s"; fwrite "d" "v" "d" ]
+  and write_signal = [ fwrite "d" "v" "d"; signal "s" ] in
+  let thread name body =
+    cls name ~super:"Thread" ~fields:[ "d"; "s" ]
+      [
+        meth "init" [ "d"; "s" ]
+          [ fwrite "this" "d" "d"; fwrite "this" "s" "s" ];
+        meth "run" []
+          ([ fread "d" "this" "d"; fread "s" "this" "s" ] @ body @ [ ret None ]);
+      ]
+  in
+  let pair_body, third_body =
+    if forward then (write_signal, wait_write) else (wait_write, write_signal)
+  in
+  prog ~main:"M"
+    [
+      cls "Data" ~fields:[ "v" ] [];
+      thread "P" pair_body;
+      thread "X" third_body;
+      thread "Y" third_body;
+      cls "M"
+        [
+          meth ~static:true "main" []
+            [
+              new_ "d" "Data" [];
+              new_ "s1" "Data" [];
+              new_ "s2" "Data" [];
+              new_ "a" "P" [ "d"; "s1" ];
+              new_ "b" "P" [ "d"; "s2" ];
+              new_ "x" "X" [ "d"; "s1" ];
+              new_ "y" "Y" [ "d"; "s2" ];
+              start "a";
+              start "b";
+              start "x";
+              start "y";
+            ];
+        ];
+    ]
+
+let test_third_party_relations () =
+  check_int "columns differ" 4 (o2_races (third_party ~forward:false));
+  check_int "rows differ" 4 (o2_races (third_party ~forward:true))
+
+(* ---------------- large generated shapes ---------------- *)
+
+(* Two [o2 fuzz] shapes with thousands of origins in a handful of target
+   groups (seed 7 #824: 2919 origins under 1-origin; seed 42 #44: 2673
+   under 0-ctx). Building an m×m origin relation table per group cost tens
+   of millions of closure queries on them; detection must stay within a
+   constant number of queries per class pair and origin. The pinned counts
+   agree with {!O2_fuzz.Ref_stages.detect}. *)
+let test_fuzz_shape ~seed ~index ~policy ~pairs ~races () =
+  let p =
+    O2_workloads.Synth.program
+      (O2_workloads.Synth.spec_of_seed ~seed ~index)
+  in
+  let _, g, r = O2_race.Detect.analyze ~policy p in
+  check_int "pairs checked" pairs r.O2_race.Detect.n_pairs_checked;
+  check_int "races" races (O2_race.Detect.n_races r);
+  let q = O2_shb.Graph.hb_queries g
+  and bound =
+    10 * (r.O2_race.Detect.n_pairs_checked + O2_shb.Graph.n_origins g)
+  in
+  check_bool (Printf.sprintf "hb queries %d <= %d" q bound) true (q <= bound)
+
 (* ---------------- differential reporting ---------------- *)
 
 let test_diff_self_is_unchanged () =
@@ -534,6 +664,10 @@ let () =
             test_nested_spawn_from_pool;
           Alcotest.test_case "double post one origin" `Quick
             test_double_post_one_origin;
+          Alcotest.test_case "asymmetric HB, like origins" `Quick
+            test_asymmetric_hb_pair;
+          Alcotest.test_case "third-origin relations, like origins" `Quick
+            test_third_party_relations;
         ] );
       ( "models (Table 10)",
         [
@@ -541,6 +675,15 @@ let () =
             test_models_expected_counts;
           Alcotest.test_case "fixed variants clean" `Quick
             test_models_fixed_clean;
+        ] );
+      ( "large shapes",
+        [
+          Alcotest.test_case "fuzz seed 7 #824, 1-origin" `Quick
+            (test_fuzz_shape ~seed:7 ~index:824 ~policy:(Context.Korigin 1)
+               ~pairs:1458 ~races:5136);
+          Alcotest.test_case "fuzz seed 42 #44, 0-ctx" `Quick
+            (test_fuzz_shape ~seed:42 ~index:44 ~policy:Context.Insensitive
+               ~pairs:1307 ~races:1789);
         ] );
       ( "diff",
         [
