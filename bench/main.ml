@@ -290,7 +290,7 @@ let ablations () =
   let p = O2_workloads.Synth.program spec in
   let a = Solver.analyze ~policy:(Context.Korigin 1) p in
 
-  (* 1: integer-id HB + memoized reachability vs naive per-pair DFS *)
+  (* 1: integer-id HB + precomputed origin-level closure vs naive per-pair DFS *)
   let g_nr = O2_shb.Graph.build ~lock_region:false a in
   let fast, fast_dt = time (fun () -> O2_race.Detect.run g_nr) in
   let slow, slow_dt = time (fun () -> O2_race.Naive.run g_nr) in

@@ -1,6 +1,6 @@
 (* The o2 command-line driver.
 
-   o2 analyze FILE.cir [--policy P] [--naive] [--json] [--stats] ...
+   o2 analyze FILE.cir [--policy P] [--json] [--stats] ...
    o2 batch DIR|FILE... [--jobs N] [--deadline S] [--max-steps N] [--cache F]
                                  corpus run with per-file fault isolation
    o2 osa FILE.cir               origin-sharing report
@@ -108,11 +108,6 @@ let handle_errors f =
 (* ---- analyze ---- *)
 
 let analyze_cmd =
-  let naive =
-    Arg.(
-      value & flag
-      & info [ "naive" ] ~doc:"Use the unoptimized pairwise-DFS detector.")
-  in
   let no_region =
     Arg.(
       value & flag
@@ -133,39 +128,26 @@ let analyze_cmd =
              sharing, lockset-cache hit rate, race checks). With $(b,--json) \
              the report gains a $(b,metrics) field.")
   in
-  let run file entry policy no_serial naive no_region json stats =
+  let run file entry policy no_serial no_region json stats =
     handle_errors @@ fun () ->
     let p = load ~entry file in
-    let serial_events = not no_serial in
     let format = if json then `Json else `Text in
-    let metrics = if stats then Some (O2_util.Metrics.create ()) else None in
-    if naive then begin
-      let a, g, report =
-        O2_race.Naive.analyze ~policy ~serial_events ?metrics p
-      in
-      print_endline
-        (O2_race.Report.render ~format ?metrics
-           { O2_race.Report.solver = a; graph = g; report })
-    end
-    else begin
-      let cfg =
-        {
-          O2.Config.policy;
-          serial_events;
-          lock_region = not no_region;
-          metrics;
-          budget = None;
-        }
-      in
-      let r = O2.run cfg p in
-      print_endline (O2.render ~format r)
-    end
+    let cfg =
+      {
+        O2.Config.policy;
+        serial_events = not no_serial;
+        lock_region = not no_region;
+        metrics = (if stats then Some (O2_util.Metrics.create ()) else None);
+        budget = None;
+      }
+    in
+    print_endline (O2.render ~format (O2.run cfg p))
   in
   Cmd.v
     (Cmd.info "analyze" ~doc:"Detect data races in a CIR program")
     Term.(
-      const run $ file_arg $ entry_arg $ policy_arg $ serial_arg $ naive
-      $ no_region $ json $ stats)
+      const run $ file_arg $ entry_arg $ policy_arg $ serial_arg $ no_region
+      $ json $ stats)
 
 (* ---- batch ---- *)
 

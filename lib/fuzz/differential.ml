@@ -225,7 +225,8 @@ let check ?policy ?budget ?(naive_max_stmts = 1500) ?(dynamic_max_stmts = 400)
   (match flat with
   | Some (g, r) -> (
       match
-        guard "reference stages" (fun () -> Ref_stages.check solved g r)
+        guard "reference stages" (fun () ->
+            Ref_stages.check ?budget solved g r)
       with
       | Some diffs ->
           List.iter (fun (stage, d) -> add "oracle" (stage ^ ": " ^ d)) diffs

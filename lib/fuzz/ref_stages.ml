@@ -468,7 +468,7 @@ let check_group g acc target (ns : Graph.node list) =
     done
   end
 
-let detect g =
+let detect ?budget g =
   (* the seed's grouping: every access keys the table on its structural
      target through the polymorphic hash *)
   let groups : (Access.target, Graph.node list ref) Hashtbl.t =
@@ -485,7 +485,11 @@ let detect g =
       | _ -> ())
     (Graph.accesses g);
   let acc = { a_races = []; a_pairs = 0; a_hb = 0; a_lock = 0; a_cls = 0 } in
-  Hashtbl.iter (fun tgt l -> check_group g acc tgt (List.rev !l)) groups;
+  Hashtbl.iter
+    (fun tgt l ->
+      Option.iter (O2_util.Budget.check ~steps:0) budget;
+      check_group g acc tgt (List.rev !l))
+    groups;
   let ids (r : Detect.race) =
     (r.Detect.r_a.Graph.n_id, r.Detect.r_b.Graph.n_id)
   in
@@ -594,7 +598,7 @@ let node_str (n : Graph.node) =
   Printf.sprintf "#%d O%d sid %d %s %d ls %d" n.Graph.n_id n.Graph.n_origin
     n.Graph.n_sid kind x n.Graph.n_lockset
 
-let check ?serial_events ?lock_region a g report =
+let check ?serial_events ?lock_region ?budget a g report =
   let out = ref [] in
   let fail stage fmt =
     Printf.ksprintf (fun d -> out := (stage, d) :: !out) fmt
@@ -614,7 +618,7 @@ let check ?serial_events ?lock_region a g report =
   nodes 0 (Array.to_list (Graph.nodes g), t.nodes);
   if Graph.spawn_edges g <> t.spawn_edges then fail "shb" "spawn edges differ";
   if Graph.join_edges g <> t.join_edges then fail "shb" "join edges differ";
-  let want = detect g in
+  let want = detect ?budget g in
   if report <> want then
     fail "race" "report: %d witnesses, %d class pairs vs reference %d, %d"
       (List.length report.Detect.races) report.Detect.n_pairs_checked

@@ -37,8 +37,11 @@ type trace = {
 val shb : ?serial_events:bool -> ?lock_region:bool -> Solver.result -> trace
 
 (** [detect g] is the reference race detection over [g]. It leaves the
-    graph's HB-query counter alone. *)
-val detect : Graph.t -> Detect.report
+    graph's HB-query counter alone. With [budget], it checks the budget
+    before each target group.
+
+    @raise O2_util.Budget.Exhausted when [budget] runs out. *)
+val detect : ?budget:O2_util.Budget.t -> Graph.t -> Detect.report
 
 (** The reference OSA's gated counts and its shared locations. *)
 type osa = {
@@ -58,10 +61,14 @@ val osa : Solver.result -> osa
     lockset) plus both edge lists; [report] must be [=] to {!detect}'s; the
     OSA counts and shared locations of [Osa.run a] must equal {!osa}'s.
     It returns one [(stage, detail)] per disagreement, stage being
-    ["shb"], ["race"] or ["osa"]; [[]] means every stage agrees. *)
+    ["shb"], ["race"] or ["osa"]; [[]] means every stage agrees. [budget]
+    is passed on to {!detect}.
+
+    @raise O2_util.Budget.Exhausted when [budget] runs out. *)
 val check :
   ?serial_events:bool ->
   ?lock_region:bool ->
+  ?budget:O2_util.Budget.t ->
   Solver.result ->
   Graph.t ->
   Detect.report ->

@@ -56,8 +56,8 @@ let is_write (n : Graph.node) =
 
    Blocks are found without an m×m table of relation matrices: every
    true interval-level answer lies on a finite closure entry, so each
-   origin's relation row is built from the destinations
-   {!Graph.hb_targets} lists, holds only its nonzero matrices, and yields
+   origin's relation row is built from its closure rows
+   ({!Graph.hb_row}), holds only its nonzero matrices, and yields
    the columns by transposition. Closure queries then scale with the
    finite entries among the group's origins, not with m². *)
 
@@ -170,30 +170,30 @@ let check_group g ~tb ~qb ~nls ~sc ~gi acc target (ns : Graph.node list) =
     (* sparse relation rows: rows.(i) lists, by ascending origin id, each
        group origin v whose relation matrix from origin i is nonzero, with
        that matrix bit-packed into a handful of ints (row-major over
-       u.o_ts × v.o_qs). hb_state is false wherever the closure entry is
-       infinite, so only the group origins among the targets
-       {!Graph.hb_targets} lists are asked. *)
+       u.o_ts × v.o_qs). Only the group origins in the closure rows
+       ({!Graph.hb_row}) can relate; bit (t, q) is set where the listed
+       entry rank is below q, the answer {!Graph.hb_state} would give. *)
     let row_of (u : oinfo) =
       let nts = Array.length u.o_ts and touched = ref [] in
-      let ask ti t v =
-        let qs = oarr.(sc.oidx.(v)).o_qs in
-        let nqs = Array.length qs in
-        for qi = 0 to nqs - 1 do
-          if hb_state ~src:u.o_id ~t_idx:t ~dst:v ~q_idx:qs.(qi) then begin
-            if sc.wbuf.(v) == [||] then begin
-              sc.wbuf.(v) <- Array.make (((nts * nqs) + 62) / 63) 0;
-              touched := v :: !touched
-            end;
-            let b = (ti * nqs) + qi and w = sc.wbuf.(v) in
-            w.(b / 63) <- w.(b / 63) lor (1 lsl (b mod 63))
-          end
-        done
-      in
       for ti = 0 to nts - 1 do
-        let t = u.o_ts.(ti) in
-        let tg = Graph.hb_targets g ~src:u.o_id ~t_idx:t in
-        for x = 0 to Array.length tg - 1 do
-          if sc.ostamp.(tg.(x)) = gi then ask ti t tg.(x)
+        let row = Graph.hb_row g ~src:u.o_id ~t_idx:u.o_ts.(ti) in
+        for x = 0 to (Array.length row / 2) - 1 do
+          let v = row.(2 * x) and rank = row.((2 * x) + 1) in
+          if v <> u.o_id && sc.ostamp.(v) = gi then begin
+            let qs = oarr.(sc.oidx.(v)).o_qs in
+            let nqs = Array.length qs in
+            acc.a_hbq <- acc.a_hbq + nqs;
+            for qi = 0 to nqs - 1 do
+              if rank < qs.(qi) then begin
+                if sc.wbuf.(v) == [||] then begin
+                  sc.wbuf.(v) <- Array.make (((nts * nqs) + 62) / 63) 0;
+                  touched := v :: !touched
+                end;
+                let b = (ti * nqs) + qi and w = sc.wbuf.(v) in
+                w.(b / 63) <- w.(b / 63) lor (1 lsl (b mod 63))
+              end
+            done
+          end
         done
       done;
       List.sort Int.compare !touched

@@ -169,17 +169,7 @@ let run g =
     n_class_pruned = 0;
   }
 
-let analyze ?(policy = Context.Insensitive) ?(serial_events = true) ?metrics p
-    =
-  let a = Solver.analyze ~policy ?metrics p in
-  let g = Graph.build ~serial_events ~lock_region:false ?metrics a in
-  let report =
-    match metrics with
-    | None -> run g
-    | Some m ->
-        let report = O2_util.Metrics.span m "race.naive" (fun () -> run g) in
-        O2_util.Metrics.set m "race.pairs_checked" report.Detect.n_pairs_checked;
-        O2_util.Metrics.set m "race.races" (Detect.n_races report);
-        report
-  in
-  (a, g, report)
+let analyze ?(policy = Context.Insensitive) p =
+  let a = Solver.analyze ~policy p in
+  let g = Graph.build ~lock_region:false a in
+  (a, g, run g)

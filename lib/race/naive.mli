@@ -16,11 +16,9 @@ open O2_shb
     [~lock_region:false] for a faithful baseline; {!analyze} does so. *)
 val run : Graph.t -> Detect.report
 
-(** Full pipeline with the naive engine. [metrics] is threaded through the
-    solver and SHB build; detection runs in a ["race.naive"] span. *)
+(** Full pipeline with the naive engine: solve under [policy] (default
+    0-ctx), build the SHB graph without lock-region merging, then {!run}. *)
 val analyze :
   ?policy:O2_pta.Context.policy ->
-  ?serial_events:bool ->
-  ?metrics:O2_util.Metrics.t ->
   O2_ir.Program.t ->
   O2_pta.Solver.result * Graph.t * Detect.report

@@ -45,15 +45,14 @@ type t = {
      positions of o's incoming edges (join targets + semaphore waits): any
      position reachable *into* o is either min_int or one of these, so
      reachability at a node of o depends only on how many of them precede
-     it. hb_closure.(o).(i).(o') is the minimal position reachable in o'
-     starting from threshold interval i of o (max_int = unreachable).
-     hb_targets.(o).(i) lists the origins o' ≠ o with a finite
-     hb_closure.(o).(i).(o'), ascending, once asked for ([unlisted]
-     before). *)
+     it. hb_rows.(o).(i) is the closure from threshold interval i of o,
+     kept sparse: [| v0; r0; v1; r1; … |] by ascending origin v, one pair
+     per origin reachable at all, with r the entry rank of the minimal
+     reachable position in v (-1 for v's start, else the count of v's
+     entry positions before it). o itself is listed when reachable. *)
   mutable hb_thresholds : int array array;
   mutable hb_inpos : int array array;
-  mutable hb_closure : int array array array;
-  mutable hb_targets : int array array array;
+  mutable hb_rows : int array array array;
   mutable hb_queries : int;
 }
 
@@ -315,10 +314,6 @@ let build_origin g (icg : Solver.icg) stamp (sp : Solver.spawn)
 (* origin-level HB closure *)
 
 (* index of the first element ≥ v, i.e. the count of elements < v *)
-(* placeholder of an hb_targets row not listed yet, told apart by
-   physical equality *)
-let unlisted = [| -1 |]
-
 let lower_bound (a : int array) v =
   let lo = ref 0 and hi = ref (Array.length a) in
   while !lo < !hi do
@@ -367,10 +362,12 @@ let build_hb_closure g =
          if in_range wo then acc.(wo) <- wid :: acc.(wo))
        g.sems_e;
      Array.map (fun l -> Array.of_list (List.sort_uniq compare l)) acc);
-  (* chaotic-iteration BFS from one normalized state, over indexed edges *)
+  (* chaotic-iteration BFS from one normalized state, over indexed
+     edges, into [best] (all max_int between runs); the row is read off
+     [best] in one scan, which also resets it *)
+  let best = Array.make n max_int and buf = Array.make (2 * n) 0 in
+  let queue = Queue.create () in
   let reach_from o0 p0 =
-    let best = Array.make n max_int in
-    let queue = Queue.create () in
     best.(o0) <- p0;
     Queue.push (o0, p0) queue;
     let push x pos =
@@ -405,18 +402,27 @@ let build_hb_closure g =
         done
       end
     done;
-    best
+    let k = ref 0 in
+    for v = 0 to n - 1 do
+      let c = best.(v) in
+      if c <> max_int then begin
+        buf.(!k) <- v;
+        buf.(!k + 1) <-
+          (if c = min_int then -1 else lower_bound g.hb_inpos.(v) c);
+        k := !k + 2;
+        best.(v) <- max_int
+      end
+    done;
+    Array.sub buf 0 !k
   in
-  g.hb_closure <-
+  g.hb_rows <-
     Array.init n (fun o ->
         let t = g.hb_thresholds.(o) in
         Array.init
           (Array.length t + 1)
           (fun i ->
             let p = if i < Array.length t then t.(i) else max_int in
-            reach_from o p));
-  g.hb_targets <-
-    Array.map (fun rows -> Array.make (Array.length rows) unlisted) g.hb_closure
+            reach_from o p))
 
 (* Exclusive upper bounds of the two [hb_interval] components over all
    origins — the race engine packs (t, q) into its int class keys with
@@ -437,33 +443,21 @@ let hb_interval g (node : node) =
    interval [t_idx] happen before a node of [dst] with [q_idx] incoming
    entry positions behind it? Agrees with [hb] on any pair of nodes with
    those intervals ([src] ≠ [dst]): the closure value is min_int, max_int,
-   or one of dst's incoming entry positions, so comparing its rank against
-   [q_idx] is the same as comparing it against the node id. *)
+   or one of dst's incoming entry positions, so its entry rank (stored at
+   build time) against [q_idx] is the same test as the value against the
+   node id. A binary search for [dst] among the row's destinations. *)
 let hb_state g ~src ~t_idx ~dst ~q_idx =
-  let c = g.hb_closure.(src).(t_idx).(dst) in
-  c = min_int || (c <> max_int && lower_bound g.hb_inpos.(dst) c < q_idx)
+  let row = g.hb_rows.(src).(t_idx) in
+  let lo = ref 0 and hi = ref (Array.length row / 2) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if row.(2 * mid) < dst then lo := mid + 1 else hi := mid
+  done;
+  2 * !lo < Array.length row
+  && row.(2 * !lo) = dst
+  && row.((2 * !lo) + 1) < q_idx
 
-(* listed on first use — detection asks only for the (origin, interval)
-   pairs its groups occupy; two passes over the closure row, count then
-   fill, so no intermediate list *)
-let hb_targets g ~src ~t_idx =
-  let cached = g.hb_targets.(src).(t_idx) in
-  if cached != unlisted then cached
-  else begin
-    let best = g.hb_closure.(src).(t_idx) in
-    let k = ref 0 in
-    Array.iteri (fun v c -> if v <> src && c <> max_int then incr k) best;
-    let a = Array.make !k 0 and j = ref 0 in
-    Array.iteri
-      (fun v c ->
-        if v <> src && c <> max_int then begin
-          a.(!j) <- v;
-          incr j
-        end)
-      best;
-    g.hb_targets.(src).(t_idx) <- a;
-    a
-  end
+let hb_row g ~src ~t_idx = g.hb_rows.(src).(t_idx)
 
 (* hb_state is pure (no per-call counting: the race engine counts every
    query it asks); it reports the total here *)
@@ -473,14 +467,8 @@ let hb_queries g = g.hb_queries
 
 let hb_closure_entries g =
   Array.fold_left
-    (fun acc per_state ->
-      Array.fold_left
-        (fun acc best ->
-          Array.fold_left
-            (fun acc v -> if v < max_int then acc + 1 else acc)
-            acc best)
-        acc per_state)
-    0 g.hb_closure
+    (Array.fold_left (fun acc row -> acc + (Array.length row / 2)))
+    0 g.hb_rows
 
 (* Self-parallelism under the merged (non-origin) policies. An abstract
    spawn stands for every runtime execution of its start/post site that
@@ -615,8 +603,7 @@ let build_graph ~serial_events ~lock_region a =
       lock_region;
       hb_thresholds = [||];
       hb_inpos = [||];
-      hb_closure = [||];
-      hb_targets = [||];
+      hb_rows = [||];
       hb_queries = 0;
     }
   in
@@ -698,15 +685,16 @@ let build ?(serial_events = true) ?(lock_region = true) ?metrics a =
 (* ------------------------------------------------------------------ *)
 (* happens-before *)
 
-(* O(1) happens-before: locate a's threshold interval by binary search,
-   then compare the precomputed minimal reachable position in b's origin
-   against b's id. *)
+(* Happens-before between two nodes: intra-origin by id, inter-origin
+   through the closure at a's threshold interval and b's entry count. *)
 let hb g (a : node) (b : node) =
   g.hb_queries <- g.hb_queries + 1;
   if a.n_origin = b.n_origin then a.n_id < b.n_id
   else
-    let i = lower_bound g.hb_thresholds.(a.n_origin) a.n_id in
-    g.hb_closure.(a.n_origin).(i).(b.n_origin) <= b.n_id
+    hb_state g ~src:a.n_origin
+      ~t_idx:(lower_bound g.hb_thresholds.(a.n_origin) a.n_id)
+      ~dst:b.n_origin
+      ~q_idx:(lower_bound g.hb_inpos.(b.n_origin) (b.n_id + 1))
 
 (* ------------------------------------------------------------------ *)
 

@@ -96,9 +96,8 @@ val join_edges : t -> (int * int * int) list
 val sem_edges : t -> (int * int * int * int) list
 
 (** [hb g a b] decides statically-must happens-before between two nodes:
-    intra-origin by integer comparison, inter-origin via the origin-level
-    HB closure precomputed at build time — a binary search over [a]'s
-    outgoing-edge thresholds, one table lookup and one integer compare. *)
+    intra-origin by integer comparison, inter-origin by {!hb_state} at
+    [a]'s threshold interval and [b]'s entry count ({!hb_interval}). *)
 val hb : t -> node -> node -> bool
 
 (** [hb_interval g n] is [(t_idx, q_idx)]: the index of [n] among its
@@ -116,18 +115,21 @@ val interval_bounds : t -> int * int
 (** [hb_state g ~src ~t_idx ~dst ~q_idx] is the interval-level form of
     {!hb}: for [src ≠ dst] it equals [hb g a b] for every node [a] of
     [src] in threshold interval [t_idx] and every node [b] of [dst] with
-    [q_idx] incoming entry positions before it. The race engine uses it to
-    compare whole equivalence classes (and origin blocks) at once. Pure —
-    no per-call accounting: the race engine counts every query it asks and
-    reports the total with {!note_hb_queries}. *)
+    [q_idx] incoming entry positions before it. It looks [dst] up in
+    {!hb_row} and compares its entry rank with [q_idx]. Pure — no per-call
+    accounting: the race engine counts every query it asks and reports the
+    total with {!note_hb_queries}. *)
 val hb_state : t -> src:int -> t_idx:int -> dst:int -> q_idx:int -> bool
 
-(** [hb_targets g ~src ~t_idx] lists, ascending, the origins [dst ≠ src]
-    that a node of [src] in threshold interval [t_idx] may happen before:
-    those whose closure entry is finite. {!hb_state} is false for every
-    other [dst], whatever [q_idx]. Listed on first use and cached in the
-    graph: the array is shared and must not be mutated. *)
-val hb_targets : t -> src:int -> t_idx:int -> int array
+(** [hb_row g ~src ~t_idx] is the closure row of [src]'s threshold
+    interval [t_idx], packed as [[| v0; r0; v1; r1; … |]]: by ascending
+    origin [v], every origin a node of that interval may happen before
+    ([src] itself included when reachable), with its entry rank [r] — [-1]
+    when all of [v] follows, otherwise the count of [v]'s incoming entry
+    positions before the first node it reaches. [hb_state] holds exactly
+    for the listed [v ≠ src] with [r < q_idx]. Shared with the graph: must
+    not be mutated. *)
+val hb_row : t -> src:int -> t_idx:int -> int array
 
 (** [hb_queries g] is the number of HB queries answered so far: {!hb} calls
     plus counts reported via {!note_hb_queries} (surfaced as
@@ -138,8 +140,9 @@ val hb_queries : t -> int
     calls) to the {!hb_queries} counter. *)
 val note_hb_queries : t -> int -> unit
 
-(** [hb_closure_entries g] counts the finite (reachable) entries of the
-    precomputed closure — the [shb.hb_closure_size] counter. *)
+(** [hb_closure_entries g] counts the (origin, interval, origin) entries of
+    the precomputed closure that are reachable — the pairs of every
+    {!hb_row}, the [shb.hb_closure_size] counter. *)
 val hb_closure_entries : t -> int
 
 (** [pp] dumps the per-origin traces (for debugging and the CLI). *)

@@ -65,6 +65,17 @@ let test_hbmix_exercises_everything () =
   | `Skipped -> Alcotest.fail "dynamic stage skipped on hbmix"
   | `Runtime_error e -> Alcotest.failf "dynamic stage errored: %s" e
 
+(* the reference detector checks the budget before each target group, so
+   an expired deadline stops it rather than firing after it returns *)
+let test_ref_stages_budget () =
+  let a = O2_pta.Solver.analyze (Synth.program (Synth.find "memcached")) in
+  let g = O2_shb.Graph.build a in
+  let r = O2_race.Detect.run g in
+  check_int "agrees without a budget" 0 (List.length (Ref_stages.check a g r));
+  match Ref_stages.check ~budget:(O2_util.Budget.make ~wall:0.0 ()) a g r with
+  | _ -> Alcotest.fail "expected Budget.Exhausted `Wall"
+  | exception O2_util.Budget.Exhausted `Wall -> ()
+
 (* ---------------- sweep ---------------- *)
 
 let test_sweep_deterministic () =
@@ -209,6 +220,8 @@ let () =
           Alcotest.test_case "named specs clean" `Quick test_named_specs_clean;
           Alcotest.test_case "hbmix exercises everything" `Quick
             test_hbmix_exercises_everything;
+          Alcotest.test_case "reference stages poll the budget" `Quick
+            test_ref_stages_budget;
         ] );
       ( "sweep",
         [

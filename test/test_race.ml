@@ -565,8 +565,9 @@ let test_third_party_relations () =
    under 0-ctx). Building an m×m origin relation table per group cost tens
    of millions of closure queries on them; detection must stay within a
    constant number of queries per class pair and origin. The pinned counts
-   agree with {!O2_fuzz.Ref_stages.detect}. *)
-let test_fuzz_shape ~seed ~index ~policy ~pairs ~races () =
+   agree with {!O2_fuzz.Ref_stages.detect}; the closure size counts the
+   reachable (origin, interval, origin) entries of the HB closure. *)
+let test_fuzz_shape ~seed ~index ~policy ~pairs ~races ~closure () =
   let p =
     O2_workloads.Synth.program
       (O2_workloads.Synth.spec_of_seed ~seed ~index)
@@ -574,6 +575,7 @@ let test_fuzz_shape ~seed ~index ~policy ~pairs ~races () =
   let _, g, r = O2_race.Detect.analyze ~policy p in
   check_int "pairs checked" pairs r.O2_race.Detect.n_pairs_checked;
   check_int "races" races (O2_race.Detect.n_races r);
+  check_int "closure entries" closure (O2_shb.Graph.hb_closure_entries g);
   let q = O2_shb.Graph.hb_queries g
   and bound =
     10 * (r.O2_race.Detect.n_pairs_checked + O2_shb.Graph.n_origins g)
@@ -680,10 +682,10 @@ let () =
         [
           Alcotest.test_case "fuzz seed 7 #824, 1-origin" `Quick
             (test_fuzz_shape ~seed:7 ~index:824 ~policy:(Context.Korigin 1)
-               ~pairs:1458 ~races:5136);
+               ~pairs:1458 ~races:5136 ~closure:4_261_739);
           Alcotest.test_case "fuzz seed 42 #44, 0-ctx" `Quick
             (test_fuzz_shape ~seed:42 ~index:44 ~policy:Context.Insensitive
-               ~pairs:1307 ~races:1789);
+               ~pairs:1307 ~races:1789 ~closure:3_571_205);
         ] );
       ( "diff",
         [
