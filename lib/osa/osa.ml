@@ -1,5 +1,6 @@
 open O2_ir
 open O2_pta
+open O2_util
 
 type sharing = {
   sh_target : Access.target;
@@ -7,11 +8,16 @@ type sharing = {
   sh_writers : int list;
 }
 
-let is_shared sh =
-  sh.sh_writers <> []
-  &&
-  let all = List.sort_uniq compare (sh.sh_readers @ sh.sh_writers) in
-  match all with [] | [ _ ] -> false | _ -> true
+(* two distinct origins among the accessors, one writing: some accessor
+   differs from the first writer — no sort, no append *)
+let shared_lists readers writers =
+  match writers with
+  | [] -> false
+  | w :: _ ->
+      List.exists (fun o -> o <> w) writers
+      || List.exists (fun o -> o <> w) readers
+
+let is_shared sh = shared_lists sh.sh_readers sh.sh_writers
 
 type mut_sharing = {
   mutable readers : int list;
@@ -25,11 +31,16 @@ type mut_sharing = {
 type t = {
   flat : Flat.t;
   locs : mut_sharing option array;  (* tid-indexed; None = never accessed *)
-  (* every (site, tid, origin, is_write) access, for #S-access *)
-  mutable accesses : (int * int * int * bool) list;
+  n_keys : int;  (* exclusive bound of the origin keys *)
+  recorded : unit Inttbl.t;
+      (* the (tid, origin, kind) triples already in [locs], packed as
+         [access_key]: one probe replaces a scan of the location's
+         reader or writer list *)
+  (* every access as a packed [site_key], for #S-access *)
+  mutable accesses : int list;
   mutable n_accesses : int;
   (* objects touched per origin, keyed [origin * n_objs + oid] *)
-  touched : (int, unit) Hashtbl.t;
+  touched : unit Inttbl.t;
   n_objs : int;
   (* canonical origin key per spawn id *)
   mutable key_of_spawn : int array;
@@ -50,18 +61,30 @@ let fold_locs t f acc =
     t.locs;
   !r
 
+(* Mixed-radix packings; [run] checks once that the largest code fits an
+   int, so neither can alias two distinct triples. *)
+let access_key t ~tid ~origin ~is_write =
+  (((tid * t.n_keys) + origin) lsl 1) lor Bool.to_int is_write
+
+let site_key t ~site ~tid ~is_write =
+  (((site * Array.length t.locs) + tid) lsl 1) lor Bool.to_int is_write
+
 (* ComputeOriginSharing(s, f, O, isWrite) of Algorithm 1 *)
 let compute_origin_sharing t ~site ~tid ~origin ~is_write =
   let s = loc t tid in
-  if is_write then begin
-    if not (List.mem origin s.writers) then s.writers <- origin :: s.writers
-  end
-  else if not (List.mem origin s.readers) then s.readers <- origin :: s.readers;
-  t.accesses <- (site, tid, origin, is_write) :: t.accesses;
+  let k = access_key t ~tid ~origin ~is_write in
+  if not (Inttbl.mem t.recorded k) then begin
+    Inttbl.add t.recorded k ();
+    if is_write then s.writers <- origin :: s.writers
+    else s.readers <- origin :: s.readers
+  end;
+  t.accesses <- site_key t ~site ~tid ~is_write :: t.accesses;
   t.n_accesses <- t.n_accesses + 1
 
 let touch t origin oid =
-  Hashtbl.replace t.touched ((origin * t.n_objs) + oid) ()
+  Inttbl.replace t.touched ((origin * t.n_objs) + oid) ()
+
+let loc_shared s = shared_lists s.readers s.writers
 
 let freeze t tid (s : mut_sharing) =
   {
@@ -85,10 +108,9 @@ let scan_flat a t n_scanned =
   Array.iteri
     (fun spi (sp : Solver.spawn) ->
       let origin = Solver.origin_of_spawn a sp in
-      let field_access (pts : O2_util.Bitset.t array) ~site ~base ~fid
-          ~is_write =
+      let field_access (pts : Bitset.t array) ~site ~base ~fid ~is_write =
         (* descending-oid order, matching [Access.base_targets] *)
-        O2_util.Bitset.fold
+        Bitset.fold
           (fun oid acc -> Flat.tid_field fl ~oid ~fid :: acc)
           pts.(base) []
         |> List.iter (fun tid ->
@@ -181,40 +203,42 @@ let scan_flat a t n_scanned =
     a.Solver.spawns
 
 let run ?metrics a =
+  let fl = a.Solver.flat in
+  let n_locs =
+    max 1 (Flat.n_statics fl + (Pag.n_objs a.Solver.pag * Flat.n_fields fl))
+  in
+  let key_of_spawn = Array.map (Solver.origin_of_spawn a) a.Solver.spawns in
+  let n_keys = 1 + Array.fold_left max 0 key_of_spawn in
+  let n_sites = max 1 a.Solver.icg.Solver.ic_nsids in
+  if n_locs > max_int / 2 / max n_keys n_sites then
+    invalid_arg "Osa.run: too many locations for the packed access keys";
   let t =
     {
-      flat = a.Solver.flat;
-      locs =
-        (let fl = a.Solver.flat in
-         let bound =
-           Flat.n_statics fl
-           + (Pag.n_objs a.Solver.pag * Flat.n_fields fl)
-         in
-         Array.make (max 1 bound) None);
+      flat = fl;
+      locs = Array.make n_locs None;
+      n_keys;
+      recorded = Inttbl.create 1024;
       accesses = [];
       n_accesses = 0;
-      touched = Hashtbl.create 16;
+      touched = Inttbl.create 16;
       n_objs = Pag.n_objs a.Solver.pag;
-      key_of_spawn = Array.map (Solver.origin_of_spawn a) a.Solver.spawns;
+      key_of_spawn;
     }
   in
   let n_scanned = ref 0 in
   let scan () = scan_flat a t n_scanned in
   (match metrics with
   | None -> scan ()
-  | Some m -> O2_util.Metrics.span m "osa.scan" scan);
+  | Some m -> Metrics.span m "osa.scan" scan);
   (match metrics with
   | None -> ()
   | Some m ->
-      let open O2_util in
       Metrics.set m "osa.stmts_scanned" !n_scanned;
       Metrics.set m "osa.accesses" t.n_accesses;
       Metrics.set m "osa.locations"
         (fold_locs t (fun _ _ acc -> acc + 1) 0);
       Metrics.set m "osa.shared_locations"
-        (fold_locs t
-           (fun tid s acc -> if is_shared (freeze t tid s) then acc + 1 else acc)
-           0));
+        (fold_locs t (fun _ s acc -> if loc_shared s then acc + 1 else acc) 0));
   t
 
 let tid_opt t target = Access.tid_of t.flat target
@@ -226,31 +250,31 @@ let sharing_of t target =
 
 let shared_locations t =
   fold_locs t
-    (fun tid s acc ->
-      let sh = freeze t tid s in
-      if is_shared sh then sh :: acc else acc)
+    (fun tid s acc -> if loc_shared s then freeze t tid s :: acc else acc)
     []
   |> List.sort (fun a b -> Access.compare_target a.sh_target b.sh_target)
 
 let is_shared_target t target =
   match sharing_of t target with Some sh -> is_shared sh | None -> false
 
-let is_shared_tid t tid =
-  match t.locs.(tid) with
-  | Some s -> is_shared (freeze t tid s)
-  | None -> false
-
 let n_shared_accesses t =
-  (* int-triple dedup; injective tids make the count the structural one *)
-  List.filter (fun (_, tid, _, _) -> is_shared_tid t tid) t.accesses
-  |> List.map (fun (site, tid, _, w) -> (site, tid, w))
-  |> List.sort_uniq compare |> List.length
+  (* sharedness decided once per location, then one pass deduplicating the
+     packed site keys; injective tids make the count the structural one *)
+  let n_locs = Array.length t.locs in
+  let shared =
+    Array.map (function Some s -> loc_shared s | None -> false) t.locs
+  in
+  let seen = Inttbl.create 1024 in
+  List.iter
+    (fun k -> if shared.((k lsr 1) mod n_locs) then Inttbl.replace seen k ())
+    t.accesses;
+  Inttbl.length seen
 
 let n_shared_objects t =
   let fl = t.flat in
   fold_locs t
     (fun tid s acc ->
-      if is_shared (freeze t tid s) then
+      if loc_shared s then
         (if Flat.tid_is_static fl tid then
            `Static (Flat.class_name fl (Flat.static_cid fl tid))
          else `Obj (Flat.tid_oid fl tid))
@@ -263,7 +287,7 @@ let n_shared_object_sites a t =
   let fl = t.flat in
   fold_locs t
     (fun tid s acc ->
-      if is_shared (freeze t tid s) then
+      if loc_shared s then
         (if Flat.tid_is_static fl tid then
            `Static (Flat.class_name fl (Flat.static_cid fl tid))
          else
@@ -282,7 +306,7 @@ let origin_local_objects t spawn_id =
     else spawn_id
   in
   let oids =
-    Hashtbl.fold
+    Inttbl.fold
       (fun key () acc ->
         if t.n_objs > 0 && key / t.n_objs = origin then (key mod t.n_objs) :: acc
         else acc)
@@ -296,14 +320,8 @@ let origin_local_objects t spawn_id =
             acc2
             || (not (Flat.tid_is_static fl tid))
                && Flat.tid_oid fl tid = oid
-               &&
-               let sh = freeze t tid s in
-               let others =
-                 List.filter
-                   (fun og -> og <> origin)
-                   (sh.sh_readers @ sh.sh_writers)
-               in
-               others <> [])
+               && (List.exists (fun og -> og <> origin) s.readers
+                  || List.exists (fun og -> og <> origin) s.writers))
           false
       in
       not shared_somewhere)

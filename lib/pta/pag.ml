@@ -23,19 +23,14 @@ module NodeIntern = Intern.Make (struct
   let hash = Hashtbl.hash
 end)
 
-(* Copy edges are deduplicated on the packed key [src lsl 31 lor dst]: a
-   single-int key makes the per-probe cost one multiply-hash with no tuple
+(* Copy edges are deduplicated on the packed key [src lsl 31 lor dst] in an
+   {!Inttbl}: one probe is a multiply-and-shift hash with no tuple
    allocation — [add_copy] runs once per watcher delivery, the solve's
-   hottest table path. Node ids stay far below the 2^31 packing bound in
-   practice; the guard makes an overflow fail loudly instead of silently
-   merging unrelated edges. *)
-module EdgeTbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash x = (x * 0x9e3779b1) land max_int
-end)
-
+   hottest table path. The key's low 31 bits hold [dst] alone, so the
+   table relies on [Inttbl]'s hash mixing [src] into the bucket index.
+   Node ids stay far below the 2^31 packing bound in practice; the guard
+   makes an overflow fail loudly instead of silently merging unrelated
+   edges. *)
 let edge_key src dst =
   if (src lor dst) lsr 31 <> 0 then
     invalid_arg "Pag.edge_key: node id exceeds the 31-bit packing bound";
@@ -62,7 +57,7 @@ type t = {
   mutable watched : bool array;
   mutable uf : int array;  (* union-find parents; uf.(i) = i means root *)
   mutable on_wl : bool array;
-  edge_set : unit EdgeTbl.t;
+  edge_set : unit Inttbl.t;
   mutable wl : int list;  (* LIFO worklist *)
   mutable fire_wl : int list;
       (* watched nodes whose [pending] went nonempty since the last flush —
@@ -94,7 +89,7 @@ let create () =
     watched = [||];
     uf = [||];
     on_wl = [||];
-    edge_set = EdgeTbl.create 256;
+    edge_set = Inttbl.create 256;
     wl = [];
     fire_wl = [];
     scratch = Bitset.create ();
@@ -145,7 +140,7 @@ let node_id g n =
 let find_node g n = NodeIntern.find_opt g.nodes n
 let node g id = NodeIntern.value g.nodes id
 let n_nodes g = NodeIntern.count g.nodes
-let n_edges g = EdgeTbl.length g.edge_set
+let n_edges g = Inttbl.length g.edge_set
 
 (* Path-halving find. *)
 let rec find g i =
@@ -188,8 +183,8 @@ let add_obj g n o =
 
 let add_copy g ~src ~dst =
   let src = find g src and dst = find g dst in
-  if src <> dst && not (EdgeTbl.mem g.edge_set (edge_key src dst)) then begin
-    EdgeTbl.add g.edge_set (edge_key src dst) ();
+  if src <> dst && not (Inttbl.mem g.edge_set (edge_key src dst)) then begin
+    Inttbl.add g.edge_set (edge_key src dst) ();
     g.succs.(src) <- dst :: g.succs.(src);
     if Bitset.union_into ~into:(materialize g g.delta dst) g.pts.(src) then
       schedule g dst
@@ -387,7 +382,7 @@ let collapse_sccs g =
          misses the table and appends a duplicate successor, and
          [n_edges] — which also drives the collapse cadence — drifts from
          the live edge count. *)
-      EdgeTbl.reset g.edge_set;
+      Inttbl.reset g.edge_set;
       for v = 0 to n - 1 do
         if g.uf.(v) <> v then g.succs.(v) <- []
         else
@@ -399,8 +394,8 @@ let collapse_sccs g =
                 (fun d0 ->
                   let d = find g d0 in
                   let k = edge_key v d in
-                  if d <> v && not (EdgeTbl.mem g.edge_set k) then begin
-                    EdgeTbl.add g.edge_set k ();
+                  if d <> v && not (Inttbl.mem g.edge_set k) then begin
+                    Inttbl.add g.edge_set k ();
                     out := d :: !out
                   end)
                 succs;

@@ -26,13 +26,6 @@ module OriginIntern = Intern.Make (struct
   let hash = Hashtbl.hash
 end)
 
-module IntTbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash x = (x * 0x9e3779b1) land max_int
-end)
-
 type meth_key = Types.cname * Types.mname * Context.t
 
 type reach_info = {
@@ -69,12 +62,14 @@ type tables = {
       (* hashed dedup for origin_attr_nodes entries *)
   field_ids : (Types.fname, int) Hashtbl.t;
       (* dense field-name interning for the field-node memo *)
-  fld_nodes : int IntTbl.t;
+  fld_nodes : int Inttbl.t;
       (* packed (object id, field id) -> interned NField node: field
          watchers fire once per object per access site, and the structural
          intern of [NField] dominated that path — repeats cost one
          single-int probe (key = [oid lsl 20 lor fid]; dense field ids stay
-         far below 2^20) *)
+         far below 2^20). The low 20 bits hold the field id alone, so the
+         probe is constant-time only because [Inttbl]'s hash mixes the
+         object id into the bucket index. *)
   mutable pending : task list;  (* bodies reached since the last round *)
 }
 
@@ -371,11 +366,11 @@ let field_id st f =
    repeat structural interns into one table probe. *)
 let fld_node st oid fid f =
   let key = (oid lsl 20) lor fid in
-  match IntTbl.find_opt st.fld_nodes key with
+  match Inttbl.find_opt st.fld_nodes key with
   | Some n -> n
   | None ->
       let n = Pag.node_id st.t_pag (Pag.NField (oid, f)) in
-      IntTbl.add st.fld_nodes key n;
+      Inttbl.add st.fld_nodes key n;
       n
 
 (* The watcher constraints: each installs a callback on a base node that
@@ -736,7 +731,7 @@ let analyze ?(policy = Context.Korigin 1) ?(jobs = 1) ?metrics ?budget program
       origin_attr_nodes = Hashtbl.create 64;
       origin_attr_seen = Hashtbl.create 64;
       field_ids = Hashtbl.create 64;
-      fld_nodes = IntTbl.create 1024;
+      fld_nodes = Inttbl.create 1024;
       pending = [];
     }
   in

@@ -1,12 +1,6 @@
 open O2_pta
 open O2_shb
-
-module IntTbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash x = (x * 0x9e3779b1) land max_int
-end)
+open O2_util
 
 type race = {
   r_target : Access.target;
@@ -102,7 +96,7 @@ type scratch = {
   wbuf : int array array;
       (* origin -> relation words of the row being built, [||] = zero *)
   ivl : int array;  (* node id -> interval, packed [1 + t*qb + q], 0 = unset *)
-  reps : int list IntTbl.t;
+  reps : int list Inttbl.t;
       (* key digest -> the group's block representatives; emptied per group *)
 }
 
@@ -277,16 +271,16 @@ let check_group g ~tb ~qb ~nls ~sc ~gi acc target (ns : Graph.node list) =
     in
     for i = 0 to m - 1 do
       let same =
-        Option.value ~default:[] (IntTbl.find_opt sc.reps digest.(i))
+        Option.value ~default:[] (Inttbl.find_opt sc.reps digest.(i))
       in
       match find_rep i same with
       | Some r -> blk_of.(i) <- blk_of.(r)
       | None ->
-          IntTbl.replace sc.reps digest.(i) (i :: same);
+          Inttbl.replace sc.reps digest.(i) (i :: same);
           blk_of.(i) <- !n_blocks;
           incr n_blocks
     done;
-    Array.iter (IntTbl.remove sc.reps) digest;
+    Array.iter (Inttbl.remove sc.reps) digest;
     let block_members = Array.make !n_blocks [] in
     for i = m - 1 downto 0 do
       block_members.(blk_of.(i)) <- oarr.(i) :: block_members.(blk_of.(i))
@@ -302,7 +296,7 @@ let check_group g ~tb ~qb ~nls ~sc ~gi acc target (ns : Graph.node list) =
        (block, t, q, lockset, is-write) into one int — blocks, intervals
        and lockset ids are all dense, so the mixed-radix code is injective
        and the per-group table hashes plain ints *)
-    let cls_tbl = IntTbl.create 16 and cls_order = ref [] in
+    let cls_tbl = Inttbl.create 16 and cls_order = ref [] in
     List.iter
       (fun (n : Graph.node) ->
         let t, q = interval n in
@@ -313,11 +307,11 @@ let check_group g ~tb ~qb ~nls ~sc ~gi acc target (ns : Graph.node list) =
           ((((((blk * tb) + t) * qb) + q) * nls) + ls) * 2
           + if w then 1 else 0
         in
-        match IntTbl.find_opt cls_tbl key with
+        match Inttbl.find_opt cls_tbl key with
         | Some members -> members := n :: !members
         | None ->
             let members = ref [ n ] in
-            IntTbl.add cls_tbl key members;
+            Inttbl.add cls_tbl key members;
             cls_order := ((blk, t, q, ls, w), members) :: !cls_order)
       ns;
     let classes =
@@ -463,14 +457,14 @@ let run_detect g =
      access, with the structural target decoded once per group to label
      its witnesses (the tid encoding is injective, so the groups are
      exactly the structural-target groups) *)
-  let groups : Graph.node list ref IntTbl.t = IntTbl.create 256 in
+  let groups : Graph.node list ref Inttbl.t = Inttbl.create 256 in
   Array.iter
     (fun (n : Graph.node) ->
       match n.Graph.n_kind with
       | Graph.Read t | Graph.Write t -> (
-          match IntTbl.find_opt groups t with
+          match Inttbl.find_opt groups t with
           | Some l -> l := n :: !l
-          | None -> IntTbl.add groups t (ref [ n ]))
+          | None -> Inttbl.add groups t (ref [ n ]))
       | _ -> ())
     (Graph.accesses g);
   let acc =
@@ -485,12 +479,12 @@ let run_detect g =
       oidx = Array.make n_o 0;
       wbuf = Array.make n_o [||];
       ivl = Array.make (max 1 (Array.length (Graph.nodes g))) 0;
-      reps = IntTbl.create 64;
+      reps = Inttbl.create 64;
     }
   in
   (* accesses arrive id-ascending, so reversing the consed list keeps
      each group's members id-ascending *)
-  IntTbl.fold
+  Inttbl.fold
     (fun t l acc -> (Graph.target_of g t, List.rev !l) :: acc)
     groups []
   |> List.iteri (fun gi (target, ns) ->
@@ -530,9 +524,8 @@ let run ?metrics ?jobs:_ g =
   | None -> run_detect g
   | Some m ->
       let report =
-        O2_util.Metrics.span m "race.detect" (fun () -> run_detect g)
+        Metrics.span m "race.detect" (fun () -> run_detect g)
       in
-      let open O2_util in
       let locks = Graph.locks g in
       Metrics.set m "race.pairs_checked" report.n_pairs_checked;
       Metrics.set m "race.hb_pruned" report.n_hb_pruned;

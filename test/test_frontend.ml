@@ -24,16 +24,35 @@ let test_lex_tokens () =
   check_bool "star brackets" true
     (List.mem Token.STAR_BRACKETS toks && List.mem Token.COLONCOLON toks)
 
+let keywords =
+  Token.
+    [
+      ("main", KW_MAIN); ("class", KW_CLASS); ("extends", KW_EXTENDS);
+      ("field", KW_FIELD); ("static", KW_STATIC); ("method", KW_METHOD);
+      ("local", KW_LOCAL); ("new", KW_NEW); ("null", KW_NULL);
+      ("start", KW_START); ("join", KW_JOIN); ("post", KW_POST);
+      ("signal", KW_SIGNAL); ("wait", KW_WAIT); ("thread", KW_THREAD);
+      ("handler", KW_HANDLER); ("sync", KW_SYNC); ("if", KW_IF);
+      ("else", KW_ELSE); ("while", KW_WHILE); ("return", KW_RETURN);
+    ]
+
 let test_lex_keywords_vs_idents () =
-  Alcotest.(check bool)
-    "sync is keyword" true
-    (lex_all "sync" = [ Token.KW_SYNC ]);
-  Alcotest.(check bool)
-    "synchro is ident" true
+  check_int "keyword count" 21 (List.length keywords);
+  List.iter
+    (fun (kw, tok) ->
+      check_bool (kw ^ " is keyword") true (lex_all kw = [ tok ]);
+      (* a keyword with a suffix, or cut short, is an identifier *)
+      List.iter
+        (fun s ->
+          check_bool (s ^ " is ident") true (lex_all s = [ Token.IDENT s ]))
+        [
+          kw ^ "x"; kw ^ "_"; kw ^ "1"; String.sub kw 0 (String.length kw - 1);
+        ])
+    keywords;
+  check_bool "synchro is ident" true
     (lex_all "synchro" = [ Token.IDENT "synchro" ]);
-  Alcotest.(check bool)
-    "underscore ident" true
-    (lex_all "_x9" = [ Token.IDENT "_x9" ])
+  check_bool "case matters" true (lex_all "While" = [ Token.IDENT "While" ]);
+  check_bool "underscore ident" true (lex_all "_x9" = [ Token.IDENT "_x9" ])
 
 let test_lex_block_comment () =
   Alcotest.(check bool)

@@ -138,6 +138,34 @@ let test_intern_many () =
   SIntern.iter (fun id v -> if string_of_int id = v then incr seen) t;
   check_int "iter consistent" 1000 !seen
 
+(* ---------------- Inttbl ---------------- *)
+
+let max_chain tbl = (Inttbl.stats tbl).Hashtbl.max_bucket_length
+
+(* The packed keys the analyses use vary mostly in their high bits: a
+   bucket index read off the low bits alone would put every field node of
+   one field, or every copy edge into one node, in one chain. *)
+let test_inttbl_spread () =
+  let fld = Inttbl.create 1024 in
+  for oid = 0 to 4999 do
+    for fid = 0 to 2 do
+      Inttbl.replace fld ((oid lsl 20) lor fid) oid
+    done
+  done;
+  check_int "field keys" 15_000 (Inttbl.length fld);
+  check_int "find" 4321 (Inttbl.find fld ((4321 lsl 20) lor 2));
+  let c = max_chain fld in
+  check (Printf.sprintf "field-key chain %d <= 16" c) true (c <= 16);
+  let edges = Inttbl.create 256 in
+  for src = 0 to 4999 do
+    for dst = 0 to 3 do
+      Inttbl.replace edges ((src lsl 31) lor dst) ()
+    done
+  done;
+  check_int "edge keys" 20_000 (Inttbl.length edges);
+  let c = max_chain edges in
+  check (Printf.sprintf "edge-key chain %d <= 16" c) true (c <= 16)
+
 (* ---------------- Metrics / Idgen ---------------- *)
 
 let test_stats () =
@@ -188,6 +216,7 @@ let () =
           Alcotest.test_case "bad id" `Quick test_intern_value_bad_id;
           Alcotest.test_case "many" `Quick test_intern_many;
         ] );
+      ("inttbl", [ Alcotest.test_case "spread" `Quick test_inttbl_spread ]);
       ( "stats",
         [
           Alcotest.test_case "counters/timers" `Quick test_stats;
