@@ -23,7 +23,7 @@ let time f =
 (* median of [runs] repetitions — timings at this scale are noisy.
    [runs] must be >= 1; an even [runs] averages the two middle samples
    (picking the upper-middle one alone biases the estimate upward). *)
-let median_time ?(runs = 5) f =
+let median_time ~runs f =
   if runs < 1 then invalid_arg "median_time: runs must be >= 1";
   let samples =
     List.init runs (fun _ ->
@@ -34,6 +34,28 @@ let median_time ?(runs = 5) f =
   in
   if runs mod 2 = 1 then samples.(runs / 2)
   else (samples.((runs / 2) - 1) +. samples.(runs / 2)) /. 2.0
+
+(* repetitions per median: Table 3's scaling curves, every other timing *)
+let scaling_runs = 5
+let runs = 3
+
+(* one line naming what produced the tables, so a pasted table can be
+   traced to its code: commit, OCaml version, cores, runs per median *)
+let header () =
+  let commit =
+    try
+      let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
+      let line = try input_line ic with End_of_file -> "" in
+      match Unix.close_process_in ic with
+      | Unix.WEXITED 0 when line <> "" -> line
+      | _ -> "unknown"
+    with Unix.Unix_error _ | Sys_error _ -> "unknown"
+  in
+  pf "o2 bench: commit %s, OCaml %s, %d recommended domain(s), median of %d \
+      runs (Table 3: %d)\n"
+    commit Sys.ocaml_version
+    (Domain.recommended_domain_count ())
+    runs scaling_runs
 
 let policies_all =
   [
@@ -64,7 +86,7 @@ let table3 () =
         ( n,
           List.map
             (fun (_, pol) ->
-              median_time ~runs:5 (fun () ->
+              median_time ~runs:scaling_runs (fun () ->
                   ignore (Solver.analyze ~policy:pol p)))
             policies_all ))
       sizes
@@ -97,14 +119,19 @@ let table3 () =
 
 let analyze_time pol p =
   let a = Solver.analyze ~policy:pol p in
-  let dt = median_time ~runs:3 (fun () -> ignore (Solver.analyze ~policy:pol p)) in
+  let dt = median_time ~runs (fun () -> ignore (Solver.analyze ~policy:pol p)) in
   (a, dt)
 
+(* the rd:* work: solve, SHB and detection under [pol]; [naive] is the D4
+   baseline, pairwise DFS over an SHB graph without lock-region merging *)
+let solve_detect ?(naive = false) pol p =
+  let a = Solver.analyze ~policy:pol p in
+  if naive then O2_race.Naive.run (O2_shb.Graph.build ~lock_region:false a)
+  else O2_race.Detect.run (O2_shb.Graph.build a)
+
 let detect_time pol p =
-  let _, _, report = O2_race.Detect.analyze ~policy:pol p in
-  let dt =
-    median_time ~runs:3 (fun () -> ignore (O2_race.Detect.analyze ~policy:pol p))
-  in
+  let report = solve_detect pol p in
+  let dt = median_time ~runs (fun () -> ignore (solve_detect pol p)) in
   (report, dt)
 
 let table5 specs =
@@ -130,13 +157,9 @@ let table5 specs =
           (* the 0-ctx detection column is the D4 baseline: the unoptimized
              pairwise engine over context-insensitive facts, exactly the
              configuration the paper compares against *)
+          let naive = name = "0-ctx" in
           let dt =
-            if name = "0-ctx" then
-              median_time ~runs:3 (fun () ->
-                  ignore (O2_race.Naive.analyze ~policy:pol p))
-            else
-              median_time ~runs:3 (fun () ->
-                  ignore (O2_race.Detect.analyze ~policy:pol p))
+            median_time ~runs (fun () -> ignore (solve_detect ~naive pol p))
           in
           pf "%10.3f" dt)
         policies_all;
@@ -260,8 +283,8 @@ let table10 () =
     "RacerD" "bug";
   List.iter
     (fun (m : O2_workloads.Models.model) ->
-      let _, _, r = O2_race.Detect.analyze (m.program ()) in
-      let _, _, rf = O2_race.Detect.analyze (m.fixed ()) in
+      let r = (O2.run O2.Config.default (m.program ())).O2.report in
+      let rf = (O2.run O2.Config.default (m.fixed ())).O2.report in
       let rd =
         O2_racerd.Racerd.n_warnings (O2_racerd.Racerd.analyze (m.program ()))
       in
@@ -333,6 +356,7 @@ let ablations () =
 (* ------------------------------------------------------------------ *)
 
 let () =
+  header ();
   table3 ();
   table5 O2_workloads.Synth.(dacapo @ android @ distributed);
   table6 ();

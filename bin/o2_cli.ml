@@ -1,6 +1,13 @@
 (* The o2 command-line driver.
 
-   o2 analyze FILE.cir [--policy P] [--json] [--stats] ...
+   Every subcommand that reads races, the SHB graph or OSA runs one
+   analysis session ([session] below: parse, then O2.run) and prints from
+   its stages; pts, origins and dot -g callgraph need only the solve.
+
+   o2 analyze FILE.cir [--policy P] [--json] [--stats] [--entry E] ...
+                                 races; --entry android[:ACTIVITY] runs a
+                                 main-less app under the lifecycle
+                                 harness (4.2)
    o2 batch DIR|FILE... [--jobs N] [--deadline S] [--max-steps N] [--cache F]
                                  corpus run with per-file fault isolation
    o2 osa FILE.cir               origin-sharing report
@@ -12,7 +19,6 @@
    o2 dot FILE.cir -g KIND      Graphviz (shb | origins | callgraph)
    o2 origins FILE.cir           entry points + attributes (Figure 2 view)
    o2 diff OLD.cir NEW.cir       differential report (exit 2 on regressions)
-   o2 android APP.cir            lifecycle harness for main-less apps (4.2)
    o2 run FILE.cir [--seed N] [--dynamic] [--trace]
    o2 explore FILE.cir           systematic schedule DFS (+ POR)
    o2 dump FILE.cir              parse + pretty-print
@@ -93,6 +99,11 @@ let serial_arg =
 
 let load ?entry file = O2_frontend.Parser.parse_file ?entry file
 
+(* the analysis session: one solve, SHB graph, detection and OSA under
+   [cfg] (default config) with [policy] *)
+let session ?entry ?(cfg = O2.Config.default) file policy =
+  O2.run { cfg with O2.Config.policy } (load ?entry file)
+
 (* input errors (including an unreadable file that passed Cmdliner's
    existence check) become one stderr line and exit 1; anything else
    escapes *)
@@ -130,18 +141,16 @@ let analyze_cmd =
   in
   let run file entry policy no_serial no_region json stats =
     handle_errors @@ fun () ->
-    let p = load ~entry file in
     let format = if json then `Json else `Text in
     let cfg =
       {
-        O2.Config.policy;
+        O2.Config.default with
         serial_events = not no_serial;
         lock_region = not no_region;
         metrics = (if stats then Some (O2_util.Metrics.create ()) else None);
-        budget = None;
       }
     in
-    print_endline (O2.render ~format (O2.run cfg p))
+    print_endline (O2.render ~format (session ~entry ~cfg file policy))
   in
   Cmd.v
     (Cmd.info "analyze" ~doc:"Detect data races in a CIR program")
@@ -266,8 +275,7 @@ let batch_cmd =
 let osa_cmd =
   let run file policy =
     handle_errors @@ fun () ->
-    let p = load file in
-    let r = O2.run { O2.Config.default with O2.Config.policy } p in
+    let r = session file policy in
     Format.printf "%a@." (O2.pp_sharing r) ()
   in
   Cmd.v
@@ -279,10 +287,9 @@ let osa_cmd =
 let shb_cmd =
   let run file policy no_serial =
     handle_errors @@ fun () ->
-    let p = load file in
-    let a = O2_pta.Solver.analyze ~policy p in
-    let g = O2_shb.Graph.build ~serial_events:(not no_serial) a in
-    Format.printf "%a@." O2_shb.Graph.pp g
+    let cfg = { O2.Config.default with serial_events = not no_serial } in
+    let r = session ~cfg file policy in
+    Format.printf "%a@." O2_shb.Graph.pp r.O2.graph
   in
   Cmd.v
     (Cmd.info "shb" ~doc:"Dump the static happens-before graph")
@@ -351,16 +358,13 @@ let dot_cmd =
   in
   let run file policy what =
     handle_errors @@ fun () ->
-    let p = load file in
-    let a = O2_pta.Solver.analyze ~policy p in
     match what with
-    | `Shb ->
-        let g = O2_shb.Graph.build a in
-        Format.printf "%a" O2_shb.Dot.shb g
+    | `Shb -> Format.printf "%a" O2_shb.Dot.shb (session file policy).O2.graph
     | `Origins ->
-        let g = O2_shb.Graph.build a in
-        Format.printf "%a" O2_shb.Dot.origins g
-    | `Cg -> Format.printf "%a" O2_shb.Dot.callgraph a
+        Format.printf "%a" O2_shb.Dot.origins (session file policy).O2.graph
+    | `Cg ->
+        Format.printf "%a" O2_shb.Dot.callgraph
+          (O2_pta.Solver.analyze ~policy (load file))
   in
   Cmd.v
     (Cmd.info "dot" ~doc:"Export the SHB / origin / call graph as Graphviz")
@@ -371,8 +375,7 @@ let dot_cmd =
 let deadlock_cmd =
   let run file policy =
     handle_errors @@ fun () ->
-    let p = load file in
-    let report = O2_race.Deadlock.analyze ~policy p in
+    let report = O2_race.Deadlock.run (session file policy).O2.graph in
     Format.printf "%d potential deadlock(s)@."
       (O2_race.Deadlock.n_deadlocks report);
     List.iter
@@ -388,8 +391,8 @@ let deadlock_cmd =
 let oversync_cmd =
   let run file policy =
     handle_errors @@ fun () ->
-    let p = load file in
-    let report = O2_race.Oversync.analyze ~policy p in
+    let r = session file policy in
+    let report = O2_race.Oversync.run r.O2.graph r.O2.osa in
     Format.printf "%d over-synchronization finding(s)@."
       (O2_race.Oversync.n_findings report);
     List.iter
@@ -456,7 +459,11 @@ let diff_cmd =
      becomes a structured error entry plus one stderr line instead of
      aborting the whole comparison *)
   let side name file policy =
-    match O2_race.Diff.keys ~policy (load file) with
+    let keys () =
+      let r = session file policy in
+      O2_race.Diff.keys r.O2.solver r.O2.report
+    in
+    match keys () with
     | ks -> Ok ks
     | exception e ->
         let msg =
@@ -490,38 +497,6 @@ let diff_cmd =
            `P "2 when the comparison succeeded but races were introduced.";
          ])
     Term.(const run $ old_arg $ new_arg $ policy_arg)
-
-(* ---- android ---- *)
-
-let android_cmd =
-  let activity =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "activity" ] ~docv:"CLASS"
-          ~doc:
-            "The main activity to generate the harness from (default: \
-             MainActivity, else the first Activity subclass).")
-  in
-  let run file policy activity =
-    handle_errors @@ fun () ->
-    let ic = open_in_bin file in
-    let src =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    let classes = O2_frontend.Parser.parse_classes ~file src in
-    let p = O2_ir.Harness.android ?main_activity:activity classes in
-    let r = O2.run { O2.Config.default with O2.Config.policy } p in
-    Format.printf "%a@." (O2.pp_report r) ()
-  in
-  Cmd.v
-    (Cmd.info "android"
-       ~doc:
-         "Analyze an Android-style app (class declarations without main): \
-          generate the lifecycle harness (Section 4.2) and detect races")
-    Term.(const run $ file_arg $ policy_arg $ activity)
 
 (* ---- run ---- *)
 
@@ -781,6 +756,6 @@ let () =
           [
             analyze_cmd; batch_cmd; osa_cmd; shb_cmd; racerd_cmd;
             deadlock_cmd; oversync_cmd; pts_cmd; dot_cmd; origins_cmd;
-            diff_cmd; android_cmd; run_cmd; explore_cmd; dump_cmd; fuzz_cmd;
+            diff_cmd; run_cmd; explore_cmd; dump_cmd; fuzz_cmd;
             model_cmd;
           ]))

@@ -93,13 +93,15 @@ let () =
   let r = O2.run O2.Config.default p in
   Format.printf "=== races ===@.%a@." (O2.pp_report r) ();
 
-  let dl = O2_race.Deadlock.analyze p in
+  (* the deadlock and over-synchronization checkers read the same
+     session's SHB graph and OSA *)
+  let dl = O2_race.Deadlock.run r.O2.graph in
   Format.printf "@.=== deadlocks ===@.";
   List.iter
     (fun c -> Format.printf "%a@." O2_race.Deadlock.pp_cycle c)
     dl.O2_race.Deadlock.cycles;
 
-  let ov = O2_race.Oversync.analyze p in
+  let ov = O2_race.Oversync.run r.O2.graph r.O2.osa in
   Format.printf "@.=== over-synchronization ===@.";
   List.iter
     (fun f -> Format.printf "%a@." O2_race.Oversync.pp_finding f)

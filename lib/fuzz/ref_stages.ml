@@ -198,7 +198,11 @@ let is_write (n : Graph.node) =
 (* The seed's group check, verbatim: per-group hash tables on structural
    keys through the polymorphic hash, relation matrices as nested bool
    arrays compared with structural [=], and direct closure queries. *)
-let check_group g acc target (ns : Graph.node list) =
+let check_group ?budget g acc target (ns : Graph.node list) =
+  (* the relation table and the block search are m×m in the group's
+     origins: poll per table row and per candidate block, not just per
+     group, so a deadline fires inside one large group *)
+  let poll () = Option.iter (O2_util.Budget.check ~steps:0) budget in
   let disjoint = Lockset.disjoint (Graph.locks g) in
   let hb_state = Graph.hb_state g in
   (* quick origin-sharing filter: skip single-origin or read-only groups *)
@@ -260,6 +264,7 @@ let check_group g acc target (ns : Graph.node list) =
     let m = Array.length oarr in
     let rel =
       Array.init m (fun i ->
+          poll ();
           Array.init m (fun j ->
               if i = j then [||]
               else
@@ -276,6 +281,7 @@ let check_group g acc target (ns : Graph.node list) =
        same self-parallelism and occupied slots, symmetric relation between
        the two, and identical relations toward every third origin *)
     let equiv i r =
+      poll ();
       let u = oarr.(i) and v = oarr.(r) in
       u.o_self_par = v.o_self_par
       && u.o_ts = v.o_ts
@@ -488,7 +494,7 @@ let detect ?budget g =
   Hashtbl.iter
     (fun tgt l ->
       Option.iter (O2_util.Budget.check ~steps:0) budget;
-      check_group g acc tgt (List.rev !l))
+      check_group ?budget g acc tgt (List.rev !l))
     groups;
   let ids (r : Detect.race) =
     (r.Detect.r_a.Graph.n_id, r.Detect.r_b.Graph.n_id)

@@ -38,7 +38,8 @@ val shb : ?serial_events:bool -> ?lock_region:bool -> Solver.result -> trace
 
 (** [detect g] is the reference race detection over [g]. It leaves the
     graph's HB-query counter alone. With [budget], it checks the budget
-    before each target group.
+    before each target group and, inside a group, once per row of the
+    origin relation table and once per candidate origin block.
 
     @raise O2_util.Budget.Exhausted when [budget] runs out. *)
 val detect : ?budget:O2_util.Budget.t -> Graph.t -> Detect.report

@@ -19,8 +19,10 @@ open O2_pta
 (** Sharing information for one abstract location. *)
 type sharing = {
   sh_target : Access.target;
-  sh_readers : int list;  (** spawn ids that read the location *)
-  sh_writers : int list;  (** spawn ids that write the location *)
+  sh_readers : int list;
+      (** origins that read the location, as
+          {!O2_pta.Solver.origin_of_spawn} keys (not spawn ids) *)
+  sh_writers : int list;  (** origins that write the location, likewise *)
 }
 
 (** [is_shared s] is the paper's origin-shared predicate: ≥2 distinct

@@ -114,11 +114,6 @@ let run g =
   List.iter (fun l -> dfs l [] [ l ] l 1) locks;
   { cycles = List.rev !cycles }
 
-let analyze ?(policy = O2_pta.Context.Korigin 1) p =
-  let a = O2_pta.Solver.analyze ~policy p in
-  let g = Graph.build a in
-  run g
-
 let pp_cycle ppf c =
   Format.fprintf ppf "potential deadlock: locks [%s] acquired in a cycle by origins [%s] at stmts [%s]"
     (String.concat " -> " (List.map (fun l -> "o" ^ string_of_int l) c.dl_locks))

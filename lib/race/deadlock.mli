@@ -22,10 +22,8 @@ type report = { cycles : cycle list }
 
 val n_deadlocks : report -> int
 
-(** [run g] analyzes a built SHB graph. *)
+(** [run g] analyzes a built SHB graph, e.g. the [graph] of an [O2.run]
+    result. *)
 val run : Graph.t -> report
-
-(** [analyze ?policy p] is the convenience pipeline. *)
-val analyze : ?policy:O2_pta.Context.policy -> O2_ir.Program.t -> report
 
 val pp_cycle : Format.formatter -> cycle -> unit

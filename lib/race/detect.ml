@@ -539,10 +539,3 @@ let run ?metrics ?jobs:_ g =
       Metrics.set m "shb.lockset_cache_hits" (Lockset.cache_hits locks);
       Metrics.set m "shb.lockset_cache_misses" (Lockset.cache_misses locks);
       report
-
-let analyze ?(policy = Context.Korigin 1) ?(serial_events = true)
-    ?(lock_region = true) ?metrics p =
-  let a = Solver.analyze ~policy ?metrics p in
-  let g = Graph.build ~serial_events ~lock_region ?metrics a in
-  let report = run ?metrics g in
-  (a, g, report)

@@ -51,14 +51,3 @@ val n_races : report -> int
     [jobs] has no effect: detection is serial. The label is accepted so
     callers that still pass it keep compiling. *)
 val run : ?metrics:O2_util.Metrics.t -> ?jobs:int -> Graph.t -> report
-
-(** [analyze ?policy ?serial_events p] is the full O2 pipeline:
-    pointer analysis → SHB → detection. [metrics] is threaded through all
-    three stages. *)
-val analyze :
-  ?policy:Context.policy ->
-  ?serial_events:bool ->
-  ?lock_region:bool ->
-  ?metrics:O2_util.Metrics.t ->
-  O2_ir.Program.t ->
-  Solver.result * Graph.t * report

@@ -39,12 +39,7 @@ let key_of a (r : Detect.race) =
   else
     { k_field = field; k_kind_a = kb; k_kind_b = ka; k_line_a = lb; k_line_b = la }
 
-let keys ?policy p =
-  let a, _, report =
-    match policy with
-    | Some policy -> Detect.analyze ~policy p
-    | None -> Detect.analyze p
-  in
+let keys a (report : Detect.report) =
   List.sort_uniq compare (List.map (key_of a) report.Detect.races)
 
 let align old_keys new_keys =
@@ -71,8 +66,6 @@ let align old_keys new_keys =
     unchanged;
     moved = List.rev !moved;
   }
-
-let diff ?policy old_p new_p = align (keys ?policy old_p) (keys ?policy new_p)
 
 let pp_key ppf k =
   Format.fprintf ppf "%s: %s@%d vs %s@%d" k.k_field k.k_kind_a k.k_line_a

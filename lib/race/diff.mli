@@ -26,24 +26,17 @@ type delta = {
 (** [key_of a race] is the stable descriptor of a detected race. *)
 val key_of : O2_pta.Solver.result -> Detect.race -> race_key
 
-(** [keys ?policy p] analyzes one version and returns its sorted,
-    deduplicated race keys. Exposed separately from {!diff} so callers
-    (the CLI) can put each side behind its own fault boundary: a parse
-    or analysis failure on one version then degrades to a structured
-    per-side error instead of aborting the comparison wholesale. *)
-val keys : ?policy:O2_pta.Context.policy -> O2_ir.Program.t -> race_key list
+(** [keys a report] is the sorted, deduplicated race keys of one version's
+    solve and detection report (the [solver] and [report] of an [O2.run]
+    result). Each version is analyzed on its own, so callers (the CLI) can
+    put each side behind its own fault boundary: a parse or analysis
+    failure on one version then degrades to a structured per-side error
+    instead of aborting the comparison wholesale. *)
+val keys : O2_pta.Solver.result -> Detect.report -> race_key list
 
 (** [align old_keys new_keys] aligns two key sets (exact matches, then
-    same-shape line moves). [diff] = [align] over both versions' {!keys}. *)
+    same-shape line moves). *)
 val align : race_key list -> race_key list -> delta
-
-(** [diff ?policy old_p new_p] analyzes both versions and aligns the
-    reports. *)
-val diff :
-  ?policy:O2_pta.Context.policy ->
-  O2_ir.Program.t ->
-  O2_ir.Program.t ->
-  delta
 
 val pp_key : Format.formatter -> race_key -> unit
 val pp : Format.formatter -> delta -> unit

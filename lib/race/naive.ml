@@ -168,8 +168,3 @@ let run g =
     n_lock_pruned = !n_lock;
     n_class_pruned = 0;
   }
-
-let analyze ?(policy = Context.Insensitive) p =
-  let a = Solver.analyze ~policy p in
-  let g = Graph.build ~lock_region:false a in
-  (a, g, run g)

@@ -12,13 +12,8 @@
 
 open O2_shb
 
-(** [run g] detects races by pairwise DFS. [g] should be built with
-    [~lock_region:false] for a faithful baseline; {!analyze} does so. *)
+(** [run g] detects races by pairwise DFS. For a faithful baseline build
+    [g] without lock-region merging:
+    [Graph.build ~lock_region:false (Solver.analyze ~policy p)], or take
+    [graph] from [O2.run] under a config with [lock_region = false]. *)
 val run : Graph.t -> Detect.report
-
-(** Full pipeline with the naive engine: solve under [policy] (default
-    0-ctx), build the SHB graph without lock-region merging, then {!run}. *)
-val analyze :
-  ?policy:O2_pta.Context.policy ->
-  O2_ir.Program.t ->
-  O2_pta.Solver.result * Graph.t * Detect.report

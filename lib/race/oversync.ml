@@ -12,7 +12,31 @@ type report = { findings : finding list }
 
 let n_findings r = List.length r.findings
 
-let run a osa =
+let run g osa =
+  let a = O2_shb.Graph.solver g in
+  (* OSA counts origins, so it calls a location touched by one
+     self-parallel origin local; that origin's instances are two
+     accessors, and a writer among them makes the location shared all the
+     same. OSA's lists hold origin keys, hence the spawn → key map. *)
+  let self_par =
+    Array.fold_left
+      (fun acc (sp : Solver.spawn) ->
+        if O2_shb.Graph.self_parallel g sp.Solver.sp_id then
+          Solver.origin_of_spawn a sp :: acc
+        else acc)
+      [] a.Solver.spawns
+  in
+  let needs_lock t =
+    O2_osa.Osa.is_shared_target osa t
+    ||
+    match O2_osa.Osa.sharing_of osa t with
+    | Some s ->
+        s.O2_osa.Osa.sh_writers <> []
+        && List.exists
+             (fun o -> List.mem o self_par)
+             (s.O2_osa.Osa.sh_readers @ s.O2_osa.Osa.sh_writers)
+    | None -> false
+  in
   let findings = ref [] in
   Array.iter
     (fun (sp : Solver.spawn) ->
@@ -53,8 +77,7 @@ let run a osa =
                   List.iter
                     (fun t ->
                       incr n_accesses;
-                      if O2_osa.Osa.is_shared_target osa t then
-                        all_local := false)
+                      if needs_lock t then all_local := false)
                     targets
               | None -> ());
               match s.Ast.sk with
@@ -93,11 +116,6 @@ let run a osa =
                true
              end);
   }
-
-let analyze ?(policy = Context.Korigin 1) p =
-  let a = Solver.analyze ~policy p in
-  let osa = O2_osa.Osa.run a in
-  run a osa
 
 let pp_finding ppf f =
   Format.fprintf ppf

@@ -1,15 +1,17 @@
 (** Rendering of race reports for the CLI and examples.
 
-    {!render} is the single output path: both the optimized detector
-    ({!Detect}) and the naive baseline ({!Naive}) produce the same
-    [(solver, graph, report)] shape, and the [O2] facade delegates here, so
-    text and JSON reports are byte-identical no matter which engine ran. *)
+    {!render} is the single output path: a report from the optimized
+    detector ({!Detect.run}) or from the naive baseline ({!Naive.run}),
+    with the solve and graph it ran on, renders the same way, and the [O2]
+    facade delegates here, so text and JSON reports are byte-identical no
+    matter which engine ran. *)
 
 open O2_pta
 open O2_shb
 
-(** Everything needed to render a race report. Both detectors return these
-    three values; [O2.result] carries them too. *)
+(** Everything needed to render a race report: the solve, the SHB graph
+    and a detector's report on that graph ([O2.result] carries all
+    three). *)
 type result = {
   solver : Solver.result;
   graph : Graph.t;

@@ -8,9 +8,16 @@ open O2_pta
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let o2_races ?(policy = Context.Korigin 1) p =
-  let _, _, r = O2_race.Detect.analyze ~policy p in
-  O2_race.Detect.n_races r
+let session ?(policy = Context.Korigin 1) p =
+  O2.run { O2.Config.default with policy } p
+
+let o2_races ?policy p = O2_race.Detect.n_races (session ?policy p).O2.report
+
+let deadlocks p = O2_race.Deadlock.run (session p).O2.graph
+
+let oversync ?policy p =
+  let r = session ?policy p in
+  O2_race.Oversync.run r.O2.graph r.O2.osa
 
 (* ---------------- semaphores ---------------- *)
 
@@ -49,8 +56,9 @@ let test_semaphore_orders_statically () =
   check_int "with handshake: ordered" 0 (o2_races (handshake ~with_signal:true))
 
 let test_semaphore_naive_agrees () =
-  let _, _, r = O2_race.Naive.analyze ~policy:(Context.Korigin 1)
-      (handshake ~with_signal:true)
+  let cfg = { O2.Config.default with lock_region = false } in
+  let r =
+    O2_race.Naive.run (O2.run cfg (handshake ~with_signal:true)).O2.graph
   in
   check_int "naive sees the sem edge too" 0 (O2_race.Detect.n_races r)
 
@@ -258,11 +266,11 @@ let ab_ba ~consistent =
     ]
 
 let test_deadlock_ab_ba () =
-  let r = O2_race.Deadlock.analyze (ab_ba ~consistent:false) in
+  let r = deadlocks (ab_ba ~consistent:false) in
   check_bool "AB/BA flagged" true (O2_race.Deadlock.n_deadlocks r >= 1)
 
 let test_deadlock_consistent_order_clean () =
-  let r = O2_race.Deadlock.analyze (ab_ba ~consistent:true) in
+  let r = deadlocks (ab_ba ~consistent:true) in
   check_int "consistent order clean" 0 (O2_race.Deadlock.n_deadlocks r)
 
 let test_deadlock_single_origin_not_flagged () =
@@ -283,7 +291,7 @@ let test_deadlock_single_origin_not_flagged () =
           ];
       ]
   in
-  let r = O2_race.Deadlock.analyze p in
+  let r = deadlocks p in
   check_int "single origin clean" 0 (O2_race.Deadlock.n_deadlocks r)
 
 let test_deadlock_matches_interpreter () =
@@ -330,7 +338,7 @@ let test_oversync_local_lock_flagged () =
           ];
       ]
   in
-  let r = O2_race.Oversync.analyze p in
+  let r = oversync p in
   check_int "useless lock flagged" 1 (O2_race.Oversync.n_findings r)
 
 let test_oversync_shared_lock_not_flagged () =
@@ -364,7 +372,7 @@ let test_oversync_shared_lock_not_flagged () =
           ];
       ]
   in
-  let r = O2_race.Oversync.analyze p in
+  let r = oversync p in
   check_int "needed lock kept" 0 (O2_race.Oversync.n_findings r)
 
 let test_oversync_0ctx_misses () =
@@ -398,8 +406,8 @@ let test_oversync_0ctx_misses () =
           ];
       ]
   in
-  let ro = O2_race.Oversync.analyze ~policy:(Context.Korigin 1) p in
-  let r0 = O2_race.Oversync.analyze ~policy:Context.Insensitive p in
+  let ro = oversync ~policy:(Context.Korigin 1) p in
+  let r0 = oversync ~policy:Context.Insensitive p in
   check_int "O2 finds it" 1 (O2_race.Oversync.n_findings ro);
   check_int "0-ctx blind" 0 (O2_race.Oversync.n_findings r0)
 
@@ -486,7 +494,7 @@ let test_harness_generation () =
 
 let test_harness_detects_the_race () =
   let p = O2_ir.Harness.android (parse_app ()) in
-  let _, _, r = O2_race.Detect.analyze p in
+  let r = (session p).O2.report in
   (* exactly the fetcher/receiver race; lifecycle writes are same-origin *)
   check_int "one race through the harness" 1 (O2_race.Detect.n_races r)
 
@@ -494,7 +502,7 @@ let test_harness_lifecycle_is_ordered () =
   (* onPause and onDestroy both write etag but run as ordered calls on the
      harness origin: no race between lifecycle handlers, as §4.2 specifies *)
   let p = O2_ir.Harness.android (parse_app ()) in
-  let _, _, r = O2_race.Detect.analyze p in
+  let r = (session p).O2.report in
   check_bool "no etag race" true
     (List.for_all
        (fun (race : O2_race.Detect.race) ->
@@ -509,7 +517,7 @@ let test_harness_explicit_activity () =
   in
   (* driving only SettingsActivity reaches neither the fetcher nor the
      receiver: no races *)
-  let _, _, r = O2_race.Detect.analyze p in
+  let r = (session p).O2.report in
   check_int "settings-only harness is clean" 0 (O2_race.Detect.n_races r)
 
 let test_harness_no_activity () =

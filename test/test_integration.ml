@@ -12,7 +12,8 @@ let check_bool = Alcotest.(check bool)
    representative access, so the merged report covers a dynamic race by
    field but not necessarily by exact site pair. *)
 let static_pairs ?(policy = Context.Korigin 1) p =
-  let _, _, r = O2_race.Detect.analyze ~policy ~lock_region:false p in
+  let cfg = { O2.Config.default with policy; lock_region = false } in
+  let r = (O2.run cfg p).O2.report in
   List.map
     (fun (race : O2_race.Detect.race) ->
       ( min race.r_a.O2_shb.Graph.n_sid race.r_b.O2_shb.Graph.n_sid,
@@ -21,7 +22,7 @@ let static_pairs ?(policy = Context.Korigin 1) p =
   |> List.sort_uniq compare
 
 let static_fields ?(policy = Context.Korigin 1) p =
-  let _, _, r = O2_race.Detect.analyze ~policy p in
+  let r = (O2.run { O2.Config.default with policy } p).O2.report in
   List.map
     (fun (race : O2_race.Detect.race) ->
       match race.r_target with
@@ -141,7 +142,7 @@ let test_models_policy_matrix () =
       let counts =
         List.map
           (fun policy ->
-            let _, _, r = O2_race.Detect.analyze ~policy p in
+            let r = (O2.run { O2.Config.default with policy } p).O2.report in
             O2_race.Detect.n_races r)
           [
             Context.Insensitive; Context.Kcfa 1; Context.Kcfa 2;
@@ -160,7 +161,7 @@ let test_synth_policy_spread () =
   let spec = O2_workloads.Synth.find "avrora" in
   let p = O2_workloads.Synth.program spec in
   let races policy =
-    let _, _, r = O2_race.Detect.analyze ~policy p in
+    let r = (O2.run { O2.Config.default with policy } p).O2.report in
     O2_race.Detect.n_races r
   in
   let r0 = races Context.Insensitive in
@@ -215,7 +216,7 @@ let test_roundtrip_same_races () =
       let src = O2_ir.Pp.program_to_string p in
       let p2 = O2_frontend.Parser.parse_string src in
       let n p =
-        let _, _, r = O2_race.Detect.analyze p in
+        let r = (O2.run O2.Config.default p).O2.report in
         O2_race.Detect.n_races r
       in
       check_int (m.name ^ " roundtrip") (n p) (n p2))

@@ -43,7 +43,7 @@ let test_thread_roots () =
   List.iter
     (fun (root, entry) ->
       let p = entry_prog root entry in
-      let _, _, r = O2_race.Detect.analyze p in
+      let r = (O2.run O2.Config.default p).O2.report in
       check_int (root ^ " races") 1 (O2_race.Detect.n_races r))
     [ ("Thread", "run"); ("Runnable", "run"); ("Callable", "call") ]
 
@@ -78,7 +78,7 @@ let test_handler_roots () =
   List.iter
     (fun (root, entry) ->
       let p = handler_prog root entry in
-      let _, _, r = O2_race.Detect.analyze p in
+      let r = (O2.run O2.Config.default p).O2.report in
       (* handler vs thread: 1 race; dispatcher prevents nothing here since
          the other side is a thread *)
       check_int (root ^ " handler race") 1 (O2_race.Detect.n_races r))
@@ -143,7 +143,7 @@ let test_static_cross_origin_flow () =
           ];
       ]
   in
-  let _, _, r = O2_race.Detect.analyze p in
+  let r = (O2.run O2.Config.default p).O2.report in
   (* races: the static slot itself (w/r) and the published Data.v (w/r) *)
   check_int "slot + payload races" 2 (O2_race.Detect.n_races r)
 
@@ -192,7 +192,7 @@ let test_array_cross_origin_flow () =
   (* the producer's Data flows through the array into the consumer *)
   check_bool "payload crosses the array" true
     (Query.may_alias a ("Prod", "run", "d") ("Cons", "run", "d"));
-  let _, _, r = O2_race.Detect.analyze p in
+  let r = (O2.run O2.Config.default p).O2.report in
   check_bool "array-cell race found" true (O2_race.Detect.n_races r >= 1)
 
 (* ---------------- runtime corners ---------------- *)
@@ -297,15 +297,15 @@ let test_deadlock_three_way () =
           ];
       ]
   in
-  let r = O2_race.Deadlock.analyze p in
+  let r = O2_race.Deadlock.run (O2.run O2.Config.default p).O2.graph in
   check_bool "three-way cycle found" true (O2_race.Deadlock.n_deadlocks r >= 1)
 
 (* ---------------- JSON ---------------- *)
 
 let test_json_output () =
   let m = O2_workloads.Models.find "zookeeper" in
-  let a, g, report = O2_race.Detect.analyze (m.program ()) in
-  let json = O2_race.Report.to_json a g report in
+  let r = O2.run O2.Config.default (m.program ()) in
+  let json = O2_race.Report.to_json r.O2.solver r.O2.graph r.O2.report in
   check_bool "has races array" true (contains json "\"races\":[");
   check_bool "has summary" true (contains json "\"n_races\":1");
   check_bool "escapes backslashes safely" true
@@ -320,8 +320,8 @@ let test_json_escaping () =
      new T(d); t2 = new T(d); start t1; start t2; } }"
   in
   let p = O2_frontend.Parser.parse_string ~file:"we\"ird\\name.cir" src in
-  let a, g, report = O2_race.Detect.analyze p in
-  let json = O2_race.Report.to_json a g report in
+  let r = O2.run O2.Config.default p in
+  let json = O2_race.Report.to_json r.O2.solver r.O2.graph r.O2.report in
   check_bool "quote escaped" true (contains json "we\\\"ird");
   check_bool "backslash escaped" true (contains json "\\\\name")
 
@@ -445,7 +445,7 @@ let test_external_call_anonymous_object () =
     (List.for_all (fun oi -> oi.Query.oi_class = "<external>") objs);
   (* under the origin policy each origin's external result is its own
      object: no false race between the two workers *)
-  let _, _, r = O2_race.Detect.analyze p in
+  let r = (O2.run O2.Config.default p).O2.report in
   check_int "O2: per-origin external results" 0 (O2_race.Detect.n_races r)
 
 let test_internal_unresolved_no_anon () =

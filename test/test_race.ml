@@ -5,7 +5,8 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 let o2_races ?(policy = Context.Korigin 1) ?(serial_events = true) p =
-  let _, _, r = O2_race.Detect.analyze ~policy ~serial_events p in
+  let cfg = { O2.Config.default with policy; serial_events } in
+  let r = (O2.run cfg p).O2.report in
   O2_race.Detect.n_races r
 
 (* two threads, shared field, no lock: 1 race *)
@@ -330,20 +331,20 @@ let test_double_post_one_origin () =
 let test_models_expected_counts () =
   List.iter
     (fun (m : O2_workloads.Models.model) ->
-      let _, _, r = O2_race.Detect.analyze (m.program ()) in
+      let r = (O2.run O2.Config.default (m.program ())).O2.report in
       check_int (m.name ^ " count") m.expected_races (O2_race.Detect.n_races r))
     O2_workloads.Models.all
 
 let test_models_fixed_clean () =
   List.iter
     (fun (m : O2_workloads.Models.model) ->
-      let _, _, r = O2_race.Detect.analyze (m.fixed ()) in
+      let r = (O2.run O2.Config.default (m.fixed ())).O2.report in
       check_int (m.name ^ " fixed") 0 (O2_race.Detect.n_races r))
     O2_workloads.Models.all
 
 (* report invariants *)
 let test_report_dedup_and_order () =
-  let _, _, r = O2_race.Detect.analyze (race1 ()) in
+  let r = (O2.run O2.Config.default (race1 ())).O2.report in
   let keys =
     List.map
       (fun (race : O2_race.Detect.race) ->
@@ -359,7 +360,7 @@ let test_report_dedup_and_order () =
     r.races
 
 let test_prune_counters () =
-  let _, _, r = O2_race.Detect.analyze (race1 ()) in
+  let r = (O2.run O2.Config.default (race1 ())).O2.report in
   check_bool "pairs counted" true (r.n_pairs_checked > 0);
   check_bool "hb pruning happened (ctor writes)" true (r.n_hb_pruned > 0)
 
@@ -424,7 +425,7 @@ let prop_o2_subset_0ctx =
           max x.r_a.O2_shb.Graph.n_sid x.r_b.O2_shb.Graph.n_sid )
       in
       let races policy =
-        let _, _, r = O2_race.Detect.analyze ~policy p in
+        let r = (O2.run { O2.Config.default with policy } p).O2.report in
         List.sort_uniq compare (List.map key r.O2_race.Detect.races)
       in
       let o2 = races (Context.Korigin 1) in
@@ -572,7 +573,9 @@ let test_fuzz_shape ~seed ~index ~policy ~pairs ~races ~closure () =
     O2_workloads.Synth.program
       (O2_workloads.Synth.spec_of_seed ~seed ~index)
   in
-  let _, g, r = O2_race.Detect.analyze ~policy p in
+  let { O2.graph = g; report = r; _ } =
+    O2.run { O2.Config.default with policy } p
+  in
   check_int "pairs checked" pairs r.O2_race.Detect.n_pairs_checked;
   check_int "races" races (O2_race.Detect.n_races r);
   check_int "closure entries" closure (O2_shb.Graph.hb_closure_entries g);
@@ -584,26 +587,34 @@ let test_fuzz_shape ~seed ~index ~policy ~pairs ~races ~closure () =
 
 (* ---------------- differential reporting ---------------- *)
 
+(* align the race keys of two versions' O2.run results *)
+let diff old_p new_p =
+  let keys p =
+    let r = O2.run O2.Config.default p in
+    O2_race.Diff.keys r.O2.solver r.O2.report
+  in
+  O2_race.Diff.align (keys old_p) (keys new_p)
+
 let test_diff_self_is_unchanged () =
   let p = race1 () in
-  let d = O2_race.Diff.diff p p in
+  let d = diff p p in
   check_int "no introduced" 0 (List.length d.O2_race.Diff.introduced);
   check_int "no fixed" 0 (List.length d.O2_race.Diff.fixed);
   check_bool "unchanged nonempty" true (d.O2_race.Diff.unchanged <> []);
   (* a rebuilt copy gets fresh synthetic line numbers: still aligned, as
      moved rather than introduced/fixed *)
-  let d2 = O2_race.Diff.diff p (race1 ()) in
+  let d2 = diff p (race1 ()) in
   check_int "rebuild introduces nothing" 0
     (List.length d2.O2_race.Diff.introduced);
   check_int "rebuild fixes nothing" 0 (List.length d2.O2_race.Diff.fixed)
 
 let test_diff_model_fix () =
   let m = O2_workloads.Models.find "zookeeper" in
-  let d = O2_race.Diff.diff (m.program ()) (m.fixed ()) in
+  let d = diff (m.program ()) (m.fixed ()) in
   check_int "fix introduces nothing" 0 (List.length d.O2_race.Diff.introduced);
   check_bool "fix removes the race" true (List.length d.O2_race.Diff.fixed >= 1);
   (* and the reverse direction reports it as introduced *)
-  let d' = O2_race.Diff.diff (m.fixed ()) (m.program ()) in
+  let d' = diff (m.fixed ()) (m.program ()) in
   check_bool "regression detected" true
     (List.length d'.O2_race.Diff.introduced >= 1)
 
@@ -634,7 +645,7 @@ let test_diff_moved_code () =
           ];
       ]
   in
-  let d = O2_race.Diff.diff (mk 0) (mk 5) in
+  let d = diff (mk 0) (mk 5) in
   check_int "nothing introduced" 0 (List.length d.O2_race.Diff.introduced);
   check_int "nothing fixed" 0 (List.length d.O2_race.Diff.fixed);
   check_bool "aligned as moved or unchanged" true

@@ -183,7 +183,7 @@ let test_false_positive_from_no_aliasing () =
       ]
   in
   check_bool "RacerD flags the non-race" true (warnings p > 0);
-  let _, _, r = O2_race.Detect.analyze p in
+  let r = (O2.run O2.Config.default p).O2.report in
   check_int "O2 does not" 0 (O2_race.Detect.n_races r)
 
 (* Table 10 models: "RacerD either fails to find the races or cannot run" —
@@ -196,14 +196,14 @@ let test_models_racerd_vs_o2 () =
       (fun (m : O2_workloads.Models.model) ->
         let p = m.program () in
         let rd = Racerd.n_warnings (Racerd.analyze p) in
-        let _, _, r = O2_race.Detect.analyze p in
+        let r = (O2.run O2.Config.default p).O2.report in
         rd < O2_race.Detect.n_races r)
       O2_workloads.Models.all
   in
   check_bool "RacerD misses races on at least one model" true misses_somewhere;
   let p = O2_workloads.Synth.program (O2_workloads.Synth.find "avrora") in
   let rd = Racerd.n_warnings (Racerd.analyze p) in
-  let _, _, r = O2_race.Detect.analyze p in
+  let r = (O2.run O2.Config.default p).O2.report in
   check_bool "RacerD noisier than O2 on the Dacapo-shaped workload" true
     (rd > O2_race.Detect.n_races r)
 

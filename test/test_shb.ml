@@ -508,7 +508,8 @@ let test_join_unstarted_thread () =
   check_bool "exploration finds the race" true (explored <> []);
   List.iter
     (fun policy ->
-      let _, _, r = O2_race.Detect.analyze ~policy ~lock_region:false p in
+      let cfg = { O2.Config.default with policy; lock_region = false } in
+      let r = (O2.run cfg p).O2.report in
       let sites =
         List.map
           (fun (x : O2_race.Detect.race) ->
