@@ -392,7 +392,7 @@ let oversync_cmd =
   let run file policy =
     handle_errors @@ fun () ->
     let r = session file policy in
-    let report = O2_race.Oversync.run r.O2.graph r.O2.osa in
+    let report = O2_race.Oversync.run r.O2.solver r.O2.osa in
     Format.printf "%d over-synchronization finding(s)@."
       (O2_race.Oversync.n_findings report);
     List.iter

@@ -101,7 +101,7 @@ let () =
     (fun c -> Format.printf "%a@." O2_race.Deadlock.pp_cycle c)
     dl.O2_race.Deadlock.cycles;
 
-  let ov = O2_race.Oversync.run r.O2.graph r.O2.osa in
+  let ov = O2_race.Oversync.run r.O2.solver r.O2.osa in
   Format.printf "@.=== over-synchronization ===@.";
   List.iter
     (fun f -> Format.printf "%a@." O2_race.Oversync.pp_finding f)

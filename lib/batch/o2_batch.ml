@@ -324,21 +324,6 @@ let exit_code r = if n_failed r = 0 then 0 else 1
 
 (* ---------------- rendering ---------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let status_name = function
   | `Ok -> "ok"
   | `Error _ -> "error"
@@ -360,26 +345,26 @@ let summary_counts r =
 let entry_json e =
   let counters =
     e.e_counters
-    |> List.map (fun (k, v) -> Printf.sprintf {|"%s":%d|} (json_escape k) v)
+    |> List.map (fun (k, v) -> Printf.sprintf {|"%s":%d|} (Metrics.json_escape k) v)
     |> String.concat ","
   in
   let detail =
     match e.e_status with
     | `Ok -> ""
-    | `Error msg -> Printf.sprintf {|,"error":"%s"|} (json_escape msg)
-    | `Timeout msg -> Printf.sprintf {|,"error":"%s"|} (json_escape msg)
+    | `Error msg -> Printf.sprintf {|,"error":"%s"|} (Metrics.json_escape msg)
+    | `Timeout msg -> Printf.sprintf {|,"error":"%s"|} (Metrics.json_escape msg)
   in
   Printf.sprintf
     {|{"file":"%s","digest":"%s","status":"%s","races":%d,"elapsed":%.6f,"cached":%b,"report":"%s","counters":{%s}%s}|}
-    (json_escape e.e_file) (json_escape e.e_digest)
+    (Metrics.json_escape e.e_file) (Metrics.json_escape e.e_digest)
     (status_name e.e_status)
-    e.e_races e.e_elapsed e.e_cached (json_escape e.e_report) counters detail
+    e.e_races e.e_elapsed e.e_cached (Metrics.json_escape e.e_report) counters detail
 
 let render_json r =
   let total, ok, errors, timeouts, cached = summary_counts r in
   Printf.sprintf
     {|{"schema":"o2_batch/v1","policy":"%s","jobs":%d,"elapsed":%.6f,"files":[%s],"summary":{"total":%d,"ok":%d,"errors":%d,"timeouts":%d,"cached":%d,"races":%d},"metrics":%s}|}
-    (json_escape (O2_pta.Context.policy_name r.b_policy))
+    (Metrics.json_escape (O2_pta.Context.policy_name r.b_policy))
     r.b_jobs r.b_elapsed
     (String.concat "," (List.map entry_json r.b_entries))
     total ok errors timeouts cached (total_races r)

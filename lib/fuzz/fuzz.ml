@@ -261,21 +261,6 @@ let exit_code r =
   let _, _, dv = counts r in
   if dv = 0 then 0 else 1
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let status_name = function
   | `Ok -> "ok"
   | `Timeout _ -> "timeout"
@@ -286,21 +271,21 @@ let render_json r =
     let detail =
       match e.f_status with
       | `Ok -> ""
-      | `Timeout msg -> Printf.sprintf {|,"error":"%s"|} (json_escape msg)
+      | `Timeout msg -> Printf.sprintf {|,"error":"%s"|} (O2_util.Metrics.json_escape msg)
       | `Divergent ds ->
           Printf.sprintf {|,"divergences":[%s]|}
             (String.concat ","
                (List.map
                   (fun d ->
                     Printf.sprintf {|{"class":"%s","detail":"%s"}|}
-                      (json_escape d.Differential.dv_class)
-                      (json_escape d.Differential.dv_detail))
+                      (O2_util.Metrics.json_escape d.Differential.dv_class)
+                      (O2_util.Metrics.json_escape d.Differential.dv_detail))
                   ds))
     in
     Printf.sprintf
       {|{"index":%d,"spec":"%s","status":"%s","races":%d,"stmts":%d,"origins":%d,"elapsed":%.6f%s}|}
       e.f_index
-      (json_escape (Format.asprintf "%a" Synth.pp_spec e.f_spec))
+      (O2_util.Metrics.json_escape (Format.asprintf "%a" Synth.pp_spec e.f_spec))
       (status_name e.f_status) e.f_races e.f_stmts e.f_origins e.f_elapsed
       detail
   in

@@ -531,11 +531,12 @@ type osa = {
 let osa (a : Solver.result) =
   let locs : (Access.target, int list ref * int list ref) Hashtbl.t =
     Hashtbl.create 64
-  in
+  and self_par_locs = Hashtbl.create 64 in
   let accesses = ref [] and n_accesses = ref 0 and n_scanned = ref 0 in
   Array.iter
     (fun (sp : Solver.spawn) ->
       let origin = Solver.origin_of_spawn a sp in
+      let self_par = Solver.self_parallel a sp.Solver.sp_id in
       Walk.iter_origin a sp (fun m ctx s ->
           incr n_scanned;
           match Access.of_stmt a m ctx s with
@@ -554,6 +555,7 @@ let osa (a : Solver.result) =
                   in
                   let set = if is_write then writers else readers in
                   if not (List.mem origin !set) then set := origin :: !set;
+                  if self_par then Hashtbl.replace self_par_locs target ();
                   accesses := (s.Ast.sid, target, is_write) :: !accesses;
                   incr n_accesses)
                 targets))
@@ -566,6 +568,7 @@ let osa (a : Solver.result) =
             Osa.sh_target = target;
             sh_readers = !readers;
             sh_writers = !writers;
+            sh_self_par = Hashtbl.mem self_par_locs target;
           }
         in
         if Osa.is_shared sh then sh :: acc else acc)

@@ -12,7 +12,8 @@
       m×m table of nested bool relation matrices, every closure query
       asked;
     - {!osa} runs Algorithm 1 over {!O2_pta.Walk.iter_origin} with
-      structural targets.
+      structural targets, flagging a location's self-parallel accessors
+      from {!O2_pta.Solver.self_parallel}.
 
     {!check} compares stage by stage on one solve. *)
 

@@ -43,6 +43,18 @@ let op_if = 17 (* sid, then length, else length; bodies inlined *)
 let op_while = 18 (* sid, body length; body inlined *)
 let op_return = 19 (* sid, value slot | -1 *)
 
+(* fixed part of each instruction's length, indexed by opcode; the four
+   argument-carrying opcodes add their nargs operand *)
+let widths = [| 2; 4; 5; 5; 5; 4; 4; 4; 4; 7; 5; 4; 3; 3; 3; 5; 4; 4; 3; 3 |]
+
+let width code j =
+  let op = code.(j) in
+  widths.(op)
+  +
+  if op = op_callv then code.(j + 6)
+  else if op = op_new || op = op_calls || op = op_post then code.(j + 4)
+  else 0
+
 type meth_info = {
   f_meth : Program.meth;  (* back-pointer for string-world consumers *)
   f_mid : int;

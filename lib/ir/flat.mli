@@ -51,6 +51,11 @@ val op_if : int (* sid, then length, else length; bodies inlined *)
 val op_while : int (* sid, body length; body inlined *)
 val op_return : int (* sid, value slot or -1 *)
 
+(** [width code j] is the length of the instruction at [j] of [code]: the
+    opcode, its operands and its argument slots. Block headers ([Sync],
+    [If], [While]) count only themselves; their bodies follow inline. *)
+val width : int array -> int -> int
+
 (** {1 Tables} *)
 
 type meth_info = {

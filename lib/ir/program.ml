@@ -270,8 +270,3 @@ let any_method_named p name =
     (fun _ ms acc ->
       acc || List.exists (fun m -> m.m_name = name) ms)
     p.meths_by_class false
-
-let all_static_fields p =
-  List.concat_map
-    (fun cls -> List.map (fun f -> (cls.c_name, f)) cls.c_sfields)
-    (classes p)

@@ -102,5 +102,3 @@ val methods_of : t -> cname -> meth list
     external functions (§4.3). *)
 val any_method_named : t -> mname -> bool
 
-(** [all_static_fields p] lists every declared [(class, static field)]. *)
-val all_static_fields : t -> (cname * fname) list

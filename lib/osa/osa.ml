@@ -6,22 +6,26 @@ type sharing = {
   sh_target : Access.target;
   sh_readers : int list;
   sh_writers : int list;
+  sh_self_par : bool;
 }
 
-(* two distinct origins among the accessors, one writing: some accessor
-   differs from the first writer — no sort, no append *)
-let shared_lists readers writers =
+(* a writer, and two accessors: a self-parallel origin is two on its own,
+   otherwise some accessor differs from the first writer — no sort, no
+   append. Race detection keeps a target group by the same rule. *)
+let shared_lists readers writers self_par =
   match writers with
   | [] -> false
   | w :: _ ->
-      List.exists (fun o -> o <> w) writers
+      self_par
+      || List.exists (fun o -> o <> w) writers
       || List.exists (fun o -> o <> w) readers
 
-let is_shared sh = shared_lists sh.sh_readers sh.sh_writers
+let is_shared sh = shared_lists sh.sh_readers sh.sh_writers sh.sh_self_par
 
 type mut_sharing = {
   mutable readers : int list;
   mutable writers : int list;
+  mutable self_par : bool;  (* some accessor is a self-parallel origin *)
 }
 
 (* Internally everything is keyed by flat location id (tid) — the scan
@@ -50,7 +54,7 @@ let loc t tid =
   match t.locs.(tid) with
   | Some s -> s
   | None ->
-      let s = { readers = []; writers = [] } in
+      let s = { readers = []; writers = []; self_par = false } in
       t.locs.(tid) <- Some s;
       s
 
@@ -70,8 +74,9 @@ let site_key t ~site ~tid ~is_write =
   (((site * Array.length t.locs) + tid) lsl 1) lor Bool.to_int is_write
 
 (* ComputeOriginSharing(s, f, O, isWrite) of Algorithm 1 *)
-let compute_origin_sharing t ~site ~tid ~origin ~is_write =
+let compute_origin_sharing t ~site ~tid ~origin ~self_par ~is_write =
   let s = loc t tid in
+  if self_par then s.self_par <- true;
   let k = access_key t ~tid ~origin ~is_write in
   if not (Inttbl.mem t.recorded k) then begin
     Inttbl.add t.recorded k ();
@@ -84,13 +89,14 @@ let compute_origin_sharing t ~site ~tid ~origin ~is_write =
 let touch t origin oid =
   Inttbl.replace t.touched ((origin * t.n_objs) + oid) ()
 
-let loc_shared s = shared_lists s.readers s.writers
+let loc_shared s = shared_lists s.readers s.writers s.self_par
 
 let freeze t tid (s : mut_sharing) =
   {
     sh_target = Access.of_tid t.flat tid;
     sh_readers = s.readers;
     sh_writers = s.writers;
+    sh_self_par = s.self_par;
   }
 
 (* The scan: a linear pass over the flat opcode streams, counting every
@@ -102,26 +108,26 @@ let freeze t tid (s : mut_sharing) =
 let scan_flat a t n_scanned =
   let fl = a.Solver.flat in
   let icg = a.Solver.icg in
-  let n_st = Flat.n_statics fl in
   (* per-spawn visited set: one shared array stamped with the spawn index *)
   let stamp = Array.make (max 1 icg.Solver.ic_n) (-1) in
   Array.iteri
     (fun spi (sp : Solver.spawn) ->
       let origin = Solver.origin_of_spawn a sp in
+      let self_par = Solver.self_parallel a sp.Solver.sp_id in
       let field_access (pts : Bitset.t array) ~site ~base ~fid ~is_write =
         (* descending-oid order, matching [Access.base_targets] *)
         Bitset.fold
           (fun oid acc -> Flat.tid_field fl ~oid ~fid :: acc)
           pts.(base) []
         |> List.iter (fun tid ->
-               compute_origin_sharing t ~site ~tid ~origin ~is_write;
+               compute_origin_sharing t ~site ~tid ~origin ~self_par
+                 ~is_write;
                touch t origin (Flat.tid_oid fl tid))
       in
       let static_access ~site ~slot ~is_write =
         compute_origin_sharing t ~site
           ~tid:(Flat.tid_static fl slot)
-          ~origin ~is_write;
-        ignore n_st
+          ~origin ~self_par ~is_write
       in
       let rec visit iid =
         if stamp.(iid) <> spi then begin
@@ -145,16 +151,14 @@ let scan_flat a t n_scanned =
           let op = code.(j) in
           let sid = code.(j + 1) in
           incr n_scanned;
-          if op = Flat.op_null then i := j + 2
-          else if
-            op = Flat.op_assign || op = Flat.op_awrite || op = Flat.op_aread
-          then begin
-            if op = Flat.op_awrite then
-              field_access pts ~site:sid ~base:code.(j + 2)
-                ~fid:fl.Flat.f_star ~is_write:true
-            else if op = Flat.op_aread then
-              field_access pts ~site:sid ~base:code.(j + 3)
-                ~fid:fl.Flat.f_star ~is_write:false;
+          if op = Flat.op_awrite then begin
+            field_access pts ~site:sid ~base:code.(j + 2) ~fid:fl.Flat.f_star
+              ~is_write:true;
+            i := j + 4
+          end
+          else if op = Flat.op_aread then begin
+            field_access pts ~site:sid ~base:code.(j + 3) ~fid:fl.Flat.f_star
+              ~is_write:false;
             i := j + 4
           end
           else if op = Flat.op_fwrite then begin
@@ -175,28 +179,13 @@ let scan_flat a t n_scanned =
             static_access ~site:sid ~slot:code.(j + 3) ~is_write:false;
             i := j + 4
           end
-          else if op = Flat.op_new then begin
-            follow_calls iid sid;
-            i := j + 5 + code.(j + 4)
+          else begin
+            (* block bodies are inline: a header is skipped like any
+               other instruction *)
+            if op = Flat.op_new || op = Flat.op_callv || op = Flat.op_calls
+            then follow_calls iid sid;
+            i := j + Flat.width code j
           end
-          else if op = Flat.op_callv then begin
-            follow_calls iid sid;
-            i := j + 7 + code.(j + 6)
-          end
-          else if op = Flat.op_calls then begin
-            follow_calls iid sid;
-            i := j + 5 + code.(j + 4)
-          end
-          else if op = Flat.op_sync then i := j + 4 (* body inline *)
-          else if op = Flat.op_if then i := j + 4
-          else if op = Flat.op_while then i := j + 3
-          else if op = Flat.op_start then i := j + 4
-          else if
-            op = Flat.op_join || op = Flat.op_signal || op = Flat.op_wait
-          then i := j + 3
-          else if op = Flat.op_post then i := j + 5 + code.(j + 4)
-          else if op = Flat.op_return then i := j + 3
-          else assert false
         done
       in
       visit icg.Solver.ic_entry.(sp.Solver.sp_id))
@@ -320,7 +309,8 @@ let origin_local_objects t spawn_id =
             acc2
             || (not (Flat.tid_is_static fl tid))
                && Flat.tid_oid fl tid = oid
-               && (List.exists (fun og -> og <> origin) s.readers
+               && (s.self_par
+                  || List.exists (fun og -> og <> origin) s.readers
                   || List.exists (fun og -> og <> origin) s.writers))
           false
       in

@@ -3,8 +3,10 @@
     A linear scan over the statements reachable from each origin's entry,
     maintaining per abstract location (⟨object⟩.field or static field) the
     set of origins that read it and the set that write it. A location is
-    {e origin-shared} iff at least two distinct origins access it and at
-    least one of them writes (ComputeOriginSharing). Unlike classical
+    {e origin-shared} iff one of its accessors writes and it has two
+    accessors: two distinct origins, or one self-parallel origin
+    ({!O2_pta.Solver.self_parallel}), whose run-time instances are two
+    (ComputeOriginSharing). Unlike classical
     thread-escape analysis, OSA answers {e how} a location is shared — which
     origins read, which write — and handles arrays through the ["*"]
     field and statics through their class-qualified signature.
@@ -23,10 +25,13 @@ type sharing = {
       (** origins that read the location, as
           {!O2_pta.Solver.origin_of_spawn} keys (not spawn ids) *)
   sh_writers : int list;  (** origins that write the location, likewise *)
+  sh_self_par : bool;  (** some accessor is a self-parallel origin *)
 }
 
-(** [is_shared s] is the paper's origin-shared predicate: ≥2 distinct
-    accessing origins, at least one writing. *)
+(** [is_shared s] is the origin-shared predicate: at least one writer, and
+    either two distinct accessing origins or a self-parallel one. Race
+    detection keeps a location's accesses by the same rule, so every
+    location it reports a race on is shared. *)
 val is_shared : sharing -> bool
 
 type t
@@ -65,9 +70,10 @@ val n_shared_objects : t -> int
 val n_shared_object_sites : Solver.result -> t -> int
 
 (** [origin_local_objects t sp] lists abstract objects accessed only by
-    origin [sp] — the "origin-local" part of the OSA output of Figure 2(d),
-    which §5.4 uses to report that most Linux-kernel memory is
-    origin-local. *)
+    origin [sp] when [sp] is not self-parallel (a self-parallel origin's
+    instances are two accessors) — the "origin-local" part of the OSA
+    output of Figure 2(d), which §5.4 uses to report that most
+    Linux-kernel memory is origin-local. *)
 val origin_local_objects : t -> int -> int list
 
 (** [pp] renders the Figure 2(d)-style report: per origin-shared location,

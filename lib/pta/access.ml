@@ -5,7 +5,6 @@ type target =
   | Tstatic of Types.cname * Types.fname
 
 let compare_target = compare
-let equal_target a b = a = b
 
 let pp_target a ppf = function
   | Tfield (oid, f) ->

@@ -12,7 +12,6 @@ type target =
   | Tstatic of Types.cname * Types.fname
 
 val compare_target : target -> target -> int
-val equal_target : target -> target -> bool
 
 (** [pp_target a ppf t] prints e.g. [Data@12.val] or [Settings::verbose]. *)
 val pp_target : Solver.result -> Format.formatter -> target -> unit

@@ -100,6 +100,7 @@ type result = {
   stats : Metrics.t;
   tables : tables;
   icg : icg;
+  self_par : bool array;
 }
 
 (* -- graph-building helpers --------------------------------------------- *)
@@ -651,27 +652,6 @@ let build_icg fl pag
         while !i < len do
           let j = !i in
           let op = code.(j) in
-          let step =
-            if op = Flat.op_null then 2
-            else if op = Flat.op_assign then 4
-            else if op = Flat.op_return then 3
-            else if op = Flat.op_new then 5 + code.(j + 4)
-            else if op = Flat.op_callv then 7 + code.(j + 6)
-            else if op = Flat.op_calls then 5 + code.(j + 4)
-            else if op = Flat.op_fwrite || op = Flat.op_fread then 5
-            else if
-              op = Flat.op_awrite || op = Flat.op_aread
-              || op = Flat.op_swrite || op = Flat.op_sread
-            then 4
-            else if op = Flat.op_sync || op = Flat.op_if || op = Flat.op_start
-            then 4
-            else if op = Flat.op_post then 5 + code.(j + 4)
-            else if
-              op = Flat.op_while || op = Flat.op_join || op = Flat.op_signal
-              || op = Flat.op_wait
-            then 3
-            else assert false
-          in
           (if op = Flat.op_new || op = Flat.op_callv || op = Flat.op_calls
            then
              let sid = code.(j + 1) in
@@ -683,7 +663,7 @@ let build_icg fl pag
                  in
                  Hashtbl.replace callees_tbl ((iid * nsids) + sid) arr
              | None -> ());
-          i := j + step
+          i := j + Flat.width code j
         done;
         iid
   in
@@ -698,6 +678,113 @@ let build_icg fl pag
     ic_entry = entries;
     ic_nsids = nsids;
   }
+
+(* -- self-parallelism ----------------------------------------------------- *)
+
+(* Self-parallelism under the merged (non-origin) policies. An abstract
+   spawn stands for every runtime execution of its start/post site that
+   the context abstraction folds together; whenever that count can exceed
+   one, the single abstract origin covers concurrent runtime instances
+   and must race with itself. The syntactic seeds (start inside a loop,
+   thread object allocated in a loop) miss the interprocedural case: a
+   spawn-wrapper method called from two sites collapses to ONE instance
+   under 0-ctx, so its start statement executes twice per run while the
+   analysis sees one origin — a dynamically witnessed race with no static
+   report. So we compute, over the solved instance call graph, which
+   (method, context) instances may execute more than once: two distinct
+   incoming call edges, an incoming edge from a loop, a multi-executing
+   caller, or being the entry of an already self-parallel origin — and a
+   spawn whose start site lives in a multi-executing instance is
+   self-parallel. The entry-instance rule also covers a child spawned by
+   a self-parallel origin: the parent's entry instance is marked
+   multi-executing and the multiplicity propagates along call edges to
+   every spawn site the parent reaches. *)
+let multi_exec_self_par p fl pag icg (sps : spawn array) =
+  let n = max 1 icg.ic_n in
+  let multi = Array.make n false in
+  let preds = Array.make n [] in
+  Hashtbl.iter
+    (fun key callees ->
+      let caller = key / icg.ic_nsids and sid = key mod icg.ic_nsids in
+      Array.iter
+        (fun callee ->
+          if callee >= 0 && callee < n then
+            preds.(callee) <- (caller, sid) :: preds.(callee))
+        callees)
+    icg.ic_callees;
+  Array.iteri
+    (fun callee ps -> preds.(callee) <- List.sort_uniq compare ps)
+    preds;
+  Array.iteri
+    (fun callee ps ->
+      match ps with
+      | _ :: _ :: _ -> multi.(callee) <- true
+      | ps ->
+          if List.exists (fun (_, sid) -> Program.stmt_in_loop p sid) ps then
+            multi.(callee) <- true)
+    preds;
+  let insts_by_mid = Hashtbl.create 64 in
+  Array.iteri (fun iid mid -> Hashtbl.add insts_by_mid mid iid) icg.ic_mid;
+  let site_insts sid =
+    let _, m = Program.stmt p sid in
+    Hashtbl.find_all insts_by_mid (Flat.mid_of_meth fl m)
+  in
+  let sp_par =
+    Array.map
+      (fun sp ->
+        sp.sp_in_loop
+        || sp.sp_obj >= 0
+           && Program.stmt_in_loop p (Pag.obj pag sp.sp_obj).Pag.ob_site)
+      sps
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    Array.iteri
+      (fun callee ps ->
+        if (not multi.(callee)) && List.exists (fun (c, _) -> multi.(c)) ps
+        then begin
+          multi.(callee) <- true;
+          changed := true
+        end)
+      preds;
+    Array.iteri
+      (fun i _ ->
+        if sp_par.(i) then begin
+          let e = icg.ic_entry.(i) in
+          if e >= 0 && e < n && not multi.(e) then begin
+            multi.(e) <- true;
+            changed := true
+          end
+        end)
+      sps;
+    Array.iteri
+      (fun i sp ->
+        if
+          (not sp_par.(i))
+          && sp.sp_site >= 0
+          && List.exists (fun iid -> multi.(iid)) (site_insts sp.sp_site)
+        then begin
+          sp_par.(i) <- true;
+          changed := true
+        end)
+      sps
+  done;
+  sp_par
+
+let self_parallelism policy p fl pag icg sps =
+  match policy with
+  | Context.Korigin _ ->
+      (* §3.2: an origin allocated in a loop is doubled, so races between
+         run-time instances surface as races between the two copies;
+         treating each copy as self-parallel would instead flag every
+         origin-local object. The wrapper replay likewise copies origins
+         per incoming call site, so the merged-policy multiplicity
+         analysis is not needed here. (Re-starting one thread object is
+         an error in Java, so a started origin never runs concurrently
+         with itself.) *)
+      Array.make (Array.length sps) false
+  | _ -> multi_exec_self_par p fl pag icg sps
 
 (* -- the round loop ----------------------------------------------------- *)
 
@@ -801,9 +888,10 @@ let analyze ?(policy = Context.Korigin 1) ?(jobs = 1) ?metrics ?budget program
     (match policy with
     | Context.Korigin _ -> max 0 (OriginIntern.count st.origin_reg - 1)
     | _ -> max 0 (Array.length spawn_arr - 1));
-  let icg =
+  let icg, self_par =
     Metrics.time m "pta.icg" (fun () ->
-        build_icg fl pag st.call_edges spawn_arr)
+        let icg = build_icg fl pag st.call_edges spawn_arr in
+        (icg, self_parallelism policy program fl pag icg spawn_arr))
   in
   {
     program;
@@ -815,6 +903,7 @@ let analyze ?(policy = Context.Korigin 1) ?(jobs = 1) ?metrics ?budget program
     stats = m;
     tables = st;
     icg;
+    self_par;
   }
 
 (* -- queries over a result ---------------------------------------------- *)
@@ -857,12 +946,8 @@ let reached r =
         | None -> acc)
     r.tables.reach_tbl []
 
-let is_reached r (m : Program.meth) =
-  Hashtbl.fold
-    (fun (c, mn, _) info acc ->
-      acc
-      || (info.processed && c = m.Program.m_class && mn = m.Program.m_name))
-    r.tables.reach_tbl false
+let self_parallel r sp_id =
+  sp_id >= 0 && sp_id < Array.length r.self_par && r.self_par.(sp_id)
 
 let origin_of_spawn r (sp : spawn) =
   match (r.policy, sp.sp_ectx) with

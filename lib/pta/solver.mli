@@ -95,6 +95,9 @@ type result = {
           {!analyze}, or a private one created when none was *)
   tables : tables;
   icg : icg;  (** the dense instance call graph (["pta.icg"] span) *)
+  self_par : bool array;
+      (** spawn id -> may the origin run concurrently with itself; read
+          through {!self_parallel} *)
 }
 
 (** [analyze ?policy ?jobs ?metrics ?budget p] runs the whole-program
@@ -158,8 +161,18 @@ val origin_of_spawn : result -> spawn -> int
 (** [reached r] lists analyzed method instances. *)
 val reached : result -> (Program.meth * Context.t) list
 
-(** [is_reached r m] is true iff [m] is analyzed under some context. *)
-val is_reached : result -> Program.meth -> bool
+(** [self_parallel r sp_id] is true iff origin [sp_id] may run
+    concurrently with another instance of itself — the one
+    thread-multiplicity answer that race detection, OSA and the checkers
+    read. Under the origin policies it is always false: loop doubling and
+    the wrapper replay give each run-time instance its own origin. Under
+    the merged policies it holds when the spawn's start/post site, or its
+    thread object's allocation, may execute more than once per run: in a
+    loop, or in a method instance with two incoming call edges, a call
+    from a loop or a multi-executing caller (spawn wrappers), or inside a
+    self-parallel origin. Computed once per solve, next to {!icg}; an
+    out-of-range id answers false. *)
+val self_parallel : result -> int -> bool
 
 (** [n_origins r] is the paper's #O: origins excluding main (origin policy),
     or the number of non-main spawns otherwise. *)

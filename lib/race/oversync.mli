@@ -18,13 +18,12 @@ type report = { findings : finding list }
 
 val n_findings : report -> int
 
-(** [run g osa] scans every lock region of every origin of [g]'s solve,
-    e.g. with the [graph] and [osa] of an [O2.run] result. A guarded
-    location needs the lock when [osa] calls it shared, or when it has a
-    writer and an accessor that is self-parallel in [g] (OSA counts
-    origins, so one self-parallel origin's instances look like one
-    accessor). Regions with no accesses at all are not reported (empty
-    regions are usually fences in disguise). *)
-val run : O2_shb.Graph.t -> O2_osa.Osa.t -> report
+(** [run a osa] scans every lock region of every origin of the solve
+    [a], e.g. with the [solver] and [osa] of an [O2.run] result. A guarded
+    location needs the lock when [osa] calls it shared: a writer and two
+    accessors, a self-parallel origin counting as two
+    ({!O2_osa.Osa.is_shared}). Regions with no accesses at
+    all are not reported (empty regions are usually fences in disguise). *)
+val run : O2_pta.Solver.result -> O2_osa.Osa.t -> report
 
 val pp_finding : Format.formatter -> finding -> unit

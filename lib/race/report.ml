@@ -63,21 +63,6 @@ let pp a g ppf (report : Detect.report) =
 (* ------------------------------------------------------------------ *)
 (* JSON serialization, dependency-free *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let access_json a g (n : Graph.node) =
   let kind =
     match n.Graph.n_kind with
@@ -95,9 +80,9 @@ let access_json a g (n : Graph.node) =
   Printf.sprintf
     {|{"kind":"%s","file":"%s","line":%d,"origin":"%s","locks":[%s]}|}
     kind
-    (json_escape n.Graph.n_pos.Types.file)
+    (O2_util.Metrics.json_escape n.Graph.n_pos.Types.file)
     n.Graph.n_pos.Types.line
-    (json_escape (origin_name a n.Graph.n_origin))
+    (O2_util.Metrics.json_escape (origin_name a n.Graph.n_origin))
     locks
 
 let json_body a g (report : Detect.report) =
@@ -105,7 +90,7 @@ let json_body a g (report : Detect.report) =
     List.map
       (fun (r : Detect.race) ->
         Printf.sprintf {|{"target":"%s","a":%s,"b":%s}|}
-          (json_escape
+          (O2_util.Metrics.json_escape
              (Format.asprintf "%a" (Access.pp_target a) r.Detect.r_target))
           (access_json a g r.Detect.r_a)
           (access_json a g r.Detect.r_b))

@@ -33,7 +33,6 @@ type t = {
   mutable spawns_e : (int * int * int) list;
   mutable joins_e : (int * int * int) list;
   mutable sems_e : (int * int * int * int) list;
-  self_par : bool array;
   ids : O2_util.Idgen.t;
   serial_events : bool;
   lock_region : bool;
@@ -61,8 +60,8 @@ let target_of g tid = Access.of_tid g.solver.Solver.flat tid
 let locks g = g.locks
 let accesses g = g.accesses_arr
 let nodes g = g.nodes_arr
-let n_origins g = Array.length g.self_par
-let self_parallel g o = o >= 0 && o < Array.length g.self_par && g.self_par.(o)
+let n_origins g = Array.length g.solver.Solver.spawns
+let self_parallel g o = Solver.self_parallel g.solver o
 let spawn_edges g = g.spawns_e
 let join_edges g = g.joins_e
 let sem_edges g = g.sems_e
@@ -174,7 +173,7 @@ let build_origin g (icg : Solver.icg) stamp (sp : Solver.spawn)
       let op = code.(j) in
       let sid = code.(j + 1) in
       if op = Flat.op_null || op = Flat.op_assign || op = Flat.op_return then
-        i := j + (if op = Flat.op_null then 2 else if op = Flat.op_assign then 4 else 3)
+        i := j + Flat.width code j
       else if op = Flat.op_new then begin
         (* Table 4 ⑮: the call node with HB edges to/from the callee body
            is represented by inlining the callee's trace at the call site *)
@@ -241,8 +240,8 @@ let build_origin g (icg : Solver.icg) stamp (sp : Solver.spawn)
         cur_gen := saved_gen;
         i := j + 4 + blen
       end
-      else if op = Flat.op_if then i := j + 4 (* bodies inline; keep scanning *)
-      else if op = Flat.op_while then i := j + 3
+      else if op = Flat.op_if || op = Flat.op_while then
+        i := j + Flat.width code j (* bodies inline; keep scanning *)
       else if op = Flat.op_start || op = Flat.op_post then begin
         (* Table 4 ⑰: entry(𝕆ᵢ,𝕆ⱼ) ⇒ origin_first(𝕆ⱼ) *)
         let spts = pts.(code.(j + 2)) in
@@ -323,7 +322,7 @@ let lower_bound (a : int array) v =
   !lo
 
 let build_hb_closure g =
-  let n = Array.length g.self_par in
+  let n = n_origins g in
   let in_range o = o >= 0 && o < n in
   let sp_tmp = Array.make n []
   and jn_tmp = Array.make n []
@@ -470,123 +469,8 @@ let hb_closure_entries g =
     (Array.fold_left (fun acc row -> acc + (Array.length row / 2)))
     0 g.hb_rows
 
-(* Self-parallelism under the merged (non-origin) policies. An abstract
-   spawn stands for every runtime execution of its start/post site that
-   the context abstraction folds together; whenever that count can exceed
-   one, the single abstract origin covers concurrent runtime instances
-   and must race with itself. The syntactic seeds (start inside a loop,
-   thread object allocated in a loop) miss the interprocedural case: a
-   spawn-wrapper method called from two sites collapses to ONE instance
-   under 0-ctx, so its start statement executes twice per run while the
-   analysis sees one origin — a dynamically witnessed race with no static
-   report. So we compute, over the solved instance call graph, which
-   (method, context) instances may execute more than once: two distinct
-   incoming call edges, an incoming edge from a loop, a multi-executing
-   caller, or being the entry of an already self-parallel origin — and a
-   spawn whose start site lives in a multi-executing instance is
-   self-parallel. The entry-instance rule also subsumes the old
-   transitive parent→child propagation over spawn edges. *)
-let multi_exec_self_par (a : Solver.result) =
-  let p = a.Solver.program and fl = a.Solver.flat in
-  let icg = a.Solver.icg in
-  let sps = a.Solver.spawns in
-  let n = max 1 icg.Solver.ic_n in
-  let multi = Array.make n false in
-  let preds = Array.make n [] in
-  Hashtbl.iter
-    (fun key callees ->
-      let caller = key / icg.Solver.ic_nsids
-      and sid = key mod icg.Solver.ic_nsids in
-      Array.iter
-        (fun callee ->
-          if callee >= 0 && callee < n then
-            preds.(callee) <- (caller, sid) :: preds.(callee))
-        callees)
-    icg.Solver.ic_callees;
-  Array.iteri
-    (fun callee ps -> preds.(callee) <- List.sort_uniq compare ps)
-    preds;
-  Array.iteri
-    (fun callee ps ->
-      match ps with
-      | _ :: _ :: _ -> multi.(callee) <- true
-      | ps ->
-          if List.exists (fun (_, sid) -> Program.stmt_in_loop p sid) ps then
-            multi.(callee) <- true)
-    preds;
-  let insts_by_mid = Hashtbl.create 64 in
-  Array.iteri
-    (fun iid mid -> Hashtbl.add insts_by_mid mid iid)
-    icg.Solver.ic_mid;
-  let site_insts sid =
-    let _, m = Program.stmt p sid in
-    Hashtbl.find_all insts_by_mid (Flat.mid_of_meth fl m)
-  in
-  let sp_par =
-    Array.map
-      (fun (sp : Solver.spawn) ->
-        sp.Solver.sp_in_loop
-        || (sp.Solver.sp_obj >= 0
-           &&
-           let o = Pag.obj (a.Solver.pag) sp.Solver.sp_obj in
-           Program.stmt_in_loop p o.Pag.ob_site))
-      sps
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Array.iteri
-      (fun callee ps ->
-        if
-          (not multi.(callee))
-          && List.exists (fun (c, _) -> multi.(c)) ps
-        then begin
-          multi.(callee) <- true;
-          changed := true
-        end)
-      preds;
-    Array.iteri
-      (fun i (_sp : Solver.spawn) ->
-        if sp_par.(i) then begin
-          let e = icg.Solver.ic_entry.(i) in
-          if e >= 0 && e < n && not multi.(e) then begin
-            multi.(e) <- true;
-            changed := true
-          end
-        end)
-      sps;
-    Array.iteri
-      (fun i (sp : Solver.spawn) ->
-        if
-          (not sp_par.(i))
-          && sp.Solver.sp_site >= 0
-          && List.exists
-               (fun iid -> multi.(iid))
-               (site_insts sp.Solver.sp_site)
-        then begin
-          sp_par.(i) <- true;
-          changed := true
-        end)
-      sps
-  done;
-  sp_par
-
 let build_graph ~serial_events ~lock_region a =
   let sps = a.Solver.spawns in
-  let self_par =
-    match a.Solver.policy with
-    | Context.Korigin _ ->
-        (* §3.2: an origin allocated in a loop is doubled, so races
-           between run-time instances surface as races between the two
-           copies; treating each copy as self-parallel would instead
-           flag every origin-local object. The wrapper replay likewise
-           copies origins per incoming call site, so the merged-policy
-           multiplicity analysis below is not needed here. (Re-starting
-           one thread object is an error in Java, so a started origin
-           never runs concurrently with itself.) *)
-        Array.map (fun _ -> false) sps
-    | _ -> multi_exec_self_par a
-  in
   let g =
     {
       solver = a;
@@ -597,7 +481,6 @@ let build_graph ~serial_events ~lock_region a =
       spawns_e = [];
       joins_e = [];
       sems_e = [];
-      self_par;
       ids = O2_util.Idgen.create ();
       serial_events;
       lock_region;
@@ -621,11 +504,6 @@ let build_graph ~serial_events ~lock_region a =
   let icg = a.Solver.icg in
   let stamp = Array.make (max 1 icg.Solver.ic_n) (-1) in
   Array.iter (fun sp -> build_origin g icg stamp sp spawn_index) sps;
-  (* transitive self-parallelism (a child spawned by a self-parallel
-     origin has as many run-time instances as its parent) falls out of
-     [multi_exec_self_par]: the parent's entry instance is marked
-     multi-executing and the multiplicity propagates along call edges to
-     every spawn site the parent reaches *)
   let all = Array.of_list (List.rev g.all_nodes) in
   g.nodes_arr <- all;
   (* §4.3 semaphore HB rule: for every abstract semaphore with exactly one
@@ -722,5 +600,5 @@ let pp ppf g =
             Format.fprintf ppf "  #%d %a ls=%d@," n.n_id (pp_kind g) n.n_kind
               n.n_lockset)
         g.nodes_arr)
-    g.self_par;
+    g.solver.Solver.spawns;
   Format.fprintf ppf "@]"

@@ -73,12 +73,12 @@ val accesses : t -> node array
 (** [nodes g] lists every node, id-ascending. *)
 val nodes : t -> node array
 
-(** [n_origins g] is the number of origins (= solver spawns). *)
+(** [n_origins g] is the number of origins: the solver's spawn count. *)
 val n_origins : t -> int
 
-(** [self_parallel g o] is true iff origin [o] may run concurrently with
-    another instance of itself (spawned in a loop, or its thread object is
-    allocated in a loop under a policy without loop doubling). *)
+(** [self_parallel g o] reads the solve's answer,
+    {!O2_pta.Solver.self_parallel}: origin [o] may run concurrently with
+    another instance of itself. *)
 val self_parallel : t -> int -> bool
 
 (** [spawn_edges g] lists [(parent, child, node id of the spawn in the

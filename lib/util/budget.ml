@@ -7,8 +7,6 @@ type t = {
   max_steps : int option;
 }
 
-let unlimited = { deadline = None; max_steps = None }
-
 let make ?wall ?max_steps () =
   let deadline =
     match wall with

@@ -5,16 +5,13 @@
     {!check} with its step count; an exhausted budget raises
     {!Exhausted}, which harnesses (notably [O2_batch]) catch and turn
     into a structured per-file [Timeout] entry instead of an aborted
-    run. An {!unlimited} budget never raises. *)
+    run. *)
 
 type reason = [ `Wall | `Steps ]
 
 exception Exhausted of reason
 
 type t
-
-(** No deadline, no step ceiling; {!check} is a cheap no-op. *)
-val unlimited : t
 
 (** [make ?wall ?max_steps ()] starts the clock now: [wall] is seconds
     from now (the stored deadline is absolute), [max_steps] the highest

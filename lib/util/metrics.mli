@@ -102,6 +102,10 @@ val merge : into:t -> t -> unit
 
 (** {1 Export} *)
 
+(** [json_escape s] is [s] escaped for the inside of a JSON string:
+    quotes, backslashes and control characters. *)
+val json_escape : string -> string
+
 (** [to_json t] is one JSON object:
     [{"counters":{..},"timers":{..},"gauges":{..},"spans":[..]}]. *)
 val to_json : t -> string

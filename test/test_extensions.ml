@@ -17,7 +17,7 @@ let deadlocks p = O2_race.Deadlock.run (session p).O2.graph
 
 let oversync ?policy p =
   let r = session ?policy p in
-  O2_race.Oversync.run r.O2.graph r.O2.osa
+  O2_race.Oversync.run r.O2.solver r.O2.osa
 
 (* ---------------- semaphores ---------------- *)
 

@@ -3,8 +3,9 @@
    opcode streams. {!O2_fuzz.Ref_stages.check} compares each with the
    seed's engine on one solve, across every bundled model × context policy
    × [serial_events]/[lock_region] setting, zookeeper, every named
-   synthetic workload under 1-origin and 0-ctx, and random programs; plus
-   unit coverage for the lowering invariants themselves. *)
+   synthetic workload under 1-origin and 0-ctx, and random programs; that
+   detection reports races only on OSA-shared locations; plus unit
+   coverage for the lowering invariants themselves. *)
 
 open O2_pta
 
@@ -56,6 +57,43 @@ let test_named_specs_parity () =
       List.iter
         (fun policy ->
           check_stages
+            (Printf.sprintf "%s/%s" spec.s_name (Context.policy_name policy))
+            (Solver.analyze ~policy p))
+        [ Context.Korigin 1; Context.Insensitive ])
+    (dacapo @ android @ distributed @ capps @ stress)
+
+(* ---------------- detection within OSA ---------------- *)
+
+(* Detection keeps a location's accesses by OSA's sharing rule (a writer
+   and two accessors, a self-parallel origin counting as two), so every
+   location it reports a race on must be OSA-shared *)
+let check_raced_shared label a =
+  let report = O2_race.Detect.run (O2_shb.Graph.build a) in
+  let osa = O2_osa.Osa.run a in
+  List.iter
+    (fun (r : O2_race.Detect.race) ->
+      if not (O2_osa.Osa.is_shared_target osa r.r_target) then
+        Alcotest.failf "%s: race on %s, which OSA calls local" label
+          (Format.asprintf "%a" (Access.pp_target a) r.r_target))
+    report.O2_race.Detect.races
+
+let test_raced_shared () =
+  List.iter
+    (fun (m : O2_workloads.Models.model) ->
+      List.iter
+        (fun policy ->
+          check_raced_shared
+            (Printf.sprintf "%s/%s" m.name (Context.policy_name policy))
+            (Solver.analyze ~policy (m.program ())))
+        policies)
+    O2_workloads.Models.all;
+  let open O2_workloads.Synth in
+  List.iter
+    (fun spec ->
+      let p = program spec in
+      List.iter
+        (fun policy ->
+          check_raced_shared
             (Printf.sprintf "%s/%s" spec.s_name (Context.policy_name policy))
             (Solver.analyze ~policy p))
         [ Context.Korigin 1; Context.Insensitive ])
@@ -118,6 +156,11 @@ let () =
           Alcotest.test_case "named specs x policies" `Quick
             test_named_specs_parity;
           QCheck_alcotest.to_alcotest prop_flat_parity;
+        ] );
+      ( "osa",
+        [
+          Alcotest.test_case "raced locations are OSA-shared" `Quick
+            test_raced_shared;
         ] );
       ( "lowering",
         [

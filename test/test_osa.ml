@@ -242,6 +242,52 @@ let test_origin_local_report () =
   let locals = O2_osa.Osa.origin_local_objects osa thread_sp.sp_id in
   check_bool "thread has an origin-local object" true (List.length locals >= 1)
 
+(* under 0-ctx a thread started in a loop is one self-parallel origin: its
+   run-time instances are two accessors of the Data object it writes, so
+   the object is shared, not local to the origin *)
+let test_self_parallel_writer () =
+  let p =
+    prog ~main:"M"
+      [
+        cls "Data" ~fields:[ "v" ] [];
+        cls "W" ~super:"Thread" ~fields:[ "s" ]
+          [
+            meth "init" [ "s" ] [ fwrite "this" "s" "s" ];
+            meth "run" [] [ fread "d" "this" "s"; fwrite "d" "v" "d"; ret None ];
+          ];
+        cls "M"
+          [
+            meth ~static:true "main" []
+              [
+                new_ "d" "Data" [];
+                while_ [ new_ "w" "W" [ "d" ]; start "w" ];
+              ];
+          ];
+      ]
+  in
+  let a, osa = run_osa ~policy:Context.Insensitive p in
+  let w =
+    Array.to_list a.Solver.spawns
+    |> List.find (fun (s : Solver.spawn) -> s.sp_kind = `Thread)
+  in
+  check_bool "W is self-parallel" true (Solver.self_parallel a w.sp_id);
+  let data_v =
+    List.find_map
+      (fun (sh : O2_osa.Osa.sharing) ->
+        match sh.sh_target with
+        | Access.Tfield (oid, "v") -> Some (oid, sh)
+        | _ -> None)
+      (O2_osa.Osa.shared_locations osa)
+  in
+  match data_v with
+  | None -> Alcotest.fail "Data.v is not shared"
+  | Some (oid, sh) ->
+      check_bool "one accessor" true
+        (sh.sh_readers = [] && List.length sh.sh_writers = 1);
+      check_bool "flagged self-parallel" true sh.sh_self_par;
+      check_bool "Data not origin-local" false
+        (List.mem oid (O2_osa.Osa.origin_local_objects osa w.sp_id))
+
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -269,6 +315,8 @@ let () =
             test_static_single_origin;
           Alcotest.test_case "arrays" `Quick test_array_sharing;
           Alcotest.test_case "figure2 counts" `Quick test_counts_figure2;
+          Alcotest.test_case "self-parallel writer shares" `Quick
+            test_self_parallel_writer;
           Alcotest.test_case "origin-local report" `Quick
             test_origin_local_report;
           Alcotest.test_case "pp output" `Quick test_pp_output;
