@@ -61,6 +61,7 @@ type meth_info = {
   f_cid : int;
   f_nslots : int;
   f_slot_name : string array;  (* slot -> variable name *)
+  f_param_slots : int array;  (* parameter index -> slot *)
   f_code : int array;  (* the opcode stream of the body *)
 }
 
@@ -224,7 +225,7 @@ let lower (p : Program.t) =
           i
     in
     ignore (slot "this");
-    List.iter (fun v -> ignore (slot v)) m.Program.m_params;
+    let param_slots = Array.of_list (List.map slot m.Program.m_params) in
     List.iter (fun v -> ignore (slot v)) m.Program.m_locals;
     let buf = Ibuf.create () in
     let push = Ibuf.push buf in
@@ -363,6 +364,7 @@ let lower (p : Program.t) =
       f_cid = cid m.Program.m_class;
       f_nslots = Array.length slot_name;
       f_slot_name = slot_name;
+      f_param_slots = param_slots;
       f_code = Ibuf.contents buf;
     }
   in

@@ -64,6 +64,7 @@ type meth_info = {
   f_cid : int;
   f_nslots : int;
   f_slot_name : string array;  (** slot -> variable name *)
+  f_param_slots : int array;  (** parameter index -> slot *)
   f_code : int array;  (** the opcode stream of the body *)
 }
 

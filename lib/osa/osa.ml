@@ -287,6 +287,9 @@ let n_shared_object_sites a t =
     []
   |> List.sort_uniq compare |> List.length
 
+(* One pass over the locations marks every object another origin (or a
+   self-parallel one) also accesses; the origin's touched objects are then
+   filtered by that mark: O(locations + touched) per call. *)
 let origin_local_objects t spawn_id =
   let fl = t.flat in
   let origin =
@@ -294,28 +297,23 @@ let origin_local_objects t spawn_id =
       t.key_of_spawn.(spawn_id)
     else spawn_id
   in
-  let oids =
-    Inttbl.fold
-      (fun key () acc ->
-        if t.n_objs > 0 && key / t.n_objs = origin then (key mod t.n_objs) :: acc
-        else acc)
-      t.touched []
-  in
-  List.filter
-    (fun oid ->
-      let shared_somewhere =
-        fold_locs t
-          (fun tid s acc2 ->
-            acc2
-            || (not (Flat.tid_is_static fl tid))
-               && Flat.tid_oid fl tid = oid
-               && (s.self_par
-                  || List.exists (fun og -> og <> origin) s.readers
-                  || List.exists (fun og -> og <> origin) s.writers))
-          false
-      in
-      not shared_somewhere)
-    oids
+  let foreign = Array.make t.n_objs false in
+  Array.iteri
+    (fun tid s ->
+      match s with
+      | Some s
+        when (not (Flat.tid_is_static fl tid))
+             && (s.self_par
+                || List.exists (fun og -> og <> origin) s.readers
+                || List.exists (fun og -> og <> origin) s.writers) ->
+          foreign.(Flat.tid_oid fl tid) <- true
+      | _ -> ())
+    t.locs;
+  Inttbl.fold
+    (fun key () acc ->
+      let oid = key mod t.n_objs in
+      if key / t.n_objs = origin && not foreign.(oid) then oid :: acc else acc)
+    t.touched []
   |> List.sort compare
 
 let pp a ppf t =

@@ -16,13 +16,6 @@ module ObjIntern = Intern.Make (struct
   let hash = Hashtbl.hash
 end)
 
-module NodeIntern = Intern.Make (struct
-  type t = node
-
-  let equal = ( = )
-  let hash = Hashtbl.hash
-end)
-
 (* Copy edges are deduplicated on the packed key [src lsl 31 lor dst] in an
    {!Inttbl}: one probe is a multiply-and-shift hash with no tuple
    allocation — [add_copy] runs once per watcher delivery, the solve's
@@ -43,7 +36,10 @@ let edge_key src dst =
    watched nodes between propagation and [flush_fires]. *)
 type t = {
   objs : ObjIntern.t;
-  nodes : NodeIntern.t;
+  mutable nodes : node array;
+      (* id -> value, append-only: the solver names every node once, so
+         nothing here hashes a node *)
+  mutable n_nodes : int;
   dummy : Bitset.t;
       (* shared sentinel filling the set arrays: a slot holds [dummy] until
          its first write ([materialize]), so growing the arrays allocates no
@@ -79,7 +75,8 @@ type t = {
 let create () =
   {
     objs = ObjIntern.create ();
-    nodes = NodeIntern.create ();
+    nodes = [||];
+    n_nodes = 0;
     dummy = Bitset.create ();
     pts = [||];
     delta = [||];
@@ -110,13 +107,14 @@ let grow g n =
   let cap = Array.length g.pts in
   if n > cap then begin
     let cap' = max 256 (max n (cap * 4)) in
-    (* blit-extend: a closure call per slot across eight arrays made
+    (* blit-extend: a closure call per slot across nine arrays made
        growth a measurable slice of small solves *)
     let ext fill a =
       let a' = Array.make cap' fill in
       Array.blit a 0 a' 0 cap;
       a'
     in
+    g.nodes <- ext (NStatic ("", "")) g.nodes;
     g.pts <- ext g.dummy g.pts;
     g.delta <- ext g.dummy g.delta;
     g.pending <- ext g.dummy g.pending;
@@ -132,14 +130,18 @@ let grow g n =
     g.on_wl <- ext false g.on_wl
   end
 
-let node_id g n =
-  let id = NodeIntern.intern g.nodes n in
+let add_node g n =
+  let id = g.n_nodes in
   grow g (id + 1);
+  g.nodes.(id) <- n;
+  g.n_nodes <- id + 1;
   id
 
-let find_node g n = NodeIntern.find_opt g.nodes n
-let node g id = NodeIntern.value g.nodes id
-let n_nodes g = NodeIntern.count g.nodes
+let node g id =
+  if id < 0 || id >= g.n_nodes then invalid_arg "Pag.node: unknown node id";
+  g.nodes.(id)
+
+let n_nodes g = g.n_nodes
 let n_edges g = Inttbl.length g.edge_set
 
 (* Path-halving find. *)
@@ -273,7 +275,7 @@ let flush_fires g =
    catch-up firing, and cycles through watched nodes are rare. Rebuilds
    the worklist so no stale member ids remain. *)
 let collapse_sccs g =
-  let n = NodeIntern.count g.nodes in
+  let n = g.n_nodes in
   if n = 0 then 0
   else begin
     let index = Array.make n (-1) in
@@ -429,7 +431,10 @@ let solve ?check g =
   in
   loop ()
 
-let iter_nodes f g = NodeIntern.iter (fun id n -> f id n (pts g id)) g.nodes
+let iter_nodes f g =
+  for id = 0 to g.n_nodes - 1 do
+    f id g.nodes.(id) (pts g id)
+  done
 
 let n_worklist_iters g = g.n_wl_iters
 let n_worklist_pushes g = g.wl_pushes
@@ -440,5 +445,7 @@ let n_collapsed g = g.n_collapsed
 
 let n_pts_facts g =
   let total = ref 0 in
-  NodeIntern.iter (fun id _ -> total := !total + Bitset.cardinal (pts g id)) g.nodes;
+  for id = 0 to g.n_nodes - 1 do
+    total := !total + Bitset.cardinal (pts g id)
+  done;
   !total

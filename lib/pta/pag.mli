@@ -1,7 +1,11 @@
 (** The pointer assignment graph and its difference-propagation worklist.
 
-    Nodes are interned pointers (variables, returns, object fields, static
-    fields); points-to sets are bitsets of interned abstract-object ids.
+    Nodes are pointers (variables, returns, object fields, static fields)
+    named by dense ids in creation order: the graph stores each node's
+    value but never hashes one, so the caller creates every node exactly
+    once ({!O2_pta.Solver} keeps one id per instance slot and memoizes
+    field and static nodes). Points-to sets are bitsets of interned
+    abstract-object ids.
     Complex constraints (loads, stores, virtual calls, origin entries) are
     {e watchers}: callbacks invoked once per new object reaching a base
     node, which is how the call graph is built on the fly (§3.2, "the PAG
@@ -49,7 +53,7 @@ type t
 (** [create ()] builds an empty graph. *)
 val create : unit -> t
 
-(** {2 Interning} *)
+(** {2 Objects and nodes} *)
 
 (** [obj_id g o] interns an abstract object. *)
 val obj_id : t -> obj -> int
@@ -60,14 +64,13 @@ val obj : t -> int -> obj
 (** [n_objs g] is the number of distinct abstract objects. *)
 val n_objs : t -> int
 
-(** [node_id g n] interns a PAG node. *)
-val node_id : t -> node -> int
+(** [add_node g n] appends node [n] under the next id. It does not look
+    for an existing copy of [n]: adding one node value twice makes two
+    nodes. *)
+val add_node : t -> node -> int
 
-(** [find_node g n] is the id of [n] if already interned; it never
-    interns. *)
-val find_node : t -> node -> int option
-
-(** [node g id] recovers an interned node. *)
+(** [node g id] recovers a node's value.
+    @raise Invalid_argument on an id no {!add_node} returned. *)
 val node : t -> int -> node
 
 (** [n_nodes g] is the number of pointer nodes (the paper's #Pointer). *)

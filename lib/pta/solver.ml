@@ -26,32 +26,39 @@ module OriginIntern = Intern.Make (struct
   let hash = Hashtbl.hash
 end)
 
-type meth_key = Types.cname * Types.mname * Context.t
-
-type reach_info = {
+(* A (method, context) instance: the solver's unit of identity, created
+   once on first use. It owns the PAG node of every variable slot and of
+   the return, and the reach facts of the instance. *)
+type inst = {
+  i_id : int;  (* dense, in creation order; the instance call graph's iid *)
+  i_info : Flat.meth_info;
+  i_ctx : Context.t;
+  i_nodes : int array;
+      (* slot -> PAG node, then the return node at [f_nslots]; -1 until
+         first use *)
   mutable incoming : int list;  (* call-site sids reaching this instance *)
-  incoming_set : (int, unit) Hashtbl.t;  (* O(1) membership for [incoming] *)
-  mutable processed : bool;
+  mutable processed : bool;  (* reached: the body is (being) added *)
   mutable origin_allocs : (int -> unit) list;
       (* wrapper-site redo closures for origin allocations in this body *)
 }
-
-(* A method instance whose body still has to be turned into constraints. *)
-type task = { tk_meth : Program.meth; tk_ctx : Context.t }
 
 type tables = {
   t_program : Program.t;
   t_flat : Flat.t;  (* dense lowering; [add_body] scans only this *)
   t_policy : Context.policy;
   t_pag : Pag.t;
-  reach_tbl : (meth_key, reach_info) Hashtbl.t;
-  call_edges : (int * Context.t, (Program.meth * Context.t) list ref) Hashtbl.t;
-  call_edge_keys :
-    (int * Context.t * Types.cname * Types.mname * Context.t, int) Hashtbl.t;
-      (* hashed dedup for call_edges (a per-site list scan is quadratic on
-         megamorphic sites); the value caches the callee's interned "this"
-         node (-1 when the call has no receiver) so repeat fires skip the
-         structural intern probe *)
+  insts : (int * Context.t, inst) Hashtbl.t;  (* (mid, ctx) -> instance *)
+  mutable inst_arr : inst array;  (* iid -> instance, filled after the solve *)
+  n_sids : int;
+      (* an instance's call site packs as the "site key" [iid * n_sids +
+         sid] *)
+  incoming_seen : unit Inttbl.t;  (* site keys (callee, sid) in [incoming] *)
+  call_edges : inst list ref Inttbl.t;
+      (* caller site key -> callee instances, newest first *)
+  call_edge_keys : unit Inttbl.t;
+      (* packed (caller site key, callee iid): hashed dedup for
+         [call_edges], whose per-site list scan is quadratic on
+         megamorphic sites *)
   mutable n_call_edges : int;
   mutable spawn_list : spawn list;
   spawn_keys : (int * Types.cname * Types.mname * Context.t * int, unit) Hashtbl.t;
@@ -60,26 +67,25 @@ type tables = {
   origin_attr_nodes : (int, int list ref) Hashtbl.t;
   origin_attr_seen : (int * int, unit) Hashtbl.t;
       (* hashed dedup for origin_attr_nodes entries *)
-  field_ids : (Types.fname, int) Hashtbl.t;
-      (* dense field-name interning for the field-node memo *)
   fld_nodes : int Inttbl.t;
-      (* packed (object id, field id) -> interned NField node: field
-         watchers fire once per object per access site, and the structural
-         intern of [NField] dominated that path — repeats cost one
-         single-int probe (key = [oid lsl 20 lor fid]; dense field ids stay
-         far below 2^20). The low 20 bits hold the field id alone, so the
-         probe is constant-time only because [Inttbl]'s hash mixes the
-         object id into the bucket index. *)
-  mutable pending : task list;  (* bodies reached since the last round *)
+      (* packed (object id, flat field id) -> [NField] node, created on
+         the first watcher fire that needs it: it is the only record of a
+         field node, so every fire probes it (key = [oid lsl 20 lor fid];
+         [analyze] checks the field count fits 20 bits). The low 20 bits
+         hold the field id alone, so the probe is constant-time only
+         because [Inttbl]'s hash mixes the object id into the bucket
+         index. *)
+  static_nodes : int array;  (* flat static slot -> [NStatic] node, or -1 *)
+  mutable pending : inst list;  (* bodies reached since the last round *)
 }
 
 (* Instance call graph: the solved, context-sensitive call graph re-keyed
-   on dense ints. Each reachable (method, context) instance gets an
-   instance id; per-instance arrays carry the solved points-to set of
-   every variable slot and the callee instances of every call site. The
-   flat SHB/OSA walkers traverse instances with nothing but array probes
-   and one int-keyed table lookup per call site — no structural context
-   hashing survives past the solve. *)
+   on dense ints — a projection of the instance table. Per-instance arrays
+   carry the solved points-to set of every variable slot and the callee
+   instances of every call site. The flat SHB/OSA walkers traverse
+   instances with nothing but array probes and one int-keyed table lookup
+   per call site — no structural context hashing survives past the
+   solve. *)
 type icg = {
   ic_n : int;  (* instance count *)
   ic_mid : int array;  (* iid -> flat method id *)
@@ -105,12 +111,59 @@ type result = {
 
 (* -- graph-building helpers --------------------------------------------- *)
 
-let a_nvar st (m : Program.meth) ctx v =
-  Pag.node_id st.t_pag (Pag.NVar (m.Program.m_class, m.Program.m_name, v, ctx))
+let inst_of st (mi : Flat.meth_info) ctx =
+  let key = (mi.Flat.f_mid, ctx) in
+  match Hashtbl.find_opt st.insts key with
+  | Some i -> i
+  | None ->
+      let i =
+        {
+          i_id = Hashtbl.length st.insts;
+          i_info = mi;
+          i_ctx = ctx;
+          i_nodes = Array.make (mi.Flat.f_nslots + 1) (-1);
+          incoming = [];
+          processed = false;
+          origin_allocs = [];
+        }
+      in
+      Hashtbl.add st.insts key i;
+      i
 
-let a_nret st (m : Program.meth) ctx =
-  Pag.node_id st.t_pag (Pag.NRet (m.Program.m_class, m.Program.m_name, ctx))
+let inst_of_meth st (m : Program.meth) ctx =
+  inst_of st (Flat.meth st.t_flat (Flat.mid_of_meth st.t_flat m)) ctx
 
+(* The node of slot [slot] of instance [i] ([f_nslots]: the return),
+   created on first use — so node ids follow first use, one per slot. *)
+let inst_node st i slot =
+  let id = i.i_nodes.(slot) in
+  if id >= 0 then id
+  else begin
+    let mi = i.i_info in
+    let m = mi.Flat.f_meth in
+    let n =
+      if slot = mi.Flat.f_nslots then
+        Pag.NRet (m.Program.m_class, m.Program.m_name, i.i_ctx)
+      else
+        let v = mi.Flat.f_slot_name.(slot) in
+        Pag.NVar (m.Program.m_class, m.Program.m_name, v, i.i_ctx)
+    in
+    let id = Pag.add_node st.t_pag n in
+    i.i_nodes.(slot) <- id;
+    id
+  end
+
+let this_node st i = inst_node st i 0
+let return_node st i = inst_node st i i.i_info.Flat.f_nslots
+let site_key st i sid = (i.i_id * st.n_sids) + sid
+
+(* [call_edge_keys] packs (caller site key, callee iid) into one int: the
+   callee takes the low 24 bits. The guard makes an overflow fail loudly
+   instead of silently merging unrelated edges. *)
+let call_edge_key sk callee =
+  if callee lsr 24 <> 0 || sk lsr 38 <> 0 then
+    invalid_arg "Solver.call_edge_key: exceeds the packing bound";
+  (sk lsl 24) lor callee
 
 let record_spawn st ~site ~entry ~ectx ~obj ~kind ~in_loop ~attr_nodes =
   let key =
@@ -141,92 +194,56 @@ let heap_ctx policy (ctx : Context.t) : Context.t =
    next round's [add_body]. A call site arriving later at an already-added
    body replays its origin allocations through the redo closures — the
    paper's k=1 wrapper extension. *)
-let a_reach st ?(via_site = -1) (m : Program.meth) (ctx : Context.t) =
-  let key = (m.Program.m_class, m.Program.m_name, ctx) in
-  let info =
-    match Hashtbl.find_opt st.reach_tbl key with
-    | Some i -> i
-    | None ->
-        let i =
-          {
-            incoming = [];
-            incoming_set = Hashtbl.create 4;
-            processed = false;
-            origin_allocs = [];
-          }
-        in
-        Hashtbl.add st.reach_tbl key i;
-        i
-  in
+let a_reach st ?(via_site = -1) i =
   let new_site =
-    via_site >= 0 && not (Hashtbl.mem info.incoming_set via_site)
+    via_site >= 0 && not (Inttbl.mem st.incoming_seen (site_key st i via_site))
   in
   if new_site then begin
-    Hashtbl.add info.incoming_set via_site ();
-    info.incoming <- via_site :: info.incoming
+    Inttbl.add st.incoming_seen (site_key st i via_site) ();
+    i.incoming <- via_site :: i.incoming
   end;
-  if not info.processed then begin
-    info.processed <- true;
-    st.pending <- { tk_meth = m; tk_ctx = ctx } :: st.pending
+  if not i.processed then begin
+    i.processed <- true;
+    st.pending <- i :: st.pending
   end
   else if new_site then
     (* sites recorded before the body is added are folded in by [a_new]
        itself (it reads [incoming] then), so only genuinely late sites
        replay here *)
-    List.iter (fun redo -> redo via_site) info.origin_allocs
+    List.iter (fun redo -> redo via_site) i.origin_allocs
 
 (* Formal-parameter binding: actuals use the caller's context, formals the
    callee's (Table 2 ❽/❾ ownership note). *)
-let a_bind_params st (target : Program.meth) cctx arg_nodes =
+let a_bind_params st callee arg_nodes =
+  let params = callee.i_info.Flat.f_param_slots in
   List.iteri
-    (fun i param ->
-      match List.nth_opt arg_nodes i with
-      | Some a ->
-          Pag.add_copy st.t_pag ~src:a ~dst:(a_nvar st target cctx param)
-      | None -> ())
-    target.Program.m_params
+    (fun k a ->
+      if k < Array.length params then
+        Pag.add_copy st.t_pag ~src:a ~dst:(inst_node st callee params.(k)))
+    arg_nodes
 
-let a_bind_call st ~site ~ctx ~target ~cctx ~this ~arg_nodes ~ret_node =
-  let dedup =
-    (site, ctx, target.Program.m_class, target.Program.m_name, cctx)
-  in
-  match Hashtbl.find_opt st.call_edge_keys dedup with
-  | Some this_id -> (
-      (* a repeated (site, ctx, target, cctx) edge — another receiver object
-         of the same class reaching a virtual site — re-derives exactly the
-         same param/ret copies (idempotent), so only the per-object "this"
-         binding runs, against the node cached at the first bind *)
-      match this with
-      | None -> ()
-      | Some oid ->
-          let n =
-            if this_id >= 0 then this_id
-            else begin
-              let n = a_nvar st target cctx "this" in
-              Hashtbl.replace st.call_edge_keys dedup n;
-              n
-            end
-          in
-          Pag.add_obj st.t_pag n oid)
-  | None ->
-      let this_id =
-        match this with
-        | None -> -1
-        | Some oid ->
-            let n = a_nvar st target cctx "this" in
-            Pag.add_obj st.t_pag n oid;
-            n
-      in
-      Hashtbl.add st.call_edge_keys dedup this_id;
-      st.n_call_edges <- st.n_call_edges + 1;
-      (match Hashtbl.find_opt st.call_edges (site, ctx) with
-      | Some l -> l := (target, cctx) :: !l
-      | None -> Hashtbl.add st.call_edges (site, ctx) (ref [ (target, cctx) ]));
-      a_reach st ~via_site:site target cctx;
-      a_bind_params st target cctx arg_nodes;
-      (match ret_node with
-      | Some r -> Pag.add_copy st.t_pag ~src:(a_nret st target cctx) ~dst:r
-      | None -> ())
+(* A repeated (caller, site, callee) edge — another receiver object of the
+   same class reaching a virtual site — re-derives exactly the same
+   param/ret copies (idempotent), so only the per-object "this" binding
+   runs. *)
+let a_bind_call st ~site ~caller ~callee ~this ~arg_nodes ~ret_node =
+  (match this with
+  | None -> ()
+  | Some oid -> Pag.add_obj st.t_pag (this_node st callee) oid);
+  let sk = site_key st caller site in
+  let key = call_edge_key sk callee.i_id in
+  if not (Inttbl.mem st.call_edge_keys key) then begin
+    Inttbl.add st.call_edge_keys key ();
+    st.n_call_edges <- st.n_call_edges + 1;
+    (match Inttbl.find_opt st.call_edges sk with
+    | Some l -> l := callee :: !l
+    | None -> Inttbl.add st.call_edges sk (ref [ callee ]));
+    a_reach st ~via_site:site callee;
+    a_bind_params st callee arg_nodes;
+    match ret_node with
+    | Some r -> Pag.add_copy st.t_pag ~src:(return_node st callee) ~dst:r
+    | None -> ()
+  end
 
 (* Context for a thread/handler entry (Table 2 ❾): under the origin policy
    the origin was attached to the object at its allocation — the entry runs
@@ -248,7 +265,8 @@ let a_origin_attrs_of st (o : Pag.obj) =
       | None -> [])
   | _ -> []
 
-let a_new st ~site ~ctx ~info ~xnode ~c ~arg_nodes =
+let a_new st ~site ~caller ~xnode ~c ~arg_nodes =
+  let ctx = caller.i_ctx in
   let p = st.t_program in
   let policy = st.t_policy in
   let g = st.t_pag in
@@ -269,8 +287,8 @@ let a_new st ~site ~ctx ~info ~xnode ~c ~arg_nodes =
         let cctx =
           Context.push_call policy ~ctx ~site ~recv_site:site ~recv_hctx:hctx
         in
-        a_bind_call st ~site ~ctx ~target:init ~cctx ~this:(Some oid)
-          ~arg_nodes ~ret_node:None
+        a_bind_call st ~site ~caller ~callee:(inst_of_meth st init cctx)
+          ~this:(Some oid) ~arg_nodes ~ret_node:None
   end
   else begin
     (* Table 2 rule ❽: context switch at the origin allocation. "A new and
@@ -335,63 +353,64 @@ let a_new st ~site ~ctx ~info ~xnode ~c ~arg_nodes =
           | Some init ->
               (* the init and the constructor-argument formals live in the
                  new origin (Figure 3) *)
-              a_bind_call st ~site ~ctx ~target:init ~cctx:hctx
-                ~this:(Some oid) ~arg_nodes ~ret_node:None)
+              a_bind_call st ~site ~caller
+                ~callee:(inst_of_meth st init hctx) ~this:(Some oid)
+                ~arg_nodes ~ret_node:None)
         copies
     in
     (* one origin per incoming wrapper call site known now; re-done for call
        sites discovered later via the redo closure *)
-    (match info.incoming with
+    (match caller.incoming with
     | [] -> alloc_under ~wrapper:(-1)
     | sites -> List.iter (fun ws -> alloc_under ~wrapper:ws) sites);
-    info.origin_allocs <-
-      (fun ws -> alloc_under ~wrapper:ws) :: info.origin_allocs
+    caller.origin_allocs <-
+      (fun ws -> alloc_under ~wrapper:ws) :: caller.origin_allocs
   end
 
 (* -- constraint generation ---------------------------------------------- *)
 
-let field_id st f =
-  match Hashtbl.find_opt st.field_ids f with
-  | Some i -> i
-  | None ->
-      let i = Hashtbl.length st.field_ids in
-      (* the [fld_nodes] key packs the field id into 20 bits; overflowing
-         it would silently alias unrelated field nodes *)
-      if i lsr 20 <> 0 then
-        invalid_arg "Solver.field_id: over 2^20 distinct field names";
-      Hashtbl.add st.field_ids f i;
-      i
-
 (* Field watchers fire once per (base object, access site) and every fire
-   needs the object's [NField] node; memoizing on the int pair turns the
-   repeat structural interns into one table probe. *)
-let fld_node st oid fid f =
+   needs the object's [NField] node: one single-int probe. *)
+let fld_node st oid fid =
   let key = (oid lsl 20) lor fid in
   match Inttbl.find_opt st.fld_nodes key with
   | Some n -> n
   | None ->
-      let n = Pag.node_id st.t_pag (Pag.NField (oid, f)) in
+      let n =
+        Pag.add_node st.t_pag (Pag.NField (oid, Flat.field_name st.t_flat fid))
+      in
       Inttbl.add st.fld_nodes key n;
       n
+
+let static_node st slot =
+  let id = st.static_nodes.(slot) in
+  if id >= 0 then id
+  else begin
+    let fl = st.t_flat in
+    let id =
+      Pag.add_node st.t_pag
+        (Pag.NStatic
+           ( Flat.class_name fl (Flat.static_cid fl slot),
+             Flat.field_name fl (Flat.static_fid fl slot) ))
+    in
+    st.static_nodes.(slot) <- id;
+    id
+  end
 
 (* The watcher constraints: each installs a callback on a base node that
    runs at flush time, once per object reaching the base, and may add
    edges, objects and newly reached bodies. *)
 
-let a_field_write st ~base ~src f =
+let a_field_write st ~base ~src fid =
   let g = st.t_pag in
-  let fid = field_id st f in
-  Pag.add_watcher g base (fun o ->
-      Pag.add_copy g ~src ~dst:(fld_node st o fid f))
+  Pag.add_watcher g base (fun o -> Pag.add_copy g ~src ~dst:(fld_node st o fid))
 
-let a_field_read st ~base ~dst f =
+let a_field_read st ~base ~dst fid =
   let g = st.t_pag in
-  let fid = field_id st f in
-  Pag.add_watcher g base (fun o ->
-      Pag.add_copy g ~src:(fld_node st o fid f) ~dst)
+  Pag.add_watcher g base (fun o -> Pag.add_copy g ~src:(fld_node st o fid) ~dst)
 
-let a_callv st ~recv ~site ~ctx mname ~arg_nodes ~ret_node =
-  let g = st.t_pag in
+let a_callv st ~recv ~site ~caller mname ~arg_nodes ~ret_node =
+  let g = st.t_pag and ctx = caller.i_ctx in
   Pag.add_watcher g recv (fun oid ->
       let o = Pag.obj g oid in
       match Program.dispatch st.t_program o.Pag.ob_class mname with
@@ -401,8 +420,8 @@ let a_callv st ~recv ~site ~ctx mname ~arg_nodes ~ret_node =
             Context.push_call st.t_policy ~ctx ~site ~recv_site:o.Pag.ob_site
               ~recv_hctx:o.Pag.ob_hctx
           in
-          a_bind_call st ~site ~ctx ~target ~cctx ~this:(Some oid) ~arg_nodes
-            ~ret_node)
+          a_bind_call st ~site ~caller ~callee:(inst_of_meth st target cctx)
+            ~this:(Some oid) ~arg_nodes ~ret_node)
 
 let a_start st ~recv ~site ~ctx ~in_loop =
   let g = st.t_pag and p = st.t_program in
@@ -414,8 +433,9 @@ let a_start st ~recv ~site ~ctx ~in_loop =
           | None -> ()
           | Some entry ->
               let ectx = a_entry_ctx st ~ctx ~site ~o in
-              a_reach st entry ectx;
-              Pag.add_obj g (a_nvar st entry ectx "this") oid;
+              let i = inst_of_meth st entry ectx in
+              a_reach st i;
+              Pag.add_obj g (this_node st i) oid;
               record_spawn st ~site ~entry ~ectx ~obj:oid ~kind:`Thread
                 ~in_loop ~attr_nodes:(a_origin_attrs_of st o))
       | _ -> ())
@@ -430,53 +450,35 @@ let a_post st ~recv ~site ~ctx ~arg_nodes ~in_loop =
           | None -> ()
           | Some entry ->
               let ectx = a_entry_ctx st ~ctx ~site ~o in
-              a_reach st entry ectx;
-              Pag.add_obj g (a_nvar st entry ectx "this") oid;
-              a_bind_params st entry ectx arg_nodes;
+              let i = inst_of_meth st entry ectx in
+              a_reach st i;
+              Pag.add_obj g (this_node st i) oid;
+              a_bind_params st i arg_nodes;
               record_spawn st ~site ~entry ~ectx ~obj:oid ~kind:`Event
                 ~in_loop
                 ~attr_nodes:(arg_nodes @ a_origin_attrs_of st o))
       | _ -> ())
 
-(* [add_body st task] turns one reached method instance into constraints by
+(* [add_body st i] turns one reached method instance into constraints by
    a linear scan of its flat opcode stream — no AST, no string hashing:
    name resolution (static targets, the §4.3 external-call bit, in-loop
    flags) was baked in by {!Flat.lower}. Instructions sit in AST DFS order
    with block bodies inlined, so constraints are added in the legacy
-   tree-walk's order. Within an instruction the operands are interned in
+   tree-walk's order. Within an instruction the operands are named in
    the fixed order of the [let]s below; node ids, and with them flush order
    and every counter, depend on it. *)
-let add_body st task =
+let add_body st caller =
   let g = st.t_pag in
   let fl = st.t_flat in
-  let m = task.tk_meth in
-  let ctx = task.tk_ctx in
-  let mi = Flat.meth fl (Flat.mid_of_meth fl m) in
+  let mi = caller.i_info in
+  let m = mi.Flat.f_meth in
+  let ctx = caller.i_ctx in
   let code = mi.Flat.f_code in
-  (* interned node id per variable slot, -1 until first use: a variable
-     used by many statements costs one intern probe *)
-  let var_ids = Array.make mi.Flat.f_nslots (-1) in
-  let var slot =
-    let id = var_ids.(slot) in
-    if id >= 0 then id
-    else begin
-      let id = a_nvar st m ctx mi.Flat.f_slot_name.(slot) in
-      var_ids.(slot) <- id;
-      id
-    end
-  in
+  let var slot = inst_node st caller slot in
   let args at nargs = List.init nargs (fun k -> var code.(at + k)) in
   let opt slot = if slot < 0 then None else Some (var slot) in
-  let static slot =
-    Pag.node_id g
-      (Pag.NStatic
-         ( Flat.class_name fl (Flat.static_cid fl slot),
-           Flat.field_name fl (Flat.static_fid fl slot) ))
-  in
-  let star = Flat.field_name fl fl.Flat.f_star in
-  let info =
-    Hashtbl.find st.reach_tbl (m.Program.m_class, m.Program.m_name, ctx)
-  in
+  let static = static_node st in
+  let star = fl.Flat.f_star in
   let n = Array.length code in
   let i = ref 0 in
   while !i < n do
@@ -493,20 +495,20 @@ let add_body st task =
       let nargs = code.(j + 4) in
       let arg_nodes = args (j + 5) nargs in
       let xnode = var code.(j + 2) in
-      a_new st ~site ~ctx ~info ~xnode ~c:(Flat.class_name fl code.(j + 3))
+      a_new st ~site ~caller ~xnode ~c:(Flat.class_name fl code.(j + 3))
         ~arg_nodes;
       i := j + 5 + nargs
     end
     else if op = Flat.op_fwrite then begin
       let src = var code.(j + 4) in
       let base = var code.(j + 2) in
-      a_field_write st ~base ~src (Flat.field_name fl code.(j + 3));
+      a_field_write st ~base ~src code.(j + 3);
       i := j + 5
     end
     else if op = Flat.op_fread then begin
       let dst = var code.(j + 2) in
       let base = var code.(j + 3) in
-      a_field_read st ~base ~dst (Flat.field_name fl code.(j + 4));
+      a_field_read st ~base ~dst code.(j + 4);
       i := j + 5
     end
     else if op = Flat.op_awrite then begin
@@ -552,7 +554,7 @@ let add_body st task =
       let arg_nodes = args (j + 7) nargs in
       let ret_node = opt ret in
       let recv = var code.(j + 3) in
-      a_callv st ~recv ~site ~ctx
+      a_callv st ~recv ~site ~caller
         (Flat.name_str fl code.(j + 4))
         ~arg_nodes ~ret_node;
       i := j + 7 + nargs
@@ -560,12 +562,12 @@ let add_body st task =
     else if op = Flat.op_calls then begin
       let nargs = code.(j + 4) in
       (if code.(j + 3) >= 0 then
-         let target = (Flat.meth fl code.(j + 3)).Flat.f_meth in
          let cctx = Context.push_call_static st.t_policy ~ctx ~site in
          let ret_node = opt code.(j + 2) in
          let arg_nodes = args (j + 5) nargs in
-         a_bind_call st ~site ~ctx ~target ~cctx ~this:None ~arg_nodes
-           ~ret_node);
+         a_bind_call st ~site ~caller
+           ~callee:(inst_of st (Flat.meth fl code.(j + 3)) cctx)
+           ~this:None ~arg_nodes ~ret_node);
       i := j + 5 + nargs
     end
     else if op = Flat.op_start then begin
@@ -597,7 +599,7 @@ let add_body st task =
     else if op = Flat.op_while then i := j + 3
     else if op = Flat.op_return then begin
       if code.(j + 2) >= 0 then begin
-        let dst = a_nret st m ctx in
+        let dst = return_node st caller in
         let src = var code.(j + 2) in
         Pag.add_copy g ~src ~dst
       end;
@@ -608,75 +610,35 @@ let add_body st task =
 
 (* -- instance call graph ------------------------------------------------ *)
 
-(* One DFS from the spawn entries over the solved call edges, interning
-   (mid, ctx) instances and resolving every slot's points-to set up front.
-   Unsolved slots share one (read-only) empty set — the same answer the
-   walkers used to get from interning the node lazily. *)
-let build_icg fl pag
-    (call_edges :
-      (int * Context.t, (Program.meth * Context.t) list ref) Hashtbl.t)
-    (spawns : spawn array) =
+(* A projection of the instance table: iids are the solver's instance
+   ids, callee arrays its call edges. Slots the solve never used share one
+   (read-only) empty set. *)
+let build_icg st (spawns : spawn array) =
   let empty_pts = Bitset.create () in
-  let nsids = Array.length fl.Flat.f_pos in
-  let intern : (int * Context.t, int) Hashtbl.t = Hashtbl.create 256 in
-  let mids = ref [] and ptss = ref [] and count = ref 0 in
-  let callees_tbl : (int, int array) Hashtbl.t = Hashtbl.create 256 in
-  let rec visit (mt : Program.meth) ctx =
-    let mid = Flat.mid_of_meth fl mt in
-    let key = (mid, ctx) in
-    match Hashtbl.find_opt intern key with
-    | Some iid -> iid
-    | None ->
-        let iid = !count in
-        incr count;
-        Hashtbl.add intern key iid;
-        let mi = fl.Flat.f_meths.(mid) in
-        let pts =
-          Array.init mi.Flat.f_nslots (fun s ->
-              let n =
-                Pag.NVar
-                  ( mt.Program.m_class,
-                    mt.Program.m_name,
-                    mi.Flat.f_slot_name.(s),
-                    ctx )
-              in
-              match Pag.find_node pag n with
-              | Some id -> Pag.pts pag id
-              | None -> empty_pts)
-        in
-        mids := mid :: !mids;
-        ptss := pts :: !ptss;
-        let code = mi.Flat.f_code in
-        let len = Array.length code in
-        let i = ref 0 in
-        while !i < len do
-          let j = !i in
-          let op = code.(j) in
-          (if op = Flat.op_new || op = Flat.op_callv || op = Flat.op_calls
-           then
-             let sid = code.(j + 1) in
-             match Hashtbl.find_opt call_edges (sid, ctx) with
-             | Some l ->
-                 let arr =
-                   Array.of_list
-                     (List.map (fun (cm, cctx) -> visit cm cctx) !l)
-                 in
-                 Hashtbl.replace callees_tbl ((iid * nsids) + sid) arr
-             | None -> ());
-          i := j + Flat.width code j
-        done;
-        iid
-  in
-  let entries =
-    Array.map (fun sp -> visit sp.sp_entry sp.sp_ectx) spawns
-  in
+  let pag = st.t_pag in
+  let callees = Hashtbl.create (Inttbl.length st.call_edges) in
+  Inttbl.iter
+    (fun sk l ->
+      Hashtbl.replace callees sk
+        (Array.of_list (List.map (fun c -> c.i_id) !l)))
+    st.call_edges;
+  let insts = st.inst_arr in
   {
-    ic_n = !count;
-    ic_mid = Array.of_list (List.rev !mids);
-    ic_pts = Array.of_list (List.rev !ptss);
-    ic_callees = callees_tbl;
-    ic_entry = entries;
-    ic_nsids = nsids;
+    ic_n = Array.length insts;
+    ic_mid = Array.map (fun i -> i.i_info.Flat.f_mid) insts;
+    ic_pts =
+      Array.map
+        (fun i ->
+          Array.init i.i_info.Flat.f_nslots (fun s ->
+              let id = i.i_nodes.(s) in
+              if id < 0 then empty_pts else Pag.pts pag id))
+        insts;
+    ic_callees = callees;
+    ic_entry =
+      Array.map
+        (fun sp -> (inst_of_meth st sp.sp_entry sp.sp_ectx).i_id)
+        spawns;
+    ic_nsids = st.n_sids;
   }
 
 (* -- self-parallelism ----------------------------------------------------- *)
@@ -801,15 +763,21 @@ let analyze ?(policy = Context.Korigin 1) ?(jobs = 1) ?metrics ?budget program
   in
   let pag = Pag.create () in
   let fl = Metrics.time m "pta.lower" (fun () -> Flat.lower program) in
+  (* the [fld_nodes] key packs the field id into 20 bits *)
+  if Flat.n_fields fl lsr 20 <> 0 then
+    invalid_arg "Solver.analyze: over 2^20 distinct field names";
   let st =
     {
       t_program = program;
       t_flat = fl;
       t_policy = policy;
       t_pag = pag;
-      reach_tbl = Hashtbl.create 256;
-      call_edges = Hashtbl.create 256;
-      call_edge_keys = Hashtbl.create 256;
+      insts = Hashtbl.create 256;
+      inst_arr = [||];
+      n_sids = Array.length fl.Flat.f_pos;
+      incoming_seen = Inttbl.create 256;
+      call_edges = Inttbl.create 256;
+      call_edge_keys = Inttbl.create 256;
       n_call_edges = 0;
       spawn_list = [];
       spawn_keys = Hashtbl.create 64;
@@ -817,8 +785,8 @@ let analyze ?(policy = Context.Korigin 1) ?(jobs = 1) ?metrics ?budget program
       origin_reg = OriginIntern.create ();
       origin_attr_nodes = Hashtbl.create 64;
       origin_attr_seen = Hashtbl.create 64;
-      field_ids = Hashtbl.create 64;
       fld_nodes = Inttbl.create 1024;
+      static_nodes = Array.make (Flat.n_statics fl) (-1);
       pending = [];
     }
   in
@@ -829,7 +797,7 @@ let analyze ?(policy = Context.Korigin 1) ?(jobs = 1) ?metrics ?budget program
   let ectx = Context.entry policy in
   let n_rounds = ref 0 and n_tasks = ref 0 in
   Metrics.span m "pta.solve" (fun () ->
-      a_reach st main ectx;
+      a_reach st (inst_of_meth st main ectx);
       let last_edges = ref 0 in
       let scc_threshold = ref 1024 in
       let quiescent = ref false in
@@ -872,7 +840,7 @@ let analyze ?(policy = Context.Korigin 1) ?(jobs = 1) ?metrics ?budget program
   Metrics.set m "pta.pointers" (Pag.n_nodes pag);
   Metrics.set m "pta.objects" (Pag.n_objs pag);
   Metrics.set m "pta.edges" (Pag.n_edges pag);
-  Metrics.set m "pta.reached_methods" (Hashtbl.length st.reach_tbl);
+  Metrics.set m "pta.reached_methods" (Hashtbl.length st.insts);
   Metrics.set m "pta.call_edges" st.n_call_edges;
   Metrics.set m "pta.worklist_iters" (Pag.n_worklist_iters pag);
   Metrics.set m "pta.worklist_pushes" (Pag.n_worklist_pushes pag);
@@ -890,7 +858,9 @@ let analyze ?(policy = Context.Korigin 1) ?(jobs = 1) ?metrics ?budget program
     | _ -> max 0 (Array.length spawn_arr - 1));
   let icg, self_par =
     Metrics.time m "pta.icg" (fun () ->
-        let icg = build_icg fl pag st.call_edges spawn_arr in
+        st.inst_arr <- Array.of_seq (Hashtbl.to_seq_values st.insts);
+        Array.sort (fun a b -> Int.compare a.i_id b.i_id) st.inst_arr;
+        let icg = build_icg st spawn_arr in
         (icg, self_parallelism policy program fl pag icg spawn_arr))
   in
   {
@@ -908,15 +878,32 @@ let analyze ?(policy = Context.Korigin 1) ?(jobs = 1) ?metrics ?budget program
 
 (* -- queries over a result ---------------------------------------------- *)
 
-let pts_var r (m : Program.meth) ctx v =
-  Pag.pts r.pag
-    (Pag.node_id r.pag
-       (Pag.NVar (m.Program.m_class, m.Program.m_name, v, ctx)))
+let find_inst r (m : Program.meth) ctx =
+  match Flat.mid r.flat m.Program.m_class m.Program.m_name with
+  | None -> None
+  | Some mid -> Hashtbl.find_opt r.tables.insts (mid, ctx)
+
+let pts_var r m ctx v =
+  let node =
+    match find_inst r m ctx with
+    | None -> -1
+    | Some i -> (
+        match Array.find_index (String.equal v) i.i_info.Flat.f_slot_name with
+        | Some s -> i.i_nodes.(s)
+        | None -> -1)
+  in
+  if node < 0 then Bitset.create () else Pag.pts r.pag node
 
 let callees r ~site ~ctx =
-  match Hashtbl.find_opt r.tables.call_edges (site, ctx) with
-  | Some l -> !l
-  | None -> []
+  if site < 0 || site >= r.tables.n_sids then []
+  else
+    match find_inst r (snd (Program.stmt r.program site)) ctx with
+    | None -> []
+    | Some i -> (
+        let sk = site_key r.tables i site in
+        match Inttbl.find_opt r.tables.call_edges sk with
+        | Some l -> List.map (fun c -> (c.i_info.Flat.f_meth, c.i_ctx)) !l
+        | None -> [])
 
 let origins r =
   Array.init (OriginIntern.count r.tables.origin_reg) (fun i ->
@@ -930,21 +917,10 @@ let origin_attrs r og =
       |> List.sort_uniq compare
 
 let reached r =
-  Hashtbl.fold
-    (fun (c, mn, ctx) info acc ->
-      if not info.processed then acc
-      else
-        match Program.find_class r.program c with
-        | Some _ -> (
-            match
-              List.find_opt
-                (fun (m : Program.meth) -> m.Program.m_name = mn)
-                (Program.methods_of r.program c)
-            with
-            | Some m -> (m, ctx) :: acc
-            | None -> acc)
-        | None -> acc)
-    r.tables.reach_tbl []
+  Array.fold_right
+    (fun i acc ->
+      if i.processed then (i.i_info.Flat.f_meth, i.i_ctx) :: acc else acc)
+    r.tables.inst_arr []
 
 let self_parallel r sp_id =
   sp_id >= 0 && sp_id < Array.length r.self_par && r.self_par.(sp_id)
@@ -1103,10 +1079,16 @@ let fingerprint r =
                (if sp.sp_obj < 0 then None else Some (Pag.obj r.pag sp.sp_obj)),
                sp.sp_in_loop )))
     ~call_edges:
-      (Hashtbl.fold
-         (fun (site, ctx) l acc ->
+      (Inttbl.fold
+         (fun sk l acc ->
+           let caller = r.tables.inst_arr.(sk / r.tables.n_sids) in
            List.fold_left
-             (fun acc (target, cctx) -> (site, ctx, target, cctx) :: acc)
+             (fun acc c ->
+               ( sk mod r.tables.n_sids,
+                 caller.i_ctx,
+                 c.i_info.Flat.f_meth,
+                 c.i_ctx )
+               :: acc)
              acc !l)
          r.tables.call_edges [])
     ~joins:

@@ -61,8 +61,9 @@ type join = {
 type tables
 
 (** The instance call graph: the solved context-sensitive call graph
-    re-keyed on dense ints, built once per solve. Each reachable
-    (method, context) instance carries an instance id ([iid]); the arrays
+    re-keyed on dense ints, projected once per solve from the solver's
+    instance table. Each reached (method, context) instance carries the
+    instance id ([iid]) the solve gave it; the arrays
     give the flat method id, the solved points-to set of every variable
     slot, and (via [ic_callees], keyed [iid * ic_nsids + sid]) the callee
     instances of every call site, in {!callees} order. The flat SHB/OSA
@@ -73,7 +74,7 @@ type icg = {
   ic_mid : int array;  (** iid -> flat method id *)
   ic_pts : O2_util.Bitset.t array array;
       (** iid -> slot -> solved points-to (shared read-only empty set for
-          slots the solve never interned) *)
+          slots the solve never used) *)
   ic_callees : (int, int array) Hashtbl.t;
       (** [iid * ic_nsids + call sid] -> callee iids *)
   ic_entry : int array;  (** spawn id -> entry instance *)
@@ -133,7 +134,8 @@ val analyze :
   result
 
 (** [pts_var r m ctx v] is the points-to set of local [v] of method [m]
-    under context [ctx] (empty if never seen). *)
+    under context [ctx] (empty if never seen). Read-only: it looks the
+    variable up in the solved instance table and never adds a node. *)
 val pts_var :
   result -> Program.meth -> Context.t -> Types.vname -> O2_util.Bitset.t
 

@@ -1,42 +1,66 @@
-(* [top] is a cached upper bound on content: every nonzero word index is
-   < [top], and [top] <= capacity. Mutators maintain it monotonically;
-   [top_word] trims it back to the exact bound. It exists so the hot
-   worklist operations of the PTA solver scan live content, never
-   capacity — capacities track the highest id ever seen while deltas are
-   usually near-singletons. *)
-type t = { mutable words : int array; mutable top : int }
+(* A set is a window of words: [words.(k)] holds absolute word [base + k],
+   and no element lies outside the window. Points-to sets are mostly
+   near-singletons over ids that grow with the program, so a set whose
+   only element is object 3 000 holds one word, not the 47 of a
+   zero-based array, and every operation scans the window, not the
+   prefix below it.
+
+   [top] is a cached upper bound on content: every nonzero word index is
+   < [top], and [top] <= [base + Array.length words]. Mutators maintain it
+   monotonically; [top_word] trims it back to the exact bound (0 when the
+   set is empty). It exists so the hot worklist operations of the PTA
+   solver scan live content, never capacity. *)
+type t = { mutable words : int array; mutable base : int; mutable top : int }
 
 let word_bits = Sys.int_size
 
 (* Freshly created sets own a shared zero-length array until the first
-   [ensure]: the PAG allocates pts/delta/pending sets for every interned
+   [ensure]: the PAG allocates pts/delta/pending sets for every
    node up front, and most never grow past empty. *)
 let empty_words : int array = [||]
 
-let create () = { words = empty_words; top = 0 }
+let create () = { words = empty_words; base = 0; top = 0 }
 
-let ensure s i =
-  let w = i / word_bits in
-  let n = Array.length s.words in
-  if w >= n then begin
-    let n' = ref (max 4 n) in
-    while w >= !n' do
-      n' := !n' * 2
-    done;
-    let a = Array.make !n' 0 in
-    Array.blit s.words 0 a 0 n;
-    s.words <- a
+(* the word at absolute index [w], 0 outside the window *)
+let get s w =
+  let k = w - s.base in
+  if k >= 0 && k < Array.length s.words then s.words.(k) else 0
+
+(* Widen the window to cover absolute words [lo, hi) (lo < hi). A first
+   window is exact; a growing one at least doubles, the spare words on
+   the side that grew, so a set filled in either direction reallocates
+   O(log n) times. *)
+let ensure s lo hi =
+  let n = Array.length s.words and b = s.base in
+  if n = 0 then begin
+    s.words <- Array.make (hi - lo) 0;
+    s.base <- lo
+  end
+  else if lo < b || hi > b + n then begin
+    let need_lo = min lo b and need_hi = max hi (b + n) in
+    let cap = max (need_hi - need_lo) (2 * n) in
+    let nb, len =
+      if lo < b then
+        let nb = max 0 (need_hi - cap) in
+        (nb, need_hi - nb)
+      else (need_lo, cap)
+    in
+    let a = Array.make len 0 in
+    Array.blit s.words 0 a (b - nb) n;
+    s.words <- a;
+    s.base <- nb
   end
 
 let add s i =
   if i < 0 then invalid_arg "Bitset.add: negative";
-  ensure s i;
   let w = i / word_bits and b = i mod word_bits in
-  let old = s.words.(w) in
+  ensure s w (w + 1);
+  let k = w - s.base in
+  let old = s.words.(k) in
   let nw = old lor (1 lsl b) in
   if nw = old then false
   else begin
-    s.words.(w) <- nw;
+    s.words.(k) <- nw;
     if w >= s.top then s.top <- w + 1;
     true
   end
@@ -46,37 +70,46 @@ let singleton i =
   ignore (add s i);
   s
 
-let copy s = { words = Array.copy s.words; top = s.top }
+let copy s = { words = Array.copy s.words; base = s.base; top = s.top }
 
 let mem s i =
-  if i < 0 then false
-  else
-    let w = i / word_bits in
-    w < Array.length s.words && s.words.(w) land (1 lsl (i mod word_bits)) <> 0
+  i >= 0 && get s (i / word_bits) land (1 lsl (i mod word_bits)) <> 0
 
-(* Index just past the last nonzero word. Starts from the cached [top] and
-   trims it, so repeated calls on a stable set are O(1). *)
+(* Index just past the last nonzero word, 0 for the empty set. Starts from
+   the cached [top] and trims it, so repeated calls on a stable set are
+   O(1). *)
 let top_word s =
   let i = ref s.top in
-  while !i > 0 && s.words.(!i - 1) = 0 do
+  while !i > s.base && s.words.(!i - 1 - s.base) = 0 do
     decr i
   done;
+  if !i <= s.base then i := 0;
   s.top <- !i;
+  !i
+
+(* the first nonzero word of a set whose [top_word] is [hi] > 0 *)
+let low_word s hi =
+  let i = ref s.base in
+  while !i < hi && s.words.(!i - s.base) = 0 do
+    incr i
+  done;
   !i
 
 let union_into ~into src =
   let hi = top_word src in
   if hi = 0 then false
   else begin
-    ensure into ((hi * word_bits) - 1);
+    let lo = low_word src hi in
+    ensure into lo hi;
     let changed = ref false in
-    for w = 0 to hi - 1 do
-      let sw = src.words.(w) in
+    for w = lo to hi - 1 do
+      let sw = src.words.(w - src.base) in
       if sw <> 0 then begin
-        let old = into.words.(w) in
+        let k = w - into.base in
+        let old = into.words.(k) in
         let nw = old lor sw in
         if nw <> old then begin
-          into.words.(w) <- nw;
+          into.words.(k) <- nw;
           changed := true
         end
       end
@@ -90,21 +123,24 @@ let union_into ~into src =
    bits and skips the rest. *)
 let union_span_into ~into src ~lo ~hi =
   if hi > lo then begin
-    ensure into ((hi * word_bits) - 1);
+    ensure into lo hi;
     for w = lo to hi - 1 do
-      let sw = src.words.(w) in
-      if sw <> 0 then into.words.(w) <- into.words.(w) lor sw
+      let sw = get src w in
+      if sw <> 0 then begin
+        let k = w - into.base in
+        into.words.(k) <- into.words.(k) lor sw
+      end
     done;
     if hi > into.top then into.top <- hi
   end
 
 let inter_into ~into src =
   let hi = top_word into in
-  let ns = Array.length src.words in
-  for w = 0 to hi - 1 do
-    let sw = if w < ns then src.words.(w) else 0 in
-    let old = into.words.(w) in
-    if old land lnot sw <> 0 then into.words.(w) <- old land sw
+  for w = into.base to hi - 1 do
+    let k = w - into.base in
+    let old = into.words.(k) in
+    let sw = get src w in
+    if old land lnot sw <> 0 then into.words.(k) <- old land sw
   done
 
 let iter_word f w base =
@@ -115,8 +151,8 @@ let iter_word f w base =
 
 let iter f s =
   let hi = top_word s in
-  for wi = 0 to hi - 1 do
-    iter_word f s.words.(wi) (wi * word_bits)
+  for w = s.base to hi - 1 do
+    iter_word f s.words.(w - s.base) (w * word_bits)
   done
 
 let fold f s acc =
@@ -129,9 +165,9 @@ let elements s = List.rev (fold (fun i l -> i :: l) s [])
 let diff_new ~from ~minus =
   let out = ref [] in
   Array.iteri
-    (fun wi w ->
-      let mw = if wi < Array.length minus.words then minus.words.(wi) else 0 in
-      let d = w land lnot mw in
+    (fun k w ->
+      let wi = from.base + k in
+      let d = w land lnot (get minus wi) in
       iter_word (fun i -> out := i :: !out) d (wi * word_bits))
     from.words;
   List.rev !out
@@ -148,8 +184,8 @@ let cardinal s = Array.fold_left (fun acc w -> acc + popcount w) 0 s.words
 
 let cardinal_span s ~lo ~hi =
   let acc = ref 0 in
-  for w = lo to min hi (Array.length s.words) - 1 do
-    acc := !acc + popcount s.words.(w)
+  for w = max lo s.base to min hi (s.base + Array.length s.words) - 1 do
+    acc := !acc + popcount s.words.(w - s.base)
   done;
   !acc
 
@@ -162,17 +198,18 @@ let exists p s =
   with Exit -> true
 
 let inter_nonempty a b =
-  let n = min (Array.length a.words) (Array.length b.words) in
-  let rec go i = i < n && (a.words.(i) land b.words.(i) <> 0 || go (i + 1)) in
-  go 0
+  let lo = max a.base b.base
+  and hi = min (a.base + Array.length a.words) (b.base + Array.length b.words) in
+  let rec go w =
+    w < hi
+    && (a.words.(w - a.base) land b.words.(w - b.base) <> 0 || go (w + 1))
+  in
+  go lo
 
 let subset a b =
-  let nb = Array.length b.words in
   let ok = ref true in
   Array.iteri
-    (fun wi w ->
-      let bw = if wi < nb then b.words.(wi) else 0 in
-      if w land lnot bw <> 0 then ok := false)
+    (fun k w -> if w land lnot (get b (a.base + k)) <> 0 then ok := false)
     a.words;
   !ok
 
@@ -192,29 +229,27 @@ let take_fresh_span ~scratch ~pts ~delta =
   let nd = top_word delta in
   if nd = 0 then (0, 0)
   else begin
-    ensure pts ((nd * word_bits) - 1);
-    ensure scratch ((nd * word_bits) - 1);
-    (* first nonzero delta word: writes below are bounded by the delta's
-       nonzero span, so a lone high id costs one word, not a prefix scan *)
-    let first = ref 0 in
-    while delta.words.(!first) = 0 do
-      incr first
-    done;
+    (* writes are bounded by the delta's nonzero span, so a lone high id
+       costs one word *)
+    let first = low_word delta nd in
+    ensure pts first nd;
+    ensure scratch first nd;
     let lo = ref nd and hi = ref 0 in
-    for w = !first to nd - 1 do
-      let dw = delta.words.(w) in
+    for w = first to nd - 1 do
+      let kd = w - delta.base and kp = w - pts.base in
+      let dw = delta.words.(kd) in
       let f =
         if dw = 0 then 0
         else begin
-          delta.words.(w) <- 0;
-          dw land lnot pts.words.(w)
+          delta.words.(kd) <- 0;
+          dw land lnot pts.words.(kp)
         end
       in
-      scratch.words.(w) <- f;
+      scratch.words.(w - scratch.base) <- f;
       if f <> 0 then begin
         if w < !lo then lo := w;
         hi := w + 1;
-        pts.words.(w) <- pts.words.(w) lor f
+        pts.words.(kp) <- pts.words.(kp) lor f
       end
     done;
     delta.top <- 0;
@@ -226,34 +261,11 @@ let take_fresh_span ~scratch ~pts ~delta =
     end
   end
 
+(* a fresh scratch has no stale words: its window is exactly the span *)
 let take_fresh ~pts ~delta =
-  let nd = Array.length delta.words in
-  if nd = 0 then None
-  else begin
-    ensure pts (max 0 ((nd * word_bits) - 1));
-    let fresh = Array.make nd 0 in
-    let any = ref false in
-    let hi = ref 0 in
-    for w = 0 to nd - 1 do
-      let dw = delta.words.(w) in
-      if dw <> 0 then begin
-        let f = dw land lnot pts.words.(w) in
-        if f <> 0 then begin
-          any := true;
-          fresh.(w) <- f;
-          hi := w + 1;
-          pts.words.(w) <- pts.words.(w) lor f
-        end;
-        delta.words.(w) <- 0
-      end
-    done;
-    delta.top <- 0;
-    if !any then begin
-      if !hi > pts.top then pts.top <- !hi;
-      Some { words = fresh; top = !hi }
-    end
-    else None
-  end
+  let fresh = create () in
+  let _, hi = take_fresh_span ~scratch:fresh ~pts ~delta in
+  if hi = 0 then None else Some fresh
 
 let pp ppf s =
   Format.fprintf ppf "{%a}"

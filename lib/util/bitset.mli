@@ -1,9 +1,12 @@
-(** Growable dense bitsets over non-negative integers.
+(** Growable bitsets over non-negative integers.
 
     Points-to sets in the pointer-analysis solver are sets of interned
     [⟨alloc-site, heap-context⟩] identifiers; this module provides the compact
     mutable representation used for them, supporting the difference
-    propagation the worklist solver performs. *)
+    propagation the worklist solver performs. A set stores only the window
+    of words between its lowest and highest element (plus growth room), so
+    a near-singleton over a large id costs a word or two, and operations
+    scan the window rather than every word below it. *)
 
 type t
 

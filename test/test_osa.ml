@@ -288,6 +288,70 @@ let test_self_parallel_writer () =
       check_bool "Data not origin-local" false
         (List.mem oid (O2_osa.Osa.origin_local_objects osa w.sp_id))
 
+(* [origin_local_objects] against its definition, checked by brute
+   force: an object the origin accesses through some field, none of whose
+   locations is accessed by another origin or by a self-parallel one *)
+let test_origin_local_oracle () =
+  List.iter
+    (fun (name, policy) ->
+      let p = O2_workloads.Synth.program (O2_workloads.Synth.find name) in
+      let a, osa = run_osa ~policy p in
+      let fl = a.Solver.flat in
+      let locs =
+        List.concat_map
+          (fun oid ->
+            List.filter_map
+              (fun fid ->
+                let f = O2_ir.Flat.field_name fl fid in
+                O2_osa.Osa.sharing_of osa (Access.Tfield (oid, f))
+                |> Option.map (fun sh -> (oid, sh)))
+              (List.init (O2_ir.Flat.n_fields fl) Fun.id))
+          (List.init (Pag.n_objs a.Solver.pag) Fun.id)
+      in
+      let n_local = ref 0 in
+      let by_oid = Hashtbl.create 64 in
+      List.iter (fun (oid, sh) -> Hashtbl.add by_oid oid sh) locs;
+      Array.iter
+        (fun (sp : Solver.spawn) ->
+          let origin = Solver.origin_of_spawn a sp in
+          let accessors (sh : O2_osa.Osa.sharing) =
+            sh.sh_readers @ sh.sh_writers
+          in
+          let touched =
+            List.filter_map
+              (fun (oid, sh) ->
+                if List.mem origin (accessors sh) then Some oid else None)
+              locs
+            |> List.sort_uniq compare
+          in
+          let expected =
+            List.filter
+              (fun oid ->
+                not
+                  (List.exists
+                     (fun (sh : O2_osa.Osa.sharing) ->
+                       sh.sh_self_par
+                       || List.exists (fun og -> og <> origin) (accessors sh))
+                     (Hashtbl.find_all by_oid oid)))
+              touched
+          in
+          n_local := !n_local + List.length expected;
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s/%s spawn %d" name (Context.policy_name policy)
+               sp.sp_id)
+            expected
+            (O2_osa.Osa.origin_local_objects osa sp.sp_id))
+        a.Solver.spawns;
+      (* 0-ctx merges the per-origin objects these specs allocate *)
+      if policy <> Context.Insensitive then
+        check_bool (name ^ ": some object is origin-local") true (!n_local > 0))
+    [
+      ("zookeeper", Context.Korigin 1);
+      ("zookeeper", Context.Insensitive);
+      ("hbase", Context.Korigin 1);
+      ("hbase", Context.Insensitive);
+    ]
+
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -319,6 +383,8 @@ let () =
             test_self_parallel_writer;
           Alcotest.test_case "origin-local report" `Quick
             test_origin_local_report;
+          Alcotest.test_case "origin-local oracle" `Quick
+            test_origin_local_oracle;
           Alcotest.test_case "pp output" `Quick test_pp_output;
         ] );
     ]

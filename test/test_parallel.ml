@@ -52,10 +52,10 @@ let mkobj g site = Pag.obj_id g { Pag.ob_site = site; ob_class = "O"; ob_hctx = 
 
 let test_scc_collapse () =
   let g = Pag.create () in
-  let a = Pag.node_id g (nvar "a") in
-  let b = Pag.node_id g (nvar "b") in
-  let c = Pag.node_id g (nvar "c") in
-  let d = Pag.node_id g (nvar "d") in
+  let a = Pag.add_node g (nvar "a") in
+  let b = Pag.add_node g (nvar "b") in
+  let c = Pag.add_node g (nvar "c") in
+  let d = Pag.add_node g (nvar "d") in
   (* a -> b -> c -> a cycle, with an exit edge c -> d *)
   Pag.add_copy g ~src:a ~dst:b;
   Pag.add_copy g ~src:b ~dst:c;
@@ -85,8 +85,8 @@ let test_scc_collapse () =
 
 let test_scc_watched_excluded () =
   let g = Pag.create () in
-  let a = Pag.node_id g (nvar "a") in
-  let b = Pag.node_id g (nvar "b") in
+  let a = Pag.add_node g (nvar "a") in
+  let b = Pag.add_node g (nvar "b") in
   Pag.add_copy g ~src:a ~dst:b;
   Pag.add_copy g ~src:b ~dst:a;
   let fired = ref [] in
@@ -106,9 +106,9 @@ let test_scc_watched_excluded () =
    or facts silently vanish downstream of the collapsed class *)
 let test_scc_collapse_inflight_delta () =
   let g = Pag.create () in
-  let a = Pag.node_id g (nvar "a") in
-  let b = Pag.node_id g (nvar "b") in
-  let d = Pag.node_id g (nvar "d") in
+  let a = Pag.add_node g (nvar "a") in
+  let b = Pag.add_node g (nvar "b") in
+  let d = Pag.add_node g (nvar "d") in
   Pag.add_copy g ~src:a ~dst:b;
   Pag.add_copy g ~src:a ~dst:d;
   let o = mkobj g 1 in
@@ -133,10 +133,10 @@ let test_scc_collapse_inflight_delta () =
    must track the live canonical count *)
 let test_scc_edges_canonicalized () =
   let g = Pag.create () in
-  let a = Pag.node_id g (nvar "a") in
-  let b = Pag.node_id g (nvar "b") in
-  let c = Pag.node_id g (nvar "c") in
-  let d = Pag.node_id g (nvar "d") in
+  let a = Pag.add_node g (nvar "a") in
+  let b = Pag.add_node g (nvar "b") in
+  let c = Pag.add_node g (nvar "c") in
+  let d = Pag.add_node g (nvar "d") in
   Pag.add_copy g ~src:a ~dst:b;
   Pag.add_copy g ~src:b ~dst:c;
   Pag.add_copy g ~src:c ~dst:a;

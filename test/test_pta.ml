@@ -570,6 +570,38 @@ let test_budget_boundary () =
            ~budget:(O2_util.Budget.make ~max_steps:(n - 1) ())
            p))
 
+(* Nodes are not hash-consed: the solver names each one once (instance
+   slots, the field and static memos). Nothing in the graph would catch a
+   second id for one node value, so check it: no value under two ids, and
+   [pta.pointers] counts distinct values. *)
+let test_node_uniqueness () =
+  let specs =
+    O2_workloads.Synth.(dacapo @ android @ distributed @ capps @ stress)
+  in
+  List.iter
+    (fun (spec : O2_workloads.Synth.spec) ->
+      let p = O2_workloads.Synth.program spec in
+      List.iter
+        (fun policy ->
+          let a = analyze ~policy p in
+          let label =
+            Printf.sprintf "%s/%s" spec.s_name (Context.policy_name policy)
+          in
+          let seen = Hashtbl.create 4096 in
+          Pag.iter_nodes
+            (fun id n _ ->
+              (match Hashtbl.find_opt seen n with
+              | Some first ->
+                  Alcotest.failf "%s: nodes %d and %d carry one value" label
+                    first id
+              | None -> ());
+              Hashtbl.add seen n id)
+            a.Solver.pag;
+          check_int (label ^ " pointers = distinct nodes") (Hashtbl.length seen)
+            (O2_util.Metrics.get a.Solver.stats "pta.pointers"))
+        Context.[ Insensitive; Kcfa 2; Kobj 2; Korigin 1 ])
+    specs
+
 let () =
   Alcotest.run "pta"
     [
@@ -612,6 +644,7 @@ let () =
           Alcotest.test_case "joins recorded" `Quick test_joins_recorded;
           Alcotest.test_case "budget step boundary" `Quick
             test_budget_boundary;
+          Alcotest.test_case "node uniqueness" `Quick test_node_uniqueness;
         ] );
       ( "properties",
         [

@@ -45,8 +45,12 @@ let test_points_to () =
   let oi = List.hd objs in
   Alcotest.(check string) "class" "Data" oi.Query.oi_class;
   check_bool "has a real site" true (oi.Query.oi_site >= 0);
+  (* queries read the solved instance table: asking for a variable no
+     instance has must not add a node to the solved graph *)
+  let nodes = Pag.n_nodes a.Solver.pag in
   check_int "unknown var empty" 0
-    (List.length (Query.points_to a ~cls:"W" ~meth:"run" ~var:"ghost"))
+    (List.length (Query.points_to a ~cls:"W" ~meth:"run" ~var:"ghost"));
+  check_int "query adds no node" nodes (Pag.n_nodes a.Solver.pag)
 
 let test_points_to_origin_split () =
   let a = analyze () in

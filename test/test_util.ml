@@ -102,6 +102,96 @@ let prop_bitset_diff =
       Bitset.diff_new ~from:a ~minus:b
       = List.filter (fun x -> not (List.mem x ys)) (List.sort_uniq compare xs))
 
+(* qcheck: interleaved operations on three sets against a list-set model.
+   Ids arrive in any order over a wide range, so windows grow down as
+   well as up, and the operands' windows overlap partly or not at all. *)
+type bitset_op =
+  | Add of int * int
+  | Union of int * int
+  | Inter of int * int
+  | Take of int * int  (* delta [snd] commits into pts [fst] *)
+  | Clear of int
+
+let prop_bitset_ops_model =
+  let open QCheck2.Gen in
+  let set = int_bound 2 in
+  let op =
+    oneof
+      [
+        map2 (fun s i -> Add (s, i)) set (int_bound 3000);
+        map2 (fun s i -> Add (s, i)) set (int_bound 200);
+        map2 (fun a b -> Union (a, b)) set set;
+        map2 (fun a b -> Inter (a, b)) set set;
+        map2 (fun a b -> Take (a, b)) set set;
+        map (fun a -> Clear a) set;
+      ]
+  in
+  QCheck2.Test.make ~name:"bitset operations agree with list-set model"
+    ~count:500
+    (list_size (int_bound 80) op)
+    (fun ops ->
+      let sets = Array.init 3 (fun _ -> Bitset.create ()) in
+      let model = Array.make 3 [] in
+      let scratch = Bitset.create () and taken = Bitset.create () in
+      let taken_m = ref [] and ok = ref true in
+      let expect b = if not b then ok := false in
+      let norm l = List.sort_uniq compare l in
+      List.iter
+        (function
+          | Add (s, i) ->
+              expect (Bitset.add sets.(s) i = not (List.mem i model.(s)));
+              model.(s) <- norm (i :: model.(s))
+          | Union (a, b) ->
+              let u = norm (model.(a) @ model.(b)) in
+              expect (Bitset.union_into ~into:sets.(a) sets.(b) = (u <> model.(a)));
+              model.(a) <- u
+          | Inter (a, b) ->
+              Bitset.inter_into ~into:sets.(a) sets.(b);
+              model.(a) <- List.filter (fun x -> List.mem x model.(b)) model.(a)
+          | Take (p, d) when p <> d ->
+              let lo, hi =
+                Bitset.take_fresh_span ~scratch ~pts:sets.(p) ~delta:sets.(d)
+              in
+              Bitset.union_span_into ~into:taken scratch ~lo ~hi;
+              let fresh =
+                List.filter (fun x -> not (List.mem x model.(p))) model.(d)
+              in
+              expect (Bitset.cardinal_span scratch ~lo ~hi = List.length fresh);
+              taken_m := norm (fresh @ !taken_m);
+              model.(p) <- norm (model.(p) @ model.(d));
+              model.(d) <- []
+          | Take _ -> ()
+          | Clear a ->
+              Bitset.clear sets.(a);
+              model.(a) <- [])
+        ops;
+      expect (Bitset.elements taken = !taken_m);
+      Array.iteri
+        (fun a s ->
+          let m = model.(a) in
+          expect (Bitset.elements s = m);
+          expect (Bitset.cardinal s = List.length m);
+          expect (Bitset.is_empty s = (m = []));
+          expect (List.for_all (Bitset.mem s) m);
+          expect (Bitset.elements (Bitset.copy s) = m);
+          List.iter
+            (fun i -> expect (Bitset.mem s i = List.mem i m))
+            [ 0; 63; 64; 199; 200; 2999; 3000; 100_000 ];
+          Array.iteri
+            (fun b t ->
+              let n = model.(b) in
+              let sub = List.for_all (fun x -> List.mem x n) m in
+              expect (Bitset.subset s t = sub);
+              expect (Bitset.equal s t = (m = n));
+              expect
+                (Bitset.inter_nonempty s t = List.exists (fun x -> List.mem x n) m);
+              expect
+                (Bitset.diff_new ~from:s ~minus:t
+                = List.filter (fun x -> not (List.mem x n)) m))
+            sets)
+        sets;
+      !ok)
+
 (* ---------------- Intern ---------------- *)
 
 module SIntern = Intern.Make (struct
@@ -209,6 +299,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_bitset_model;
           QCheck_alcotest.to_alcotest prop_bitset_union_commutes;
           QCheck_alcotest.to_alcotest prop_bitset_diff;
+          QCheck_alcotest.to_alcotest prop_bitset_ops_model;
         ] );
       ( "intern",
         [
