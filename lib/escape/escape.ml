@@ -65,22 +65,16 @@ let run a =
 
 let n_escaped_accesses t =
   let a = t.solver in
+  let fl = a.Solver.flat in
   let seen = Hashtbl.create 256 in
-  Array.iter
-    (fun sp ->
-      Walk.iter_origin a sp (fun m ctx s ->
-          match Access.of_stmt a m ctx s with
-          | None -> ()
-          | Some (targets, is_write) ->
-              List.iter
-                (fun target ->
-                  let shared =
-                    match target with
-                    | Access.Tstatic _ -> true
-                    | Access.Tfield (oid, _) -> is_escaped t oid
-                  in
-                  if shared then
-                    Hashtbl.replace seen (s.Ast.sid, target, is_write) ())
-                targets))
-    (a.Solver.spawns);
+  ignore
+    (Walk.iter_origins a (fun _ ->
+         {
+           Walk.ignore_all with
+           access =
+             (fun sid tid is_write ->
+               if
+                 Flat.tid_is_static fl tid || is_escaped t (Flat.tid_oid fl tid)
+               then Hashtbl.replace seen (sid, tid, is_write) ());
+         }));
   Hashtbl.length seen

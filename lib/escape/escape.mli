@@ -21,10 +21,6 @@ type t
 (** [run a] classifies all abstract objects of a solved analysis. *)
 val run : Solver.result -> t
 
-(** [is_escaped t oid] is true iff the object may be reached by ≥2 threads
-    under this (coarse) criterion. *)
-val is_escaped : t -> int -> bool
-
 (** [escaped_objects t] lists escaped object ids, ascending. *)
 val escaped_objects : t -> int list
 

@@ -8,6 +8,51 @@ let field_of_target = function
   | Access.Tfield (_, f) -> f
   | Access.Tstatic (c, f) -> c ^ "::" ^ f
 
+(* ---------------- the seed's per-origin AST walk ---------------- *)
+
+let iter_origin a (sp : Solver.spawn) f =
+  let visited = Hashtbl.create 64 in
+  let rec visit (m : Program.meth) ctx =
+    let key = (m.Program.m_class, m.Program.m_name, ctx) in
+    if not (Hashtbl.mem visited key) then begin
+      Hashtbl.add visited key ();
+      body m ctx m.Program.m_body
+    end
+  and body m ctx stmts =
+    List.iter
+      (fun (s : Ast.stmt) ->
+        f m ctx s;
+        match s.Ast.sk with
+        | Ast.Call _ | Ast.StaticCall _ | Ast.New _ ->
+            List.iter
+              (fun (callee, cctx) -> visit callee cctx)
+              (Solver.callees a ~site:s.Ast.sid ~ctx)
+        | Ast.Sync (_, b) | Ast.While b -> body m ctx b
+        | Ast.If (b1, b2) ->
+            body m ctx b1;
+            body m ctx b2
+        | _ -> ())
+      stmts
+  in
+  visit sp.Solver.sp_entry sp.Solver.sp_ectx
+
+(* one target per object the base may point to, descending object id *)
+let base_targets a m ctx base field =
+  O2_util.Bitset.fold
+    (fun oid acc -> Access.Tfield (oid, field) :: acc)
+    (Solver.pts_var a m ctx base)
+    []
+
+let of_stmt a m ctx (s : Ast.stmt) =
+  match s.Ast.sk with
+  | Ast.FieldWrite (x, f, _) -> Some (base_targets a m ctx x f, true)
+  | Ast.FieldRead (_, y, f) -> Some (base_targets a m ctx y f, false)
+  | Ast.ArrayWrite (x, _) -> Some (base_targets a m ctx x "*", true)
+  | Ast.ArrayRead (_, y) -> Some (base_targets a m ctx y "*", false)
+  | Ast.StaticWrite (c, f, _) -> Some ([ Access.Tstatic (c, f) ], true)
+  | Ast.StaticRead (_, c, f) -> Some ([ Access.Tstatic (c, f) ], false)
+  | _ -> None
+
 (* ---------------- SHB: the seed's AST walker ---------------- *)
 
 type trace = {
@@ -76,7 +121,7 @@ let shb ?(serial_events = true) ?(lock_region = true) (a : Solver.result) =
             (Solver.callees a ~site:s.Ast.sid ~ctx)
       | Ast.FieldWrite _ | Ast.FieldRead _ | Ast.ArrayWrite _ | Ast.ArrayRead _
       | Ast.StaticWrite _ | Ast.StaticRead _ -> (
-          match Access.of_stmt a m ctx s with
+          match of_stmt a m ctx s with
           | Some (targets, is_write) ->
               List.iter
                 (fun target ->
@@ -537,9 +582,9 @@ let osa (a : Solver.result) =
     (fun (sp : Solver.spawn) ->
       let origin = Solver.origin_of_spawn a sp in
       let self_par = Solver.self_parallel a sp.Solver.sp_id in
-      Walk.iter_origin a sp (fun m ctx s ->
+      iter_origin a sp (fun m ctx s ->
           incr n_scanned;
-          match Access.of_stmt a m ctx s with
+          match of_stmt a m ctx s with
           | None -> ()
           | Some (targets, is_write) ->
               List.iter

@@ -11,15 +11,39 @@
       through the polymorphic hash, and finds origin blocks from the full
       m×m table of nested bool relation matrices, every closure query
       asked;
-    - {!osa} runs Algorithm 1 over {!O2_pta.Walk.iter_origin} with
-      structural targets, flagging a location's self-parallel accessors
-      from {!O2_pta.Solver.self_parallel}.
+    - {!osa} runs Algorithm 1 over its own AST walk ({!iter_origin},
+      {!of_stmt}) with structural targets, flagging a location's
+      self-parallel accessors from {!O2_pta.Solver.self_parallel}.
 
+    None of them reads the production origin walker
+    ({!O2_pta.Walk.iter_origins}), so each checks it independently.
     {!check} compares stage by stage on one solve. *)
 
+open O2_ir
 open O2_pta
 open O2_shb
 open O2_race
+
+(** [iter_origin a sp f] calls [f m ctx s] for every statement [s] of every
+    method instance ⟨m, ctx⟩ reachable within origin [sp], in program
+    order: the seed's AST walk, following {!Solver.callees} at every call,
+    [new] and static call, stopping at [start]/[post], each instance once. *)
+val iter_origin :
+  Solver.result ->
+  Solver.spawn ->
+  (Program.meth -> Context.t -> Ast.stmt -> unit) ->
+  unit
+
+(** [of_stmt a m ctx s] is the access statement [s] of instance ⟨m, ctx⟩
+    performs: its targets (for a field or array access, one per object the
+    base may point to, in descending object id) and whether it writes.
+    [None] for non-access statements. *)
+val of_stmt :
+  Solver.result ->
+  Program.meth ->
+  Context.t ->
+  Ast.stmt ->
+  (Access.target list * bool) option
 
 (** [field_of_target t] is the field name races are deduplicated and
     compared by: [f] for an instance field, [C::f] for a static. *)

@@ -6,8 +6,8 @@ open Types
    pipeline sees only int tables and int opcode streams: no strings, no
    polymorphic hash keys.
 
-   Layout invariants (relied on by the PTA describe phase and the SHB/OSA
-   walkers, and checked by {!check}):
+   Layout invariants (relied on by the PTA describe phase and the origin
+   walker, and checked by {!check}):
    - every statement of a method body lowers to exactly one instruction, in
      source (DFS) order; block statements ([Sync]/[If]/[While]) carry the
      int length of their inlined body so walkers can skip or scope them,

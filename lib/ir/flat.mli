@@ -3,7 +3,7 @@
     [lower] compiles the whole program in one sweep — scan, resolve,
     allocate at once, in the spirit of Wirth's one-pass Oberon compiler —
     into contiguous int tables and int opcode streams. Past this boundary
-    the PTA describe phase and the SHB/OSA walkers see no strings and no
+    the PTA describe phase and the origin walker see no strings and no
     polymorphic hash keys: classes, fields, static fields, methods,
     method names and per-method variable slots are all dense ints, and
     each method body is a single [int array] instruction stream.

@@ -94,6 +94,5 @@ let races r = r.report.O2_race.Detect.races
 let n_races r = O2_race.Detect.n_races r.report
 let n_origins r = O2_pta.Solver.n_origins r.solver
 let shared_locations r = O2_osa.Osa.shared_locations r.osa
-let pp_race r ppf race = O2_race.Report.pp_race r.solver r.graph ppf race
 let pp_report r ppf () = O2_race.Report.pp r.solver r.graph ppf r.report
 let pp_sharing r ppf () = O2_osa.Osa.pp r.solver ppf r.osa

@@ -94,8 +94,6 @@ val n_origins : result -> int
 (** [shared_locations r] lists the origin-shared abstract locations. *)
 val shared_locations : result -> O2_osa.Osa.sharing list
 
-val pp_race : result -> Format.formatter -> O2_race.Detect.race -> unit
-
 (** [pp_report r ppf ()] prints the full race report. *)
 val pp_report : result -> Format.formatter -> unit -> unit
 

@@ -99,97 +99,22 @@ let freeze t tid (s : mut_sharing) =
     sh_self_par = s.self_par;
   }
 
-(* The scan: a linear pass over the flat opcode streams, counting every
-   instruction (the walker's statement count) and recursing into
-   callees at call instructions, exactly the {!Walk.iter_origin} DFS.
-   Instances, callees and variable points-to sets all come from the
-   solver's dense instance call graph ({!Solver.icg}): the whole scan is
-   array probes plus one int-keyed lookup per call site. *)
-let scan_flat a t n_scanned =
+(* The scan of Algorithm 1: every access the origin walker reports, one
+   per location ({!Walk.iter_origins}); it returns the instructions
+   scanned. *)
+let scan a t =
   let fl = a.Solver.flat in
-  let icg = a.Solver.icg in
-  (* per-spawn visited set: one shared array stamped with the spawn index *)
-  let stamp = Array.make (max 1 icg.Solver.ic_n) (-1) in
-  Array.iteri
-    (fun spi (sp : Solver.spawn) ->
+  Walk.iter_origins a (fun sp ->
       let origin = Solver.origin_of_spawn a sp in
       let self_par = Solver.self_parallel a sp.Solver.sp_id in
-      let field_access (pts : Bitset.t array) ~site ~base ~fid ~is_write =
-        (* descending-oid order, matching [Access.base_targets] *)
-        Bitset.fold
-          (fun oid acc -> Flat.tid_field fl ~oid ~fid :: acc)
-          pts.(base) []
-        |> List.iter (fun tid ->
-               compute_origin_sharing t ~site ~tid ~origin ~self_par
-                 ~is_write;
-               touch t origin (Flat.tid_oid fl tid))
-      in
-      let static_access ~site ~slot ~is_write =
-        compute_origin_sharing t ~site
-          ~tid:(Flat.tid_static fl slot)
-          ~origin ~self_par ~is_write
-      in
-      let rec visit iid =
-        if stamp.(iid) <> spi then begin
-          stamp.(iid) <- spi;
-          walk iid (Flat.meth fl icg.Solver.ic_mid.(iid))
-        end
-      and follow_calls iid sid =
-        match
-          Hashtbl.find_opt icg.Solver.ic_callees
-            ((iid * icg.Solver.ic_nsids) + sid)
-        with
-        | Some arr -> Array.iter visit arr
-        | None -> ()
-      and walk iid (mi : Flat.meth_info) =
-        let pts = icg.Solver.ic_pts.(iid) in
-        let code = mi.Flat.f_code in
-        let n = Array.length code in
-        let i = ref 0 in
-        while !i < n do
-          let j = !i in
-          let op = code.(j) in
-          let sid = code.(j + 1) in
-          incr n_scanned;
-          if op = Flat.op_awrite then begin
-            field_access pts ~site:sid ~base:code.(j + 2) ~fid:fl.Flat.f_star
-              ~is_write:true;
-            i := j + 4
-          end
-          else if op = Flat.op_aread then begin
-            field_access pts ~site:sid ~base:code.(j + 3) ~fid:fl.Flat.f_star
-              ~is_write:false;
-            i := j + 4
-          end
-          else if op = Flat.op_fwrite then begin
-            field_access pts ~site:sid ~base:code.(j + 2) ~fid:code.(j + 3)
-              ~is_write:true;
-            i := j + 5
-          end
-          else if op = Flat.op_fread then begin
-            field_access pts ~site:sid ~base:code.(j + 3) ~fid:code.(j + 4)
-              ~is_write:false;
-            i := j + 5
-          end
-          else if op = Flat.op_swrite then begin
-            static_access ~site:sid ~slot:code.(j + 2) ~is_write:true;
-            i := j + 4
-          end
-          else if op = Flat.op_sread then begin
-            static_access ~site:sid ~slot:code.(j + 3) ~is_write:false;
-            i := j + 4
-          end
-          else begin
-            (* block bodies are inline: a header is skipped like any
-               other instruction *)
-            if op = Flat.op_new || op = Flat.op_callv || op = Flat.op_calls
-            then follow_calls iid sid;
-            i := j + Flat.width code j
-          end
-        done
-      in
-      visit icg.Solver.ic_entry.(sp.Solver.sp_id))
-    a.Solver.spawns
+      {
+        Walk.ignore_all with
+        access =
+          (fun site tid is_write ->
+            compute_origin_sharing t ~site ~tid ~origin ~self_par ~is_write;
+            if not (Flat.tid_is_static fl tid) then
+              touch t origin (Flat.tid_oid fl tid));
+      })
 
 let run ?metrics a =
   let fl = a.Solver.flat in
@@ -214,15 +139,11 @@ let run ?metrics a =
       key_of_spawn;
     }
   in
-  let n_scanned = ref 0 in
-  let scan () = scan_flat a t n_scanned in
   (match metrics with
-  | None -> scan ()
-  | Some m -> Metrics.span m "osa.scan" scan);
-  (match metrics with
-  | None -> ()
+  | None -> ignore (scan a t)
   | Some m ->
-      Metrics.set m "osa.stmts_scanned" !n_scanned;
+      let n_scanned = Metrics.span m "osa.scan" (fun () -> scan a t) in
+      Metrics.set m "osa.stmts_scanned" n_scanned;
       Metrics.set m "osa.accesses" t.n_accesses;
       Metrics.set m "osa.locations"
         (fold_locs t (fun _ _ acc -> acc + 1) 0);
@@ -243,8 +164,11 @@ let shared_locations t =
     []
   |> List.sort (fun a b -> Access.compare_target a.sh_target b.sh_target)
 
+let is_shared_tid t tid =
+  match t.locs.(tid) with Some s -> loc_shared s | None -> false
+
 let is_shared_target t target =
-  match sharing_of t target with Some sh -> is_shared sh | None -> false
+  match tid_opt t target with Some tid -> is_shared_tid t tid | None -> false
 
 let n_shared_accesses t =
   (* sharedness decided once per location, then one pass deduplicating the

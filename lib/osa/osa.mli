@@ -36,8 +36,9 @@ val is_shared : sharing -> bool
 
 type t
 
-(** [run ?metrics a] scans all origins of the analysis result [a]
-    by a linear pass over the flat opcode streams of [a.flat]. With a sink
+(** [run ?metrics a] scans all origins of the analysis result [a],
+    reading each origin's accesses off {!O2_pta.Walk.iter_origins}. With a
+    sink
     the scan runs inside an ["osa.scan"] span and records
     [osa.stmts_scanned], [osa.accesses], [osa.locations] and
     [osa.shared_locations] (the Table 7 volume columns). *)
@@ -52,6 +53,11 @@ val shared_locations : t -> sharing list
 
 (** [is_shared_target t target] is true iff [target] is origin-shared. *)
 val is_shared_target : t -> Access.target -> bool
+
+(** [is_shared_tid t tid] is {!is_shared_target} on the location's flat id
+    ({!O2_ir.Flat.tid_field}, {!O2_ir.Flat.tid_static}), as the origin
+    walker reports it. *)
+val is_shared_tid : t -> int -> bool
 
 (** [n_shared_accesses t] counts access {e sites} (statement, target
     object-resolution included) that touch an origin-shared location — the

@@ -17,7 +17,7 @@ let pp_target a ppf = function
 (* tids are the flat-IR encoding of targets (static slots first, then the
    object × field plane); the codec lives here because [target] does. The
    encoding is injective, so int equality on tids is structural equality
-   of targets — the flat walkers rely on this for region dedup. *)
+   of targets — the SHB builder relies on this for region dedup. *)
 
 let of_tid fl tid =
   if Flat.tid_is_static fl tid then
@@ -35,19 +35,3 @@ let tid_of fl = function
       match Flat.static_slot fl c f with
       | Some slot -> Some (Flat.tid_static fl slot)
       | None -> None)
-
-let base_targets a m ctx base field =
-  O2_util.Bitset.fold
-    (fun oid acc -> Tfield (oid, field) :: acc)
-    (Solver.pts_var a m ctx base)
-    []
-
-let of_stmt a m ctx (s : Ast.stmt) =
-  match s.Ast.sk with
-  | Ast.FieldWrite (x, f, _) -> Some (base_targets a m ctx x f, true)
-  | Ast.FieldRead (_, y, f) -> Some (base_targets a m ctx y f, false)
-  | Ast.ArrayWrite (x, _) -> Some (base_targets a m ctx x "*", true)
-  | Ast.ArrayRead (_, y) -> Some (base_targets a m ctx y "*", false)
-  | Ast.StaticWrite (c, f, _) -> Some ([ Tstatic (c, f) ], true)
-  | Ast.StaticRead (_, c, f) -> Some ([ Tstatic (c, f) ], false)
-  | _ -> None

@@ -25,13 +25,3 @@ val of_tid : Flat.t -> int -> target
     declares (impossible for targets produced by either pipeline). The
     encoding is injective: [tid_of fl a = tid_of fl b] iff [a = b]. *)
 val tid_of : Flat.t -> target -> int option
-
-(** [of_stmt a m ctx s] is the access performed by statement [s] of method
-    instance ⟨m, ctx⟩: the targets (one per abstract object the base may
-    point to) and whether it is a write. [None] for non-access statements. *)
-val of_stmt :
-  Solver.result ->
-  Program.meth ->
-  Context.t ->
-  Ast.stmt ->
-  (target list * bool) option

@@ -82,7 +82,7 @@ type tables = {
 (* Instance call graph: the solved, context-sensitive call graph re-keyed
    on dense ints — a projection of the instance table. Per-instance arrays
    carry the solved points-to set of every variable slot and the callee
-   instances of every call site. The flat SHB/OSA walkers traverse
+   instances of every call site. The origin walker ({!Walk}) traverses
    instances with nothing but array probes and one int-keyed table lookup
    per call site — no structural context hashing survives past the
    solve. *)

@@ -66,9 +66,10 @@ type tables
     instance id ([iid]) the solve gave it; the arrays
     give the flat method id, the solved points-to set of every variable
     slot, and (via [ic_callees], keyed [iid * ic_nsids + sid]) the callee
-    instances of every call site, in {!callees} order. The flat SHB/OSA
-    walkers traverse this with array probes and one int-keyed lookup per
-    call site — no structural context hashing past the solve. *)
+    instances of every call site, in {!callees} order. The origin walker
+    ({!Walk.iter_origins}) traverses this with array probes and one
+    int-keyed lookup per call site — no structural context hashing past
+    the solve. *)
 type icg = {
   ic_n : int;  (** instance count *)
   ic_mid : int array;  (** iid -> flat method id *)

@@ -12,65 +12,73 @@ type report = { findings : finding list }
 
 let n_findings r = List.length r.findings
 
+(* a lock region as the walk enters it: its guarded accesses, nested
+   regions' included, and whether all of them are origin-local with no
+   call in between *)
+type region = {
+  r_site : int;
+  r_origin : int;
+  mutable r_accesses : int;
+  mutable r_local : bool;
+}
+
 let run a osa =
-  let findings = ref [] in
-  Array.iter
-    (fun (sp : Solver.spawn) ->
-      let check_region m ctx (sync_stmt : Ast.stmt) region =
-        (* direct accesses of the region (not through calls: a callee may be
-           shared with unlocked paths, where the lock could still matter) *)
-        let n_accesses = ref 0 in
-        let all_local = ref true in
-        let rec scan stmts =
-          List.iter
-            (fun (s : Ast.stmt) ->
-              (match Access.of_stmt a m ctx s with
-              | Some (targets, _) ->
-                  List.iter
-                    (fun t ->
-                      incr n_accesses;
-                      if O2_osa.Osa.is_shared_target osa t then
-                        all_local := false)
-                    targets
-              | None -> ());
-              match s.Ast.sk with
-              | Ast.Sync (_, b) | Ast.While b -> scan b
-              | Ast.If (b1, b2) ->
-                  scan b1;
-                  scan b2
-              | Ast.Call _ | Ast.StaticCall _ | Ast.New _ ->
-                  (* conservatively treat regions with calls as useful *)
-                  all_local := false
-              | _ -> ())
-            stmts
-        in
-        scan region;
-        if !n_accesses > 0 && !all_local then
-          findings :=
-            {
-              ov_site = sync_stmt.Ast.sid;
-              ov_pos = sync_stmt.Ast.pos;
-              ov_origin = sp.Solver.sp_id;
-              ov_accesses = !n_accesses;
-            }
-            :: !findings
-      in
-      Walk.iter_origin a sp (fun m ctx s ->
-          match s.Ast.sk with
-          | Ast.Sync (_, region) -> check_region m ctx s region
-          | _ -> ()))
-    a.Solver.spawns;
-  (* dedup by site (several origins may run the same region) *)
+  (* every region entered, most recent first: reversed, the walk's
+     pre-order, so an outer region precedes the regions nested in it *)
+  let regions = ref [] in
+  ignore
+    (Walk.iter_origins a (fun sp ->
+         let open_regions = ref [] in
+         {
+           Walk.ignore_all with
+           access =
+             (fun _ tid _ ->
+               List.iter
+                 (fun r ->
+                   r.r_accesses <- r.r_accesses + 1;
+                   if O2_osa.Osa.is_shared_tid osa tid then r.r_local <- false)
+                 !open_regions);
+           (* conservatively treat regions with calls as useful: a callee
+              may be shared with unlocked paths, where the lock could still
+              matter — so callee accesses never decide a verdict *)
+           call =
+             (fun _ -> List.iter (fun r -> r.r_local <- false) !open_regions);
+           sync =
+             (fun sid _ body ->
+               let r =
+                 {
+                   r_site = sid;
+                   r_origin = sp.Solver.sp_id;
+                   r_accesses = 0;
+                   r_local = true;
+                 }
+               in
+               regions := r :: !regions;
+               let outer = !open_regions in
+               open_regions := r :: outer;
+               body ();
+               open_regions := outer);
+         }));
+  (* dedup by site (several origins may run the same region); regions with
+     no accesses at all are usually fences in disguise *)
   let seen = Hashtbl.create 8 in
+  let fl = a.Solver.flat in
   {
     findings =
-      List.rev !findings
-      |> List.filter (fun f ->
-             if Hashtbl.mem seen f.ov_site then false
-             else begin
-               Hashtbl.add seen f.ov_site ();
-               true
-             end);
+      List.rev !regions
+      |> List.filter_map (fun r ->
+             if r.r_accesses > 0 && r.r_local && not (Hashtbl.mem seen r.r_site)
+             then begin
+               Hashtbl.add seen r.r_site ();
+               Some
+                 {
+                   ov_site = r.r_site;
+                   ov_pos = Flat.pos_of_sid fl r.r_site;
+                   ov_origin = r.r_origin;
+                   ov_accesses = r.r_accesses;
+                 }
+             end
+             else None);
   }
 
 let pp_finding ppf f =

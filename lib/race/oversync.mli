@@ -22,8 +22,11 @@ val n_findings : report -> int
     [a], e.g. with the [solver] and [osa] of an [O2.run] result. A guarded
     location needs the lock when [osa] calls it shared: a writer and two
     accessors, a self-parallel origin counting as two
-    ({!O2_osa.Osa.is_shared}). Regions with no accesses at
-    all are not reported (empty regions are usually fences in disguise). *)
+    ({!O2_osa.Osa.is_shared}). A region's accesses include those of the
+    regions nested in it; a region containing a call is kept. Regions with
+    no accesses at all are not reported (empty regions are usually fences
+    in disguise). Findings come in walk order, an outer region before the
+    regions nested in it, once per sync site. *)
 val run : O2_pta.Solver.result -> O2_osa.Osa.t -> report
 
 val pp_finding : Format.formatter -> finding -> unit

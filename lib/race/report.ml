@@ -45,7 +45,7 @@ let pp_race a g ppf (r : Detect.race) =
     (Access.pp_target a) r.Detect.r_target (pp_access a g) r.Detect.r_a
     (pp_access a g) r.Detect.r_b
 
-let summary _a (report : Detect.report) =
+let summary (report : Detect.report) =
   Printf.sprintf
     "%d race(s) (%d pairs checked, %d HB-pruned, %d lock-pruned, %d \
      class-pruned)"
@@ -54,7 +54,7 @@ let summary _a (report : Detect.report) =
     report.Detect.n_class_pruned
 
 let pp a g ppf (report : Detect.report) =
-  Format.fprintf ppf "@[<v>%s@," (summary a report);
+  Format.fprintf ppf "@[<v>%s@," (summary report);
   List.iter
     (fun r -> Format.fprintf ppf "%a@," (pp_race a g) r)
     report.Detect.races;

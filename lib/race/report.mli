@@ -32,9 +32,6 @@ val pp_race : Solver.result -> Graph.t -> Format.formatter -> Detect.race -> uni
 (** [pp a g ppf report] prints the full report with a summary line. *)
 val pp : Solver.result -> Graph.t -> Format.formatter -> Detect.report -> unit
 
-(** [summary a report] is a one-line summary: #races, #pairs, pruning. *)
-val summary : Solver.result -> Detect.report -> string
-
 (** [origin_name a id] renders an origin (spawn) for messages, e.g.
     ["Thread Worker.run() started at input.cir:12"]. *)
 val origin_name : Solver.result -> int -> string

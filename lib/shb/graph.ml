@@ -69,40 +69,37 @@ let sem_edges g = g.sems_e
 (* ------------------------------------------------------------------ *)
 (* construction *)
 
-let emit g ~origin ~sid ~pos ~kind ~lockset =
-  let n =
-    {
-      n_id = O2_util.Idgen.next g.ids;
-      n_origin = origin;
-      n_sid = sid;
-      n_pos = pos;
-      n_kind = kind;
-      n_lockset = lockset;
-    }
-  in
-  g.all_nodes <- n :: g.all_nodes;
-  n
-
-(* The walker: a scan of the flat opcode streams. Statements appear in
-   AST DFS order with block bodies inlined, so only [Sync] — the one
-   construct with scoped state (lockset + region reset/restore, Table 4
-   ⑯) — needs its block length; [If]/[While] headers are skipped and their
-   bodies picked up by the linear scan, exactly like an AST recursion.
-   Instances, callees and variable points-to sets come from the solver's
-   dense instance call graph. *)
-let build_origin g (icg : Solver.icg) stamp (sp : Solver.spawn)
-    spawn_index =
+(* One origin's trace, read off {!Walk.iter_origins}: the walker inlines
+   callee traces at their call sites (Table 4 ⑮); this consumer emits
+   nodes, keeps the lockset and deduplicates accesses within a lock
+   region. *)
+let build_origin g spawn_index (sp : Solver.spawn) : Walk.handlers =
   let a = g.solver in
   let fl = a.Solver.flat in
   let origin = sp.Solver.sp_id in
-  let base_ls =
-    if g.serial_events && sp.Solver.sp_kind = `Event then
-      Lockset.id g.locks [ Lockset.dispatcher_lock ]
-    else Lockset.empty g.locks
+  let ls =
+    ref
+      (if g.serial_events && sp.Solver.sp_kind = `Event then
+         Lockset.id g.locks [ Lockset.dispatcher_lock ]
+       else Lockset.empty g.locks)
+  in
+  let emit_at sid kind =
+    let n =
+      {
+        n_id = O2_util.Idgen.next g.ids;
+        n_origin = origin;
+        n_sid = sid;
+        n_pos = Flat.pos_of_sid fl sid;
+        n_kind = kind;
+        n_lockset = !ls;
+      }
+    in
+    g.all_nodes <- n :: g.all_nodes;
+    n
   in
   (* region-dedup keys are packed into one int: tid < tid_bound always, and
      a lockset id is a small dense int, so (ls * tid_bound + tid) * 2 + w is
-     injective — List.mem then compares unboxed ints, no tuple allocation *)
+     injective — probes compare unboxed ints, no tuple allocation *)
   let tid_bound =
     Flat.n_statics fl + (Pag.n_objs a.Solver.pag * Flat.n_fields fl) + 1
   in
@@ -119,142 +116,65 @@ let build_origin g (icg : Solver.icg) stamp (sp : Solver.spawn)
     cur_gen := !next_gen;
     incr next_gen
   in
-  let region_mem k =
-    match Hashtbl.find_opt rtbl k with
-    | Some gen -> gen = !cur_gen
-    | None -> false
-  in
-  let region_add k =
-    Hashtbl.add rtbl k !cur_gen;
-    trail := k :: !trail
-  in
   (* children this origin has spawned so far, for the join rule *)
   let started = ref [] in
-  (* visited set over instance ids: one shared stamp array, stamped with
-     the spawn id — no per-spawn allocation, no structural hashing *)
-  let rec visit iid ls =
-    if stamp.(iid) <> origin then begin
-      stamp.(iid) <- origin;
-      let mi = fl.Flat.f_meths.(icg.Solver.ic_mid.(iid)) in
-      walk iid mi icg.Solver.ic_pts.(iid) ls 0 (Array.length mi.Flat.f_code)
-    end
-  and follow_calls iid ls site =
-    match
-      Hashtbl.find_opt icg.Solver.ic_callees
-        ((iid * icg.Solver.ic_nsids) + site)
-    with
-    | Some arr -> Array.iter (fun ci -> visit ci ls) arr
-    | None -> ()
-  and emit_access ls sid tids is_write =
-    let pos = Flat.pos_of_sid fl sid in
-    List.iter
-      (fun tid ->
-        let k = pack ls tid is_write in
-        let dup = g.lock_region && region_mem k in
+  let sem kind sid pts =
+    O2_util.Bitset.iter
+      (fun o ->
+        ignore (emit_at sid (kind o));
+        reset_region ())
+      pts
+  in
+  {
+    Walk.access =
+      (fun sid tid is_write ->
+        let k = pack !ls tid is_write in
+        let dup =
+          g.lock_region
+          &&
+          match Hashtbl.find_opt rtbl k with
+          | Some gen -> gen = !cur_gen
+          | None -> false
+        in
         if not dup then begin
-          if g.lock_region then region_add k;
-          ignore
-            (emit g ~origin ~sid ~pos
-               ~kind:(if is_write then Write tid else Read tid)
-               ~lockset:ls)
-        end)
-      tids
-  and field_tids (pts : O2_util.Bitset.t array) base fid =
-    (* cons under an ascending fold: descending-oid order, the
-       [Access.base_targets] order *)
-    O2_util.Bitset.fold
-      (fun oid acc -> Flat.tid_field fl ~oid ~fid :: acc)
-      pts.(base) []
-  and walk iid (mi : Flat.meth_info) (pts : O2_util.Bitset.t array) ls lo hi =
-    let code = mi.Flat.f_code in
-    let i = ref lo in
-    while !i < hi do
-      let j = !i in
-      let op = code.(j) in
-      let sid = code.(j + 1) in
-      if op = Flat.op_null || op = Flat.op_assign || op = Flat.op_return then
-        i := j + Flat.width code j
-      else if op = Flat.op_new then begin
-        (* Table 4 ⑮: the call node with HB edges to/from the callee body
-           is represented by inlining the callee's trace at the call site *)
-        follow_calls iid ls sid;
-        i := j + 5 + code.(j + 4)
-      end
-      else if op = Flat.op_callv then begin
-        follow_calls iid ls sid;
-        i := j + 7 + code.(j + 6)
-      end
-      else if op = Flat.op_calls then begin
-        follow_calls iid ls sid;
-        i := j + 5 + code.(j + 4)
-      end
-      else if op = Flat.op_fwrite then begin
-        emit_access ls sid (field_tids pts code.(j + 2) code.(j + 3)) true;
-        i := j + 5
-      end
-      else if op = Flat.op_fread then begin
-        emit_access ls sid (field_tids pts code.(j + 3) code.(j + 4)) false;
-        i := j + 5
-      end
-      else if op = Flat.op_awrite then begin
-        emit_access ls sid (field_tids pts code.(j + 2) fl.Flat.f_star) true;
-        i := j + 4
-      end
-      else if op = Flat.op_aread then begin
-        emit_access ls sid (field_tids pts code.(j + 3) fl.Flat.f_star) false;
-        i := j + 4
-      end
-      else if op = Flat.op_swrite then begin
-        emit_access ls sid [ Flat.tid_static fl code.(j + 2) ] true;
-        i := j + 4
-      end
-      else if op = Flat.op_sread then begin
-        emit_access ls sid [ Flat.tid_static fl code.(j + 3) ] false;
-        i := j + 4
-      end
-      else if op = Flat.op_sync then begin
+          if g.lock_region then begin
+            Hashtbl.add rtbl k !cur_gen;
+            trail := k :: !trail
+          end;
+          ignore (emit_at sid (if is_write then Write tid else Read tid))
+        end);
+    call = ignore;
+    sync =
+      (fun sid lpts body ->
         (* Table 4 ⑯: lock/unlock nodes. A lock var counts as a must-lock
            only when it points to a single abstract object. *)
-        let blen = code.(j + 3) in
-        let lpts = pts.(code.(j + 2)) in
-        let pos = Flat.pos_of_sid fl sid in
-        let singleton =
+        let outer = !ls in
+        let single =
           match O2_util.Bitset.elements lpts with [ o ] -> Some o | _ -> None
         in
-        let ls' =
-          match singleton with
-          | Some o ->
-              ignore (emit g ~origin ~sid ~pos ~kind:(Acq o) ~lockset:ls);
-              Lockset.acquire g.locks ls o
-          | None -> ls
-        in
+        Option.iter
+          (fun o ->
+            ignore (emit_at sid (Acq o));
+            ls := Lockset.acquire g.locks outer o)
+          single;
         let saved_trail = !trail and saved_gen = !cur_gen in
         trail := [];
         reset_region ();
-        walk iid mi pts ls' (j + 4) (j + 4 + blen);
-        (match singleton with
-        | Some o -> ignore (emit g ~origin ~sid ~pos ~kind:(Rel o) ~lockset:ls)
-        | None -> ());
+        body ();
+        ls := outer;
+        Option.iter (fun o -> ignore (emit_at sid (Rel o))) single;
         List.iter (Hashtbl.remove rtbl) !trail;
         trail := saved_trail;
-        cur_gen := saved_gen;
-        i := j + 4 + blen
-      end
-      else if op = Flat.op_if || op = Flat.op_while then
-        i := j + Flat.width code j (* bodies inline; keep scanning *)
-      else if op = Flat.op_start || op = Flat.op_post then begin
+        cur_gen := saved_gen);
+    spawn =
+      (fun sid spts ->
         (* Table 4 ⑰: entry(𝕆ᵢ,𝕆ⱼ) ⇒ origin_first(𝕆ⱼ) *)
-        let spts = pts.(code.(j + 2)) in
-        let pos = Flat.pos_of_sid fl sid in
-        (match Hashtbl.find_opt spawn_index sid with
+        match Hashtbl.find_opt spawn_index sid with
         | Some l ->
             List.iter
               (fun (sp' : Solver.spawn) ->
                 if O2_util.Bitset.mem spts sp'.Solver.sp_obj then begin
-                  let n =
-                    emit g ~origin ~sid ~pos ~kind:(SpawnTo sp'.Solver.sp_id)
-                      ~lockset:ls
-                  in
+                  let n = emit_at sid (SpawnTo sp'.Solver.sp_id) in
                   g.spawns_e <- (origin, sp'.Solver.sp_id, n.n_id) :: g.spawns_e;
                   started := sp'.Solver.sp_id :: !started;
                   (* the HB position changed: accesses after this point are
@@ -263,17 +183,14 @@ let build_origin g (icg : Solver.icg) stamp (sp : Solver.spawn)
                 end)
               l
         | None -> ());
-        i := j + (if op = Flat.op_start then 4 else 5 + code.(j + 4))
-      end
-      else if op = Flat.op_join then begin
+    join =
+      (fun sid jpts ->
         (* Table 4 ⑱: origin_last(𝕆ⱼ) ⇒ join(𝕆ⱼ,𝕆ᵢ). A join is a must-join
            only when the variable points to a single thread object, and
            only for a child this origin started earlier in its own trace:
            a join on a thread that has not started returns at once and
            orders nothing *)
-        let jpts = pts.(code.(j + 2)) in
-        let pos = Flat.pos_of_sid fl sid in
-        (match O2_util.Bitset.elements jpts with
+        match O2_util.Bitset.elements jpts with
         | [ oid ] ->
             Array.iter
               (fun (sp' : Solver.spawn) ->
@@ -282,32 +199,15 @@ let build_origin g (icg : Solver.icg) stamp (sp : Solver.spawn)
                   && sp'.Solver.sp_kind = `Thread
                   && List.mem sp'.Solver.sp_id !started
                 then begin
-                  let n =
-                    emit g ~origin ~sid ~pos ~kind:(JoinOf sp'.Solver.sp_id)
-                      ~lockset:ls
-                  in
+                  let n = emit_at sid (JoinOf sp'.Solver.sp_id) in
                   g.joins_e <- (sp'.Solver.sp_id, origin, n.n_id) :: g.joins_e;
                   reset_region ()
                 end)
               a.Solver.spawns
         | _ -> ());
-        i := j + 3
-      end
-      else if op = Flat.op_signal || op = Flat.op_wait then begin
-        let wpts = pts.(code.(j + 2)) in
-        let pos = Flat.pos_of_sid fl sid in
-        let kind o = if op = Flat.op_signal then SemSignal o else SemWait o in
-        O2_util.Bitset.iter
-          (fun o ->
-            ignore (emit g ~origin ~sid ~pos ~kind:(kind o) ~lockset:ls);
-            reset_region ())
-          wpts;
-        i := j + 3
-      end
-      else assert false
-    done
-  in
-  visit icg.Solver.ic_entry.(sp.Solver.sp_id) base_ls
+    signal = sem (fun o -> SemSignal o);
+    wait = sem (fun o -> SemWait o);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* origin-level HB closure *)
@@ -501,9 +401,7 @@ let build_graph ~serial_events ~lock_region a =
         in
         Hashtbl.replace spawn_index sp.Solver.sp_site (sp :: l))
     sps;
-  let icg = a.Solver.icg in
-  let stamp = Array.make (max 1 icg.Solver.ic_n) (-1) in
-  Array.iter (fun sp -> build_origin g icg stamp sp spawn_index) sps;
+  ignore (Walk.iter_origins a (build_origin g spawn_index));
   let all = Array.of_list (List.rev g.all_nodes) in
   g.nodes_arr <- all;
   (* §4.3 semaphore HB rule: for every abstract semaphore with exactly one

@@ -1,8 +1,10 @@
 (* Flat-IR stages against their references: SHB construction, race
-   detection and the OSA scan each have one engine, a scan of the flat
-   opcode streams. {!O2_fuzz.Ref_stages.check} compares each with the
-   seed's engine on one solve, across every bundled model × context policy
-   × [serial_events]/[lock_region] setting, zookeeper, every named
+   detection and the OSA scan each have one engine, reading the flat
+   opcode streams (SHB and OSA through the one origin walker,
+   {!Walk.iter_origins}). {!O2_fuzz.Ref_stages.check} compares each with
+   the seed's engine, and the walker's event streams are compared with
+   the reference AST walk, on one solve, across every bundled model ×
+   context policy × [serial_events]/[lock_region] setting, zookeeper, every named
    synthetic workload under 1-origin and 0-ctx, and random programs; that
    detection reports races only on OSA-shared locations; plus unit
    coverage for the lowering invariants themselves. *)
@@ -14,12 +16,65 @@ let check_int = Alcotest.(check int)
 let policies =
   [ Context.Insensitive; Context.Kcfa 2; Context.Kobj 2; Context.Korigin 1 ]
 
+(* The origin walker against the reference AST walk, per origin: the
+   (sid, tid, is_write) access stream in order, the sids of every call,
+   [new] and static call, and the statement count *)
+let check_walker label a =
+  let fl = a.Solver.flat in
+  let n = Array.length a.Solver.spawns in
+  let accesses = Array.make n [] and calls = Array.make n [] in
+  let scanned =
+    Walk.iter_origins a (fun sp ->
+        let o = sp.Solver.sp_id in
+        {
+          Walk.ignore_all with
+          access =
+            (fun sid tid w -> accesses.(o) <- (sid, tid, w) :: accesses.(o));
+          call = (fun sid -> calls.(o) <- sid :: calls.(o));
+        })
+  in
+  let ref_scanned = ref 0 in
+  Array.iter
+    (fun (sp : Solver.spawn) ->
+      let o = sp.Solver.sp_id in
+      let ref_accesses = ref [] and ref_calls = ref [] in
+      O2_fuzz.Ref_stages.iter_origin a sp (fun m ctx s ->
+          incr ref_scanned;
+          (match s.O2_ir.Ast.sk with
+          | O2_ir.Ast.Call _ | O2_ir.Ast.StaticCall _ | O2_ir.Ast.New _ ->
+              ref_calls := s.O2_ir.Ast.sid :: !ref_calls
+          | _ -> ());
+          match O2_fuzz.Ref_stages.of_stmt a m ctx s with
+          | Some (targets, w) ->
+              List.iter
+                (fun t ->
+                  let tid = Option.get (Access.tid_of fl t) in
+                  ref_accesses := (s.O2_ir.Ast.sid, tid, w) :: !ref_accesses)
+                targets
+          | None -> ());
+      if accesses.(o) <> !ref_accesses then
+        Alcotest.failf "%s walker: origin %d accesses differ (%d vs %d)" label
+          o
+          (List.length accesses.(o))
+          (List.length !ref_accesses);
+      if calls.(o) <> !ref_calls then
+        Alcotest.failf "%s walker: origin %d calls differ" label o)
+    a.Solver.spawns;
+  check_int (label ^ " walker: scanned = AST statements") !ref_scanned scanned;
+  let m = O2_util.Metrics.create () in
+  ignore (O2_osa.Osa.run ~metrics:m a);
+  check_int
+    (label ^ " walker: scanned = osa.stmts_scanned")
+    (O2_util.Metrics.get m "osa.stmts_scanned")
+    scanned
+
 let check_stages ?serial_events ?lock_region label a =
   let g = O2_shb.Graph.build ?serial_events ?lock_region a in
   List.iter
     (fun (stage, detail) -> Alcotest.failf "%s %s: %s" label stage detail)
     (O2_fuzz.Ref_stages.check ?serial_events ?lock_region a g
-       (O2_race.Detect.run g))
+       (O2_race.Detect.run g));
+  check_walker label a
 
 (* ---------------- flat = reference across the model corpus ---------------- *)
 

@@ -4,9 +4,10 @@
      golden_counters batch DIR    batch-mode status and races per .cir file
 
    [workloads] runs the default instrumented O2 pipeline on each Synth
-   workload and prints its race count, OSA shared-access count and every
-   counter and gauge, one "<workload> <key> <value>" line each, sorted by
-   key. A last line totals a fixed fuzz slice (seed 7, 12 programs) with
+   workload and prints its race count, OSA shared-access count,
+   over-synchronization findings, escaped accesses (the escape baseline
+   on the same solve) and every counter and gauge, one
+   "<workload> <key> <value>" line each, sorted by key. A last line totals a fixed fuzz slice (seed 7, 12 programs) with
    no wall budget, so every line is machine-independent. [batch] prints
    "<file> <status> <races>" per file and a "total N" line, the format of
    test/golden/batch_corpus.txt. *)
@@ -21,6 +22,10 @@ let workload name =
   [
     int "races" (O2.n_races r);
     int "osa.n_shared_accesses" (O2_osa.Osa.n_shared_accesses r.O2.osa);
+    int "oversync.findings"
+      (O2_race.Oversync.n_findings (O2_race.Oversync.run r.O2.solver r.O2.osa));
+    int "escape.escaped_accesses"
+      (O2_escape.Escape.n_escaped_accesses (O2_escape.Escape.run r.O2.solver));
   ]
   @ List.map (fun (k, v) -> int k v) (O2_util.Metrics.counters m)
   @ List.map
