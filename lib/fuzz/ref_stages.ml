@@ -59,7 +59,39 @@ type trace = {
   nodes : Graph.node list;
   spawn_edges : (int * int * int) list;
   join_edges : (int * int * int) list;
+  sem_edges : (int * int * int * int) list;
 }
+
+(* §4.3: a semaphore object with exactly one signal node program-wide
+   orders that signal before each wait on it in another origin *)
+let sem_edges_of (nodes : Graph.node list) =
+  let n_signals = Hashtbl.create 8 in
+  List.iter
+    (fun (n : Graph.node) ->
+      match n.Graph.n_kind with
+      | Graph.SemSignal o ->
+          Hashtbl.replace n_signals o
+            (1 + Option.value ~default:0 (Hashtbl.find_opt n_signals o))
+      | _ -> ())
+    nodes;
+  List.concat_map
+    (fun (s : Graph.node) ->
+      match s.Graph.n_kind with
+      | Graph.SemSignal o when Hashtbl.find n_signals o = 1 ->
+          List.filter_map
+            (fun (w : Graph.node) ->
+              match w.Graph.n_kind with
+              | Graph.SemWait o'
+                when o' = o && w.Graph.n_origin <> s.Graph.n_origin ->
+                  Some
+                    ( s.Graph.n_origin,
+                      s.Graph.n_id,
+                      w.Graph.n_origin,
+                      w.Graph.n_id )
+              | _ -> None)
+            nodes
+      | _ -> [])
+    nodes
 
 (* Access nodes carry the encoded tid of their structural target (an
    injective encoding), so region dedup keys and the node kinds compare
@@ -206,7 +238,109 @@ let shb ?(serial_events = true) ?(lock_region = true) (a : Solver.result) =
     visit sp.Solver.sp_entry sp.Solver.sp_ectx base_ls
   in
   Array.iter origin_trace a.Solver.spawns;
-  { nodes = List.rev !nodes; spawn_edges = !spawns; join_edges = !joins }
+  let nodes = List.rev !nodes in
+  {
+    nodes;
+    spawn_edges = !spawns;
+    join_edges = !joins;
+    sem_edges = sem_edges_of nodes;
+  }
+
+(* ---------------- happens-before: a memoized BFS ---------------- *)
+
+(* The reference's own origin-level HB over a trace's edges. A node of
+   origin o is placed by its interval (t, q): t counts o's outgoing timed
+   edges (spawns, semaphore signals) before it, q the entry positions of o
+   (join nodes, semaphore waits) at or before it. Reachability from
+   interval t of o is a BFS over (origin, position) states from o's t-th
+   threshold, memoized per (origin, interval): from position p in x one
+   follows x's spawns and signals at node ids ≥ p, and x's joins always
+   (all of x precedes the join). *)
+type hb = {
+  thresholds : int array array;  (* origin -> sorted timed-edge node ids *)
+  inpos : int array array;  (* origin -> sorted entry positions *)
+  out : (int * int * int) list array;
+      (* origin -> (guard, dst, dst position): followed from position p when
+         guard ≥ p *)
+  reach : (int, int) Hashtbl.t option array array;
+      (* origin -> interval -> reached origin -> minimal position *)
+}
+
+(* the count of elements of the sorted array [a] below [v] *)
+let count_below (a : int array) v =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if a.(mid) < v then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length a)
+
+let hb_of_trace n_origins t =
+  let sorted l = Array.of_list (List.sort_uniq compare l) in
+  let per_origin edges =
+    let a = Array.make n_origins [] in
+    List.iter (fun (o, x) -> a.(o) <- x :: a.(o)) edges;
+    a
+  in
+  let thresholds =
+    per_origin
+      (List.map (fun (p, _, sid) -> (p, sid)) t.spawn_edges
+      @ List.map (fun (so, sid, _, _) -> (so, sid)) t.sem_edges)
+    |> Array.map sorted
+  and inpos =
+    per_origin
+      (List.map (fun (_, p, jid) -> (p, jid)) t.join_edges
+      @ List.map (fun (_, _, wo, wid) -> (wo, wid)) t.sem_edges)
+  and out =
+    per_origin
+      (List.map (fun (p, c, sid) -> (p, (sid, c, min_int))) t.spawn_edges
+      @ List.map (fun (c, p, jid) -> (c, (max_int, p, jid))) t.join_edges
+      @ List.map (fun (so, sid, wo, wid) -> (so, (sid, wo, wid))) t.sem_edges)
+  in
+  {
+    thresholds;
+    inpos = Array.map sorted inpos;
+    out;
+    reach = Array.map (fun a -> Array.make (Array.length a + 1) None) thresholds;
+  }
+
+let interval h (n : Graph.node) =
+  ( count_below h.thresholds.(n.Graph.n_origin) n.Graph.n_id,
+    count_below h.inpos.(n.Graph.n_origin) (n.Graph.n_id + 1) )
+
+let reach h o t_idx =
+  match h.reach.(o).(t_idx) with
+  | Some best -> best
+  | None ->
+      let ths = h.thresholds.(o) in
+      let best = Hashtbl.create 16 and queue = Queue.create () in
+      let push x pos =
+        match Hashtbl.find_opt best x with
+        | Some p when p <= pos -> ()
+        | _ ->
+            Hashtbl.replace best x pos;
+            Queue.push (x, pos) queue
+      in
+      push o (if t_idx < Array.length ths then ths.(t_idx) else max_int);
+      while not (Queue.is_empty queue) do
+        let x, p = Queue.pop queue in
+        if Hashtbl.find best x = p then
+          List.iter
+            (fun (guard, y, py) -> if guard >= p then push y py)
+            h.out.(x)
+      done;
+      h.reach.(o).(t_idx) <- Some best;
+      best
+
+(* does a node of [src] in interval [t_idx] happen before a node of [dst]
+   ([≠ src]) with [q_idx] entry positions at or before it? [dst] is first
+   reached at min_int (its start) or at one of its entry positions, which
+   precedes the node iff it is among the first [q_idx] *)
+let hb_state h ~src ~t_idx ~dst ~q_idx =
+  match Hashtbl.find_opt (reach h src t_idx) dst with
+  | None -> false
+  | Some c -> c = min_int || (q_idx > 0 && c <= h.inpos.(dst).(q_idx - 1))
 
 (* ---------------- race detection: the seed's loop ---------------- *)
 
@@ -240,16 +374,17 @@ type acc = {
 let is_write (n : Graph.node) =
   match n.Graph.n_kind with Graph.Write _ -> true | _ -> false
 
-(* The seed's group check, verbatim: per-group hash tables on structural
-   keys through the polymorphic hash, relation matrices as nested bool
-   arrays compared with structural [=], and direct closure queries. *)
-let check_group ?budget g acc target (ns : Graph.node list) =
+(* The seed's group check: per-group hash tables on structural keys
+   through the polymorphic hash, relation matrices as nested bool arrays
+   compared with structural [=], and every HB query asked of the
+   reference's own BFS. *)
+let check_group ?budget g h acc target (ns : Graph.node list) =
   (* the relation table and the block search are m×m in the group's
      origins: poll per table row and per candidate block, not just per
      group, so a deadline fires inside one large group *)
   let poll () = Option.iter (O2_util.Budget.check ~steps:0) budget in
   let disjoint = Lockset.disjoint (Graph.locks g) in
-  let hb_state = Graph.hb_state g in
+  let hb_state = hb_state h in
   (* quick origin-sharing filter: skip single-origin or read-only groups *)
   let origin_seen = Hashtbl.create 8 in
   let n_origins = ref 0 and first_origin = ref (-1) in
@@ -272,7 +407,7 @@ let check_group ?budget g acc target (ns : Graph.node list) =
       match Hashtbl.find_opt intervals n.Graph.n_id with
       | Some tq -> tq
       | None ->
-          let tq = Graph.hb_interval g n in
+          let tq = interval h n in
           Hashtbl.add intervals n.Graph.n_id tq;
           tq
     in
@@ -519,7 +654,7 @@ let check_group ?budget g acc target (ns : Graph.node list) =
     done
   end
 
-let detect ?budget g =
+let detect ?budget g t =
   (* the seed's grouping: every access keys the table on its structural
      target through the polymorphic hash *)
   let groups : (Access.target, Graph.node list ref) Hashtbl.t =
@@ -536,10 +671,11 @@ let detect ?budget g =
       | _ -> ())
     (Graph.accesses g);
   let acc = { a_races = []; a_pairs = 0; a_hb = 0; a_lock = 0; a_cls = 0 } in
+  let h = hb_of_trace (Graph.n_origins g) t in
   Hashtbl.iter
     (fun tgt l ->
       Option.iter (O2_util.Budget.check ~steps:0) budget;
-      check_group ?budget g acc tgt (List.rev !l))
+      check_group ?budget g h acc tgt (List.rev !l))
     groups;
   let ids (r : Detect.race) =
     (r.Detect.r_a.Graph.n_id, r.Detect.r_b.Graph.n_id)
@@ -672,7 +808,9 @@ let check ?serial_events ?lock_region ?budget a g report =
   nodes 0 (Array.to_list (Graph.nodes g), t.nodes);
   if Graph.spawn_edges g <> t.spawn_edges then fail "shb" "spawn edges differ";
   if Graph.join_edges g <> t.join_edges then fail "shb" "join edges differ";
-  let want = detect ?budget g in
+  if List.sort compare (Graph.sem_edges g) <> List.sort compare t.sem_edges
+  then fail "shb" "sem edges differ";
+  let want = detect ?budget g t in
   if report <> want then
     fail "race" "report: %d witnesses, %d class pairs vs reference %d, %d"
       (List.length report.Detect.races) report.Detect.n_pairs_checked

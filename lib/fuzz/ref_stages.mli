@@ -9,8 +9,9 @@
       instead of scanning the flat opcode streams;
     - {!detect} groups accesses and classes nodes on structural keys
       through the polymorphic hash, and finds origin blocks from the full
-      m×m table of nested bool relation matrices, every closure query
-      asked;
+      m×m table of nested bool relation matrices; it answers every
+      happens-before query with its own BFS over the reference trace's
+      edges, never with {!Graph}'s closure;
     - {!osa} runs Algorithm 1 over its own AST walk ({!iter_origin},
       {!of_stmt}) with structural targets, flagging a location's
       self-parallel accessors from {!O2_pta.Solver.self_parallel}.
@@ -50,24 +51,31 @@ val of_stmt :
 val field_of_target : Access.target -> string
 
 (** The SHB trace: every node, id-ascending, plus the spawn and join edge
-    lists in {!Graph.spawn_edges}/{!Graph.join_edges} form and order. *)
+    lists in {!Graph.spawn_edges}/{!Graph.join_edges} form and order, and
+    the §4.3 semaphore edges in {!Graph.sem_edges} form, derived from the
+    trace's own signal and wait nodes. *)
 type trace = {
   nodes : Graph.node list;
   spawn_edges : (int * int * int) list;
   join_edges : (int * int * int) list;
+  sem_edges : (int * int * int * int) list;
 }
 
 (** [shb a] is the reference SHB trace; the parameters mean what they mean
     for {!Graph.build}. *)
 val shb : ?serial_events:bool -> ?lock_region:bool -> Solver.result -> trace
 
-(** [detect g] is the reference race detection over [g]. It leaves the
-    graph's HB-query counter alone. With [budget], it checks the budget
-    before each target group and, inside a group, once per row of the
-    origin relation table and once per candidate origin block.
+(** [detect g t] is the reference race detection over the access nodes of
+    [g], with happens-before derived from the trace [t] alone: thresholds,
+    entry positions and node intervals come from [t]'s edges, and
+    reachability is a BFS per (origin, interval), memoized and run only
+    for origins that meet in a target group. It reads none of [g]'s HB
+    state and leaves its HB-query counter alone. With [budget], it checks
+    the budget before each target group and, inside a group, once per row
+    of the origin relation table and once per candidate origin block.
 
     @raise O2_util.Budget.Exhausted when [budget] runs out. *)
-val detect : ?budget:O2_util.Budget.t -> Graph.t -> Detect.report
+val detect : ?budget:O2_util.Budget.t -> Graph.t -> trace -> Detect.report
 
 (** The reference OSA's gated counts and its shared locations. *)
 type osa = {
@@ -84,7 +92,8 @@ val osa : Solver.result -> osa
     with their references: [g] is the SHB graph built from [a] under the
     same [serial_events]/[lock_region] and [report] its detection report.
     The trace is compared node for node (id, origin, sid, pos, kind,
-    lockset) plus both edge lists; [report] must be [=] to {!detect}'s; the
+    lockset) plus the spawn and join edge lists and the set of semaphore
+    edges; [report] must be [=] to {!detect}'s on the reference trace; the
     OSA counts and shared locations of [Osa.run a] must equal {!osa}'s.
     It returns one [(stage, detail)] per disagreement, stage being
     ["shb"], ["race"] or ["osa"]; [[]] means every stage agrees. [budget]

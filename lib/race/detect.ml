@@ -50,8 +50,8 @@ let is_write (n : Graph.node) =
 
    Blocks are found without an m×m table of relation matrices: every
    true interval-level answer lies on a finite closure entry, so each
-   origin's relation row is built from its closure rows
-   ({!Graph.hb_row}), holds only its nonzero matrices, and yields
+   origin's relation row is built from its closure pieces
+   ({!Graph.hb_pieces}), holds only its nonzero matrices, and yields
    the columns by transposition. Closure queries then scale with the
    finite entries among the group's origins, not with m². *)
 
@@ -161,33 +161,54 @@ let check_group g ~tb ~qb ~nls ~sc ~gi acc target (ns : Graph.node list) =
     let oarr = Array.of_list oinfos in
     let m = Array.length oarr in
     Array.iteri (fun i o -> sc.oidx.(o.o_id) <- i) oarr;
+    (* the group's origins by spawn-tree preorder ({!Graph.preorder}),
+       packed [pre * m + index in oarr], so the members inside one closure
+       piece are found by binary search *)
+    let by_pre =
+      Array.init m (fun i -> (Graph.preorder g oarr.(i).o_id * m) + i)
+    in
+    Array.stable_sort Int.compare by_pre;
+    let first_at_or_after x =
+      let lo = ref 0 and hi = ref m in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if by_pre.(mid) < x * m then lo := mid + 1 else hi := mid
+      done;
+      !lo
+    in
     (* sparse relation rows: rows.(i) lists, by ascending origin id, each
        group origin v whose relation matrix from origin i is nonzero, with
        that matrix bit-packed into a handful of ints (row-major over
-       u.o_ts × v.o_qs). Only the group origins in the closure rows
-       ({!Graph.hb_row}) can relate; bit (t, q) is set where the listed
-       entry rank is below q, the answer {!Graph.hb_state} would give. *)
+       u.o_ts × v.o_qs). Only the group origins the closure pieces cover
+       ({!Graph.hb_pieces}) can relate; bit (t, q) is set where the
+       piece's entry rank is below q, the answer {!Graph.hb_state} would
+       give. *)
     let row_of (u : oinfo) =
       let nts = Array.length u.o_ts and touched = ref [] in
       for ti = 0 to nts - 1 do
-        let row = Graph.hb_row g ~src:u.o_id ~t_idx:u.o_ts.(ti) in
-        for x = 0 to (Array.length row / 2) - 1 do
-          let v = row.(2 * x) and rank = row.((2 * x) + 1) in
-          if v <> u.o_id && sc.ostamp.(v) = gi then begin
-            let qs = oarr.(sc.oidx.(v)).o_qs in
-            let nqs = Array.length qs in
-            acc.a_hbq <- acc.a_hbq + nqs;
-            for qi = 0 to nqs - 1 do
-              if rank < qs.(qi) then begin
-                if sc.wbuf.(v) == [||] then begin
-                  sc.wbuf.(v) <- Array.make (((nts * nqs) + 62) / 63) 0;
-                  touched := v :: !touched
-                end;
-                let b = (ti * nqs) + qi and w = sc.wbuf.(v) in
-                w.(b / 63) <- w.(b / 63) lor (1 lsl (b mod 63))
-              end
-            done
-          end
+        let row = Graph.hb_pieces g ~src:u.o_id ~t_idx:u.o_ts.(ti) in
+        for x = 0 to (Array.length row / 3) - 1 do
+          let hi = row.((3 * x) + 1) and rank = row.((3 * x) + 2) in
+          let j = ref (first_at_or_after row.(3 * x)) in
+          while !j < m && by_pre.(!j) < (hi + 1) * m do
+            let o = oarr.(by_pre.(!j) mod m) in
+            let v = o.o_id and qs = o.o_qs in
+            incr j;
+            if v <> u.o_id then begin
+              let nqs = Array.length qs in
+              acc.a_hbq <- acc.a_hbq + nqs;
+              for qi = 0 to nqs - 1 do
+                if rank < qs.(qi) then begin
+                  if sc.wbuf.(v) == [||] then begin
+                    sc.wbuf.(v) <- Array.make (((nts * nqs) + 62) / 63) 0;
+                    touched := v :: !touched
+                  end;
+                  let b = (ti * nqs) + qi and w = sc.wbuf.(v) in
+                  w.(b / 63) <- w.(b / 63) lor (1 lsl (b mod 63))
+                end
+              done
+            end
+          done
         done
       done;
       List.sort Int.compare !touched

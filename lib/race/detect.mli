@@ -5,8 +5,9 @@
     different origins (or one self-parallel origin), at least one is a
     write, their locksets are disjoint, and neither happens-before the
     other. The three §4.1 optimizations are all in play: intra-origin HB is
-    an integer comparison and inter-origin HB an O(1) lookup into the
-    origin-level closure ({!O2_shb.Graph.hb}); locksets are canonical ids
+    an integer comparison and inter-origin HB a lookup into the
+    origin-level closure's preorder pieces ({!O2_shb.Graph.hb},
+    {!O2_shb.Graph.hb_pieces}); locksets are canonical ids
     with a cached disjointness check ({!O2_shb.Lockset}); and lock-region
     merging happens at SHB construction.
 

@@ -44,13 +44,16 @@ type t = {
      positions of o's incoming edges (join targets + semaphore waits): any
      position reachable *into* o is either min_int or one of these, so
      reachability at a node of o depends only on how many of them precede
-     it. hb_rows.(o).(i) is the closure from threshold interval i of o,
-     kept sparse: [| v0; r0; v1; r1; … |] by ascending origin v, one pair
-     per origin reachable at all, with r the entry rank of the minimal
-     reachable position in v (-1 for v's start, else the count of v's
-     entry positions before it). o itself is listed when reachable. *)
+     it. hb_pre.(o) is o's rank in the DFS preorder of a spanning spawn
+     tree. hb_rows.(o).(i) is the closure from threshold interval i of o,
+     as pieces [| lo0; hi0; r0; lo1; hi1; r1; … |]: disjoint preorder
+     ranges by ascending lo, every origin in [lo, hi] reachable with entry
+     rank r — -1 for its start (a range of whole subtrees), else the count
+     of its entry positions before the minimal reachable one (then
+     lo = hi). o itself is covered when reachable. *)
   mutable hb_thresholds : int array array;
   mutable hb_inpos : int array array;
+  mutable hb_pre : int array;
   mutable hb_rows : int array array array;
   mutable hb_queries : int;
 }
@@ -106,10 +109,10 @@ let build_origin g spawn_index (sp : Solver.spawn) : Walk.handlers =
   let pack ls tid w = (((ls * tid_bound) + tid) * 2) + if w then 1 else 0 in
   (* the region set is generation-stamped: membership means "bound to the
      CURRENT generation", so a reset is one int bump and probes are O(1).
-     [Sync] scopes shadow with [Hashtbl.add] and unwind their own trail on
+     [Sync] scopes shadow with [Inttbl.add] and unwind their own trail on
      exit, re-exposing the outer region's bindings — a save/reset/restore
      discipline per lock region. *)
-  let rtbl : (int, int) Hashtbl.t = Hashtbl.create 256 in
+  let rtbl : int O2_util.Inttbl.t = O2_util.Inttbl.create 256 in
   let cur_gen = ref 0 and next_gen = ref 1 in
   let trail = ref [] in
   let reset_region () =
@@ -132,13 +135,13 @@ let build_origin g spawn_index (sp : Solver.spawn) : Walk.handlers =
         let dup =
           g.lock_region
           &&
-          match Hashtbl.find_opt rtbl k with
+          match O2_util.Inttbl.find_opt rtbl k with
           | Some gen -> gen = !cur_gen
           | None -> false
         in
         if not dup then begin
           if g.lock_region then begin
-            Hashtbl.add rtbl k !cur_gen;
+            O2_util.Inttbl.add rtbl k !cur_gen;
             trail := k :: !trail
           end;
           ignore (emit_at sid (if is_write then Write tid else Read tid))
@@ -163,7 +166,7 @@ let build_origin g spawn_index (sp : Solver.spawn) : Walk.handlers =
         body ();
         ls := outer;
         Option.iter (fun o -> ignore (emit_at sid (Rel o))) single;
-        List.iter (Hashtbl.remove rtbl) !trail;
+        List.iter (O2_util.Inttbl.remove rtbl) !trail;
         trail := saved_trail;
         cur_gen := saved_gen);
     spawn =
@@ -210,7 +213,7 @@ let build_origin g spawn_index (sp : Solver.spawn) : Walk.handlers =
   }
 
 (* ------------------------------------------------------------------ *)
-(* origin-level HB closure *)
+(* origin-level HB closure: tree-cover labels *)
 
 (* index of the first element ≥ v, i.e. the count of elements < v *)
 let lower_bound (a : int array) v =
@@ -221,107 +224,224 @@ let lower_bound (a : int array) v =
   done;
   !lo
 
+(* An edge outside the spanning spawn tree, keyed by its source's preorder
+   rank: followed from a node of the source at position p when
+   [e_guard ≥ p] (max_int for a join, which all of the source precedes),
+   it reaches the preorder range [e_lo, e_hi] at position [e_pos] —
+   min_int for a spawned child's whole subtree, else one origin's entry
+   position. *)
+type ntedge = {
+  e_src : int;
+  e_guard : int;
+  e_lo : int;
+  e_hi : int;
+  e_pos : int;
+}
+
+module Ranges = Map.Make (Int)
+
 let build_hb_closure g =
   let n = n_origins g in
-  let in_range o = o >= 0 && o < n in
-  let sp_tmp = Array.make n []
-  and jn_tmp = Array.make n []
-  and sm_tmp = Array.make n [] in
-  List.iter
-    (fun (parent, child, sid) ->
-      if in_range parent then sp_tmp.(parent) <- (sid, child) :: sp_tmp.(parent))
-    g.spawns_e;
-  List.iter
-    (fun (child, parent, jid) ->
-      if in_range child then jn_tmp.(child) <- (parent, jid) :: jn_tmp.(child))
-    g.joins_e;
+  let ths = Array.make n [] and ins = Array.make n [] in
+  List.iter (fun (p, _, sid) -> ths.(p) <- sid :: ths.(p)) g.spawns_e;
+  List.iter (fun (_, p, jid) -> ins.(p) <- jid :: ins.(p)) g.joins_e;
   List.iter
     (fun (so, sid, wo, wid) ->
-      if in_range so then sm_tmp.(so) <- (sid, wo, wid) :: sm_tmp.(so))
+      ths.(so) <- sid :: ths.(so);
+      ins.(wo) <- wid :: ins.(wo))
     g.sems_e;
-  let sorted l = Array.of_list (List.sort compare l) in
-  let spawns_by = Array.map sorted sp_tmp
-  and joins_by = Array.map sorted jn_tmp
-  and sems_by = Array.map sorted sm_tmp in
-  g.hb_thresholds <-
-    Array.init n (fun o ->
-        let sids =
-          List.map fst sp_tmp.(o)
-          @ List.map (fun (sid, _, _) -> sid) sm_tmp.(o)
-        in
-        Array.of_list (List.sort_uniq compare sids));
-  g.hb_inpos <-
-    (let acc = Array.make n [] in
-     List.iter
-       (fun (_, parent, jid) ->
-         if in_range parent then acc.(parent) <- jid :: acc.(parent))
-       g.joins_e;
-     List.iter
-       (fun (_, _, wo, wid) ->
-         if in_range wo then acc.(wo) <- wid :: acc.(wo))
-       g.sems_e;
-     Array.map (fun l -> Array.of_list (List.sort_uniq compare l)) acc);
-  (* chaotic-iteration BFS from one normalized state, over indexed
-     edges, into [best] (all max_int between runs); the row is read off
-     [best] in one scan, which also resets it *)
-  let best = Array.make n max_int and buf = Array.make (2 * n) 0 in
-  let queue = Queue.create () in
-  let reach_from o0 p0 =
-    best.(o0) <- p0;
-    Queue.push (o0, p0) queue;
-    let push x pos =
-      if in_range x && pos < best.(x) then begin
-        best.(x) <- pos;
-        Queue.push (x, pos) queue
-      end
+  let sorted l = Array.of_list (List.sort_uniq compare l) in
+  g.hb_thresholds <- Array.map sorted ths;
+  g.hb_inpos <- Array.map sorted ins;
+  (* the spanning spawn tree: an origin's tree parent is its spawn edge
+     with the smallest node id. Origins are numbered by spawn site, not
+     by discovery, so those edges can close a cycle (A starts B, B
+     starts A): a parent chain that meets itself is cut there. *)
+  let tparent = Array.make n (-1) and tsid = Array.make n max_int in
+  List.iter
+    (fun (p, c, sid) ->
+      if p <> c && sid < tsid.(c) then begin
+        tparent.(c) <- p;
+        tsid.(c) <- sid
+      end)
+    g.spawns_e;
+  let state = Array.make n 0 (* 0 unseen, 1 on the current chain, 2 done *) in
+  let rec up x chain =
+    if x < 0 || state.(x) = 2 then chain
+    else if state.(x) = 1 then begin
+      tparent.(x) <- -1;
+      chain
+    end
+    else begin
+      state.(x) <- 1;
+      up tparent.(x) (x :: chain)
+    end
+  in
+  for o = 0 to n - 1 do
+    List.iter (fun x -> state.(x) <- 2) (up o [])
+  done;
+  (* DFS preorder, children in spawn-node order: the tree children an
+     origin spawns at or after a threshold are a suffix of its children,
+     and their subtrees one preorder range *)
+  let kids = Array.make n [] in
+  for c = n - 1 downto 0 do
+    let p = tparent.(c) in
+    if p >= 0 then kids.(p) <- (tsid.(c), c) :: kids.(p)
+  done;
+  let kids = Array.map (fun l -> Array.of_list (List.sort compare l)) kids in
+  let pre = Array.make n 0 and last = Array.make n 0 and k = ref 0 in
+  let rec visit o =
+    pre.(o) <- !k;
+    incr k;
+    Array.iter (fun (_, c) -> visit c) kids.(o);
+    last.(o) <- !k - 1
+  in
+  for o = 0 to n - 1 do
+    if tparent.(o) < 0 then visit o
+  done;
+  g.hb_pre <- pre;
+  let order = Array.make n 0 in
+  Array.iteri (fun o x -> order.(x) <- o) pre;
+  (* joins, semaphores and every spawn edge but the tree's, by (source
+     preorder, guard) *)
+  let nt = ref [] in
+  let add src guard lo hi pos =
+    nt :=
+      { e_src = pre.(src); e_guard = guard; e_lo = lo; e_hi = hi; e_pos = pos }
+      :: !nt
+  in
+  List.iter
+    (fun (p, c, sid) ->
+      if not (tparent.(c) = p && tsid.(c) = sid) then
+        add p sid pre.(c) last.(c) min_int)
+    g.spawns_e;
+  List.iter (fun (c, p, jid) -> add c max_int pre.(p) pre.(p) jid) g.joins_e;
+  List.iter
+    (fun (so, sid, wo, wid) -> add so sid pre.(wo) pre.(wo) wid)
+    g.sems_e;
+  let nt =
+    List.sort
+      (fun a b ->
+        match Int.compare a.e_src b.e_src with
+        | 0 -> Int.compare a.e_guard b.e_guard
+        | c -> c)
+      !nt
+    |> Array.of_list
+  in
+  (* One row, as pieces: the chaotic iteration of a BFS over (origin,
+     position) states, but over preorder ranges. [ranges] holds the
+     disjoint, non-adjacent ranges reached at min_int (unions of whole
+     subtrees); [best] (by preorder, max_int between rows) the minimal
+     position of each origin reached singly, through a join or semaphore
+     edge or as the row's own origin. *)
+  let best = Array.make n max_int in
+  let ranges = ref Ranges.empty and touched = ref [] and todo = ref [] in
+  let covered x =
+    match Ranges.find_last_opt (fun lo -> lo <= x) !ranges with
+    | Some (_, hi) -> x <= hi
+    | None -> false
+  in
+  (* push the non-tree edges of sources [a, b] whose guard is ≥ p *)
+  let follow a b p =
+    let lo = ref 0 and hi = ref (Array.length nt) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      let e = nt.(mid) in
+      if e.e_src < a || (e.e_src = a && e.e_guard < p) then lo := mid + 1
+      else hi := mid
+    done;
+    let i = ref !lo in
+    while !i < Array.length nt && nt.(!i).e_src <= b do
+      let e = nt.(!i) in
+      if e.e_guard >= p then todo := (e.e_lo, e.e_hi, e.e_pos) :: !todo;
+      incr i
+    done
+  in
+  (* origin [x] (a preorder rank) reached at position p: its tree children
+     spawned at ≥ p, and its non-tree edges guarded ≥ p *)
+  let expand x p =
+    let o = order.(x) in
+    let ks = kids.(o) in
+    let lo = ref 0 and hi = ref (Array.length ks) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if fst ks.(mid) < p then lo := mid + 1 else hi := mid
+    done;
+    if !lo < Array.length ks then
+      todo := (pre.(snd ks.(!lo)), last.(o), min_int) :: !todo;
+    follow x x p
+  in
+  let reach_single x p =
+    if p < best.(x) && not (covered x) then begin
+      best.(x) <- p;
+      touched := x :: !touched;
+      expand x p
+    end
+  in
+  (* the parts of [lo, hi] outside [ranges] are new: follow all their
+     non-tree edges, then merge [lo, hi] with what it overlaps or abuts *)
+  let reach_range lo hi =
+    let from =
+      match Ranges.find_last_opt (fun l -> l <= lo) !ranges with
+      | Some (l, h) when h >= lo - 1 -> l
+      | _ -> lo
     in
-    while not (Queue.is_empty queue) do
-      let x, p = Queue.pop queue in
-      if p <= best.(x) then begin
-        let sp = spawns_by.(x) in
-        let lo = ref 0 and hi = ref (Array.length sp) in
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if fst sp.(mid) < p then lo := mid + 1 else hi := mid
-        done;
-        for i = !lo to Array.length sp - 1 do
-          push (snd sp.(i)) min_int
-        done;
-        Array.iter (fun (parent, jid) -> push parent jid) joins_by.(x);
-        let sm = sems_by.(x) in
-        let lo = ref 0 and hi = ref (Array.length sm) in
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          let sid, _, _ = sm.(mid) in
-          if sid < p then lo := mid + 1 else hi := mid
-        done;
-        for i = !lo to Array.length sm - 1 do
-          let _, wo, wid = sm.(i) in
-          push wo wid
-        done
-      end
-    done;
-    let k = ref 0 in
-    for v = 0 to n - 1 do
-      let c = best.(v) in
-      if c <> max_int then begin
-        buf.(!k) <- v;
-        buf.(!k + 1) <-
-          (if c = min_int then -1 else lower_bound g.hb_inpos.(v) c);
-        k := !k + 2;
-        best.(v) <- max_int
-      end
-    done;
-    Array.sub buf 0 !k
+    let c = ref lo and lo' = ref lo and hi' = ref hi in
+    Ranges.to_seq_from from !ranges
+    |> Seq.take_while (fun (l, _) -> l <= hi + 1)
+    |> Seq.iter (fun (l, h) ->
+           if l > !c then follow !c (l - 1) min_int;
+           c := max !c (h + 1);
+           lo' := min !lo' l;
+           hi' := max !hi' h;
+           ranges := Ranges.remove l !ranges);
+    if !c <= hi then follow !c hi min_int;
+    ranges := Ranges.add !lo' !hi' !ranges
+  in
+  let rec drain () =
+    match !todo with
+    | [] -> ()
+    | (lo, hi, pos) :: tl ->
+        todo := tl;
+        if pos = min_int then reach_range lo hi else reach_single lo pos;
+        drain ()
+  in
+  let row o p0 =
+    let x0 = pre.(o) in
+    best.(x0) <- p0;
+    touched := [ x0 ];
+    expand x0 p0;
+    drain ();
+    (* ranges at rank -1, merged with the singles they do not cover; a
+       single's rank counts its origin's entry positions before it *)
+    let singles =
+      List.sort_uniq Int.compare !touched
+      |> List.filter_map (fun x ->
+             let p = best.(x) in
+             best.(x) <- max_int;
+             if p = max_int || covered x then None
+             else Some (x, x, lower_bound g.hb_inpos.(order.(x)) p))
+    in
+    let pieces =
+      List.map (fun (l, h) -> (l, h, -1)) (Ranges.bindings !ranges) @ singles
+      |> List.sort compare
+    in
+    ranges := Ranges.empty;
+    let a = Array.make (3 * List.length pieces) 0 in
+    List.iteri
+      (fun i (l, h, r) ->
+        a.(3 * i) <- l;
+        a.((3 * i) + 1) <- h;
+        a.((3 * i) + 2) <- r)
+      pieces;
+    a
   in
   g.hb_rows <-
     Array.init n (fun o ->
         let t = g.hb_thresholds.(o) in
         Array.init
           (Array.length t + 1)
-          (fun i ->
-            let p = if i < Array.length t then t.(i) else max_int in
-            reach_from o p))
+          (fun i -> row o (if i < Array.length t then t.(i) else max_int)))
 
 (* Exclusive upper bounds of the two [hb_interval] components over all
    origins — the race engine packs (t, q) into its int class keys with
@@ -344,19 +464,22 @@ let hb_interval g (node : node) =
    those intervals ([src] ≠ [dst]): the closure value is min_int, max_int,
    or one of dst's incoming entry positions, so its entry rank (stored at
    build time) against [q_idx] is the same test as the value against the
-   node id. A binary search for [dst] among the row's destinations. *)
+   node id. A binary search for [dst]'s preorder rank among the row's
+   pieces. *)
 let hb_state g ~src ~t_idx ~dst ~q_idx =
-  let row = g.hb_rows.(src).(t_idx) in
-  let lo = ref 0 and hi = ref (Array.length row / 2) in
+  let row = g.hb_rows.(src).(t_idx) and x = g.hb_pre.(dst) in
+  (* the first piece starting after x; its predecessor is the candidate *)
+  let lo = ref 0 and hi = ref (Array.length row / 3) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if row.(2 * mid) < dst then lo := mid + 1 else hi := mid
+    if row.(3 * mid) <= x then lo := mid + 1 else hi := mid
   done;
-  2 * !lo < Array.length row
-  && row.(2 * !lo) = dst
-  && row.((2 * !lo) + 1) < q_idx
+  !lo > 0
+  && x <= row.((3 * (!lo - 1)) + 1)
+  && row.((3 * (!lo - 1)) + 2) < q_idx
 
-let hb_row g ~src ~t_idx = g.hb_rows.(src).(t_idx)
+let preorder g o = g.hb_pre.(o)
+let hb_pieces g ~src ~t_idx = g.hb_rows.(src).(t_idx)
 
 (* hb_state is pure (no per-call counting: the race engine counts every
    query it asks); it reports the total here *)
@@ -366,7 +489,12 @@ let hb_queries g = g.hb_queries
 
 let hb_closure_entries g =
   Array.fold_left
-    (Array.fold_left (fun acc row -> acc + (Array.length row / 2)))
+    (Array.fold_left (fun acc row ->
+         let acc = ref acc in
+         for i = 0 to (Array.length row / 3) - 1 do
+           acc := !acc + row.((3 * i) + 1) - row.(3 * i) + 1
+         done;
+         !acc))
     0 g.hb_rows
 
 let build_graph ~serial_events ~lock_region a =
@@ -386,6 +514,7 @@ let build_graph ~serial_events ~lock_region a =
       lock_region;
       hb_thresholds = [||];
       hb_inpos = [||];
+      hb_pre = [||];
       hb_rows = [||];
       hb_queries = 0;
     }

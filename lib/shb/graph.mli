@@ -115,21 +115,31 @@ val interval_bounds : t -> int * int
 (** [hb_state g ~src ~t_idx ~dst ~q_idx] is the interval-level form of
     {!hb}: for [src ≠ dst] it equals [hb g a b] for every node [a] of
     [src] in threshold interval [t_idx] and every node [b] of [dst] with
-    [q_idx] incoming entry positions before it. It looks [dst] up in
-    {!hb_row} and compares its entry rank with [q_idx]. Pure — no per-call
-    accounting: the race engine counts every query it asks and reports the
-    total with {!note_hb_queries}. *)
+    [q_idx] incoming entry positions before it. It finds [dst]'s
+    {!preorder} rank among the {!hb_pieces} and compares that piece's
+    entry rank with [q_idx]. Pure — no per-call accounting: the race
+    engine counts every query it asks and reports the total with
+    {!note_hb_queries}. *)
 val hb_state : t -> src:int -> t_idx:int -> dst:int -> q_idx:int -> bool
 
-(** [hb_row g ~src ~t_idx] is the closure row of [src]'s threshold
-    interval [t_idx], packed as [[| v0; r0; v1; r1; … |]]: by ascending
-    origin [v], every origin a node of that interval may happen before
-    ([src] itself included when reachable), with its entry rank [r] — [-1]
-    when all of [v] follows, otherwise the count of [v]'s incoming entry
-    positions before the first node it reaches. [hb_state] holds exactly
-    for the listed [v ≠ src] with [r < q_idx]. Shared with the graph: must
-    not be mutated. *)
-val hb_row : t -> src:int -> t_idx:int -> int array
+(** [preorder g o] is origin [o]'s rank in the DFS preorder of a spanning
+    spawn tree: each origin's tree parent is its spawn edge with the
+    smallest node id (a parent chain that closes a cycle is cut there),
+    and children are numbered in spawn-node order. {!hb_pieces} are
+    ranges of these ranks. *)
+val preorder : t -> int -> int
+
+(** [hb_pieces g ~src ~t_idx] is the closure row of [src]'s threshold
+    interval [t_idx], packed as [[| lo0; hi0; r0; lo1; hi1; r1; … |]]:
+    disjoint {!preorder} ranges by ascending [lo], together covering every
+    origin a node of that interval may happen before ([src] itself
+    included when reachable). Every origin [v] in [lo, hi] carries the
+    entry rank [r] — [-1] when all of [v] follows (a range of whole spawn
+    subtrees), otherwise the count of [v]'s incoming entry positions
+    before the first node it reaches (then [lo = hi]). [hb_state] holds
+    exactly for the covered [v ≠ src] with [r < q_idx]. Shared with the
+    graph: must not be mutated. *)
+val hb_pieces : t -> src:int -> t_idx:int -> int array
 
 (** [hb_queries g] is the number of HB queries answered so far: {!hb} calls
     plus counts reported via {!note_hb_queries} (surfaced as
@@ -141,8 +151,8 @@ val hb_queries : t -> int
 val note_hb_queries : t -> int -> unit
 
 (** [hb_closure_entries g] counts the (origin, interval, origin) entries of
-    the precomputed closure that are reachable — the pairs of every
-    {!hb_row}, the [shb.hb_closure_size] counter. *)
+    the precomputed closure that are reachable — the origins covered by
+    every row's {!hb_pieces}, the [shb.hb_closure_size] counter. *)
 val hb_closure_entries : t -> int
 
 (** [pp] dumps the per-origin traces (for debugging and the CLI). *)

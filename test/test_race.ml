@@ -561,13 +561,15 @@ let test_third_party_relations () =
 
 (* ---------------- large generated shapes ---------------- *)
 
-(* Two [o2 fuzz] shapes with thousands of origins in a handful of target
+(* Three [o2 fuzz] shapes with thousands of origins in a handful of target
    groups (seed 7 #824: 2919 origins under 1-origin; seed 42 #44: 2673
-   under 0-ctx). Building an m×m origin relation table per group cost tens
-   of millions of closure queries on them; detection must stay within a
-   constant number of queries per class pair and origin. The pinned counts
-   agree with {!O2_fuzz.Ref_stages.detect}; the closure size counts the
-   reachable (origin, interval, origin) entries of the HB closure. *)
+   under 0-ctx; seed 7 #763: 4417 under 1-origin, whose near-tree of spawn
+   edges reaches 9.7 M closure entries). Building an m×m origin relation
+   table per group cost tens of millions of closure queries on them;
+   detection must stay within a constant number of queries per class pair
+   and origin. The pinned counts agree with
+   {!O2_fuzz.Ref_stages.detect}; the closure size counts the reachable
+   (origin, interval, origin) entries of the HB closure. *)
 let test_fuzz_shape ~seed ~index ~policy ~pairs ~races ~closure () =
   let p =
     O2_workloads.Synth.program
@@ -697,6 +699,9 @@ let () =
           Alcotest.test_case "fuzz seed 42 #44, 0-ctx" `Quick
             (test_fuzz_shape ~seed:42 ~index:44 ~policy:Context.Insensitive
                ~pairs:1307 ~races:1789 ~closure:3_571_205);
+          Alcotest.test_case "fuzz seed 7 #763, 1-origin" `Quick
+            (test_fuzz_shape ~seed:7 ~index:763 ~policy:(Context.Korigin 1)
+               ~pairs:1568 ~races:1440 ~closure:9_748_330);
         ] );
       ( "diff",
         [

@@ -532,39 +532,43 @@ let test_join_unstarted_thread () =
    edge of X at node id s ≥ p into the start of the child, X's join into
    its parent at node id j (everything in X happens before j in the
    parent), or a semaphore edge of X signalled at s ≥ p. Intra-origin
-   order is the id order. *)
+   order is the id order. [reach_bfs g o p] maps every origin reachable
+   from position p of origin o to its minimal reachable position. *)
+let reach_bfs g origin pos =
+  let best = Hashtbl.create 8 in
+  let queue = Queue.create () in
+  let push origin pos =
+    match Hashtbl.find_opt best origin with
+    | Some p when p <= pos -> ()
+    | _ ->
+        Hashtbl.replace best origin pos;
+        Queue.push (origin, pos) queue
+  in
+  push origin pos;
+  while not (Queue.is_empty queue) do
+    let x, p = Queue.pop queue in
+    if Hashtbl.find best x = p then begin
+      List.iter
+        (fun (parent, child, sid) ->
+          if parent = x && sid >= p then push child min_int)
+        (Graph.spawn_edges g);
+      List.iter
+        (fun (child, parent, jid) -> if child = x then push parent jid)
+        (Graph.join_edges g);
+      List.iter
+        (fun (so, sid, wo, wid) -> if so = x && sid >= p then push wo wid)
+        (Graph.sem_edges g)
+    end
+  done;
+  best
+
 let hb_bfs g (a : Graph.node) (b : Graph.node) =
   if a.Graph.n_origin = b.Graph.n_origin then a.Graph.n_id < b.Graph.n_id
-  else begin
-    let best = Hashtbl.create 8 in
-    let queue = Queue.create () in
-    let push origin pos =
-      match Hashtbl.find_opt best origin with
-      | Some p when p <= pos -> ()
-      | _ ->
-          Hashtbl.replace best origin pos;
-          Queue.push (origin, pos) queue
-    in
-    push a.Graph.n_origin a.Graph.n_id;
-    let found = ref false in
-    while (not !found) && not (Queue.is_empty queue) do
-      let x, p = Queue.pop queue in
-      if x = b.Graph.n_origin && p <= b.Graph.n_id then found := true
-      else begin
-        List.iter
-          (fun (parent, child, sid) ->
-            if parent = x && sid >= p then push child min_int)
-          (Graph.spawn_edges g);
-        List.iter
-          (fun (child, parent, jid) -> if child = x then push parent jid)
-          (Graph.join_edges g);
-        List.iter
-          (fun (so, sid, wo, wid) -> if so = x && sid >= p then push wo wid)
-          (Graph.sem_edges g)
-      end
-    done;
-    !found
-  end
+  else
+    match Hashtbl.find_opt (reach_bfs g a.Graph.n_origin a.Graph.n_id)
+            b.Graph.n_origin with
+    | Some p -> p <= b.Graph.n_id
+    | None -> false
 
 (* the closure-based hb must agree with the BFS on every node pair of a
    randomized graph (and hb_state with both, at the node's intervals) *)
@@ -603,6 +607,243 @@ let prop_hb_closure_matches_bfs =
           !ok)
         [ Context.Insensitive; Context.Korigin 1 ])
 
+(* ---------------- closure labels on non-tree shapes ---------------- *)
+
+(* An origin's thresholds (its spawn and signal node ids) and entry
+   positions (its join and wait node ids), read off the edge lists. *)
+let timed g =
+  let n = Graph.n_origins g in
+  let ths = Array.make n [] and ins = Array.make n [] in
+  List.iter
+    (fun (p, _, sid) -> ths.(p) <- sid :: ths.(p))
+    (Graph.spawn_edges g);
+  List.iter (fun (_, p, jid) -> ins.(p) <- jid :: ins.(p)) (Graph.join_edges g);
+  List.iter
+    (fun (so, sid, wo, wid) ->
+      ths.(so) <- sid :: ths.(so);
+      ins.(wo) <- wid :: ins.(wo))
+    (Graph.sem_edges g);
+  let sorted l = Array.of_list (List.sort_uniq compare l) in
+  (Array.map sorted ths, Array.map sorted ins)
+
+(* Every (origin, threshold interval) × origin answer of [hb_state], for
+   every entry count of the destination, against the BFS from the
+   interval's threshold: the destination's first reachable position
+   precedes a node with q entry positions at or before it iff it is its
+   start or one of those q. The closure size must be the number of
+   (origin, interval, origin) states the BFS reaches. *)
+let check_labels_against_bfs name g =
+  let ths, ins = timed g in
+  let n = Graph.n_origins g in
+  let entries = ref 0 and bad = ref 0 in
+  for src = 0 to n - 1 do
+    for t = 0 to Array.length ths.(src) do
+      let p0 = if t < Array.length ths.(src) then ths.(src).(t) else max_int in
+      let best = reach_bfs g src p0 in
+      Hashtbl.iter (fun _ p -> if p < max_int then incr entries) best;
+      for dst = 0 to n - 1 do
+        if dst <> src then
+          for q = 0 to Array.length ins.(dst) do
+            let want =
+              match Hashtbl.find_opt best dst with
+              | None -> false
+              | Some c -> c = min_int || (q > 0 && c <= ins.(dst).(q - 1))
+            in
+            if Graph.hb_state g ~src ~t_idx:t ~dst ~q_idx:q <> want then
+              incr bad
+          done
+      done
+    done
+  done;
+  check_int (name ^ ": hb_state = BFS") 0 !bad;
+  check_int (name ^ ": closure entries") !entries (Graph.hb_closure_entries g)
+
+(* edges outside any spanning spawn tree: joins, semaphore edges, and
+   every spawn edge into an origin beyond its first *)
+let non_tree_edges g =
+  let children = List.map (fun (_, c, _) -> c) (Graph.spawn_edges g) in
+  List.length (Graph.join_edges g)
+  + List.length (Graph.sem_edges g)
+  + List.length children
+  - List.length (List.sort_uniq compare children)
+
+(* H's start site sits in a helper that main and T1 both call (under
+   0-ctx: one origin with two spawn parents); T1 starts the nested T2 and
+   joins it, main joins T1 after that nested spawn, and T2 signals the one
+   semaphore main waits on *)
+let non_tree_prog () =
+  prog ~main:"M"
+    [
+      cls "Data" ~fields:[ "v"; "w" ] [];
+      cls "H" ~super:"Thread" ~fields:[ "s" ]
+        [
+          meth "init" [ "s" ] [ fwrite "this" "s" "s" ];
+          meth "run" [] [ fread "d" "this" "s"; fwrite "d" "v" "d"; ret None ];
+        ];
+      cls "Starter"
+        [ meth "go" [ "d" ] [ new_ "h" "H" [ "d" ]; start "h"; ret None ] ];
+      cls "T2" ~super:"Thread" ~fields:[ "s"; "q" ]
+        [
+          meth "init" [ "s"; "q" ]
+            [ fwrite "this" "s" "s"; fwrite "this" "q" "q" ];
+          meth "run" []
+            [
+              fread "d" "this" "s";
+              fwrite "d" "w" "d";
+              fread "q" "this" "q";
+              signal "q";
+              ret None;
+            ];
+        ];
+      cls "T1" ~super:"Thread" ~fields:[ "s"; "q"; "st" ]
+        [
+          meth "init" [ "s"; "q"; "st" ]
+            [
+              fwrite "this" "s" "s";
+              fwrite "this" "q" "q";
+              fwrite "this" "st" "st";
+            ];
+          meth "run" []
+            [
+              fread "d" "this" "s";
+              fread "q" "this" "q";
+              fread "st" "this" "st";
+              new_ "t2" "T2" [ "d"; "q" ];
+              start "t2";
+              call "st" "go" [ "d" ];
+              join "t2";
+              fread "x" "d" "w";
+              ret None;
+            ];
+        ];
+      cls "M"
+        [
+          meth ~static:true "main" []
+            [
+              new_ "d" "Data" [];
+              new_ "q" "Data" [];
+              new_ "st" "Starter" [];
+              call "st" "go" [ "d" ];
+              new_ "t1" "T1" [ "d"; "q"; "st" ];
+              start "t1";
+              fread "y" "d" "v";
+              join "t1";
+              wait "q";
+              fread "z" "d" "w";
+              ret None;
+            ];
+        ];
+    ]
+
+let test_labels_non_tree () =
+  List.iter
+    (fun policy ->
+      let _, g = build ~policy (non_tree_prog ()) in
+      let name = Context.policy_name policy in
+      check_bool (name ^ ": join edges") true (Graph.join_edges g <> []);
+      check_bool (name ^ ": semaphore edge") true (Graph.sem_edges g <> []);
+      check_labels_against_bfs name g)
+    [ Context.Insensitive; Context.Korigin 1 ];
+  (* under 0-ctx the helper's one start site has two spawn parents *)
+  let _, g = build ~policy:Context.Insensitive (non_tree_prog ()) in
+  let parents c =
+    List.filter_map
+      (fun (p, c', _) -> if c' = c then Some p else None)
+      (Graph.spawn_edges g)
+    |> List.sort_uniq compare
+  in
+  check_bool "an origin with two spawn parents" true
+    (List.exists
+       (fun (_, c, _) -> List.length (parents c) >= 2)
+       (Graph.spawn_edges g))
+
+(* A starts B and B starts A: under 0-ctx the B origin is spawned from the
+   A origin that B itself starts, walked before main's A, so each one's
+   earliest spawn edge comes from the other — a parent cycle the spanning
+   tree has to cut *)
+let spawn_cycle_prog () =
+  let worker name other =
+    cls name ~super:"Thread" ~fields:[ "s" ]
+      [
+        meth "init" [ "s" ] [ fwrite "this" "s" "s" ];
+        meth "run" []
+          [
+            fread "d" "this" "s";
+            fwrite "d" "v" "d";
+            new_ "o" other [ "d" ];
+            start "o";
+            ret None;
+          ];
+      ]
+  in
+  prog ~main:"M"
+    [
+      cls "Data" ~fields:[ "v" ] [];
+      worker "A" "B";
+      worker "B" "A";
+      cls "M"
+        [
+          meth ~static:true "main" []
+            [
+              new_ "d" "Data" [];
+              new_ "a" "A" [ "d" ];
+              start "a";
+              fread "x" "d" "v";
+              ret None;
+            ];
+        ];
+    ]
+
+let test_labels_spawn_cycle () =
+  let _, g = build ~policy:Context.Insensitive (spawn_cycle_prog ()) in
+  (* each origin's spawn edge with the smallest node id *)
+  let first = Hashtbl.create 8 in
+  List.iter
+    (fun (p, c, sid) ->
+      match Hashtbl.find_opt first c with
+      | Some (_, s) when s <= sid -> ()
+      | _ -> Hashtbl.replace first c (p, sid))
+    (Graph.spawn_edges g);
+  let parent c = Option.map fst (Hashtbl.find_opt first c) in
+  check_bool "earliest spawn edges form a cycle" true
+    (Hashtbl.fold
+       (fun c (p, _) acc -> acc || (p <> c && parent p = Some c))
+       first false);
+  check_labels_against_bfs "spawn cycle" g
+
+(* eventstorm's shape: the chainstorm spec with thread and event classes
+   ×4, a near-tree of ~600 spawn edges *)
+let test_labels_chainstorm () =
+  let open O2_workloads.Synth in
+  let s = find "chainstorm" in
+  let s =
+    {
+      s with
+      s_thread_classes = 4 * s.s_thread_classes;
+      s_event_classes = 4 * s.s_event_classes;
+    }
+  in
+  let _, g = build (program s) in
+  check_labels_against_bfs "chainstorm x4" g
+
+(* the "HB closure = BFS oracle" property sees non-tree edges: a sample of
+   the generator as large as the property's draws joins and semaphore
+   edges *)
+let test_generator_non_tree () =
+  let specs =
+    QCheck2.Gen.generate ~rand:(Random.State.make [| 7 |]) ~n:60
+      O2_test_helpers.Gen.spec_gen
+  in
+  let with_non_tree =
+    List.filter
+      (fun spec ->
+        let _, g = build (O2_test_helpers.Gen.program_of_spec spec) in
+        non_tree_edges g > 0)
+      specs
+  in
+  check_bool "some sampled program has a non-tree edge" true
+    (with_non_tree <> [])
+
 let () =
   Alcotest.run "shb"
     [
@@ -636,6 +877,14 @@ let () =
           Alcotest.test_case "transitive spawns" `Quick
             test_hb_transitive_spawn_chain;
           QCheck_alcotest.to_alcotest prop_hb_closure_matches_bfs;
+          Alcotest.test_case "labels: non-tree edges" `Quick
+            test_labels_non_tree;
+          Alcotest.test_case "labels: spawn cycle" `Quick
+            test_labels_spawn_cycle;
+          Alcotest.test_case "labels: chainstorm x4" `Quick
+            test_labels_chainstorm;
+          Alcotest.test_case "generator draws non-tree edges" `Quick
+            test_generator_non_tree;
         ] );
       ( "events",
         [ Alcotest.test_case "dispatcher lock" `Quick test_dispatcher_lock ] );
