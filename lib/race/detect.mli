@@ -16,7 +16,13 @@
     ({!O2_shb.Graph.hb_interval}): one check per class pair decides every
     member pair, and witnesses are recovered per surviving class pair, so
     the reported races are identical to the pairwise loop while
-    [n_pairs_checked] drops from O(n²) to O(classes²). *)
+    [n_pairs_checked] drops from O(n²) to O(classes²).
+
+    The pass keeps its structures in flat int buffers that live once per
+    run, and deduplicates each witness as it is emitted: per (unordered
+    statement-site pair, field) it keeps the witness with the least
+    [(r_a.n_id, r_b.n_id)], then sorts only the kept ones — the list a
+    sort of every witness followed by a first-per-key filter gives. *)
 
 open O2_pta
 open O2_shb
@@ -28,7 +34,10 @@ type race = {
 }
 
 type report = {
-  races : race list;  (** deduplicated, deterministic order *)
+  races : race list;
+      (** one witness per (unordered statement-site pair, field), the one
+          with the least [(r_a.n_id, r_b.n_id)]; strictly increasing in
+          that pair *)
   n_pairs_checked : int;  (** class pairs examined *)
   n_hb_pruned : int;  (** class pairs pruned by happens-before *)
   n_lock_pruned : int;  (** class pairs pruned by common locks *)
@@ -39,15 +48,17 @@ type report = {
 
 (** [n_races r] counts distinct races after source-site deduplication: one
     race per unordered pair of statement sites per field — the unit the
-    paper's Tables 8–10 report. *)
+    paper's Tables 8–10 report. [races] is deduplicated by that key
+    already, so this is its length. *)
 val n_races : report -> int
 
 (** [run ?metrics g] detects races on a built SHB graph in one serial
     pass. With a sink, detection runs inside a ["race.detect"] span and
     records [race.pairs_checked], [race.hb_pruned], [race.lock_pruned],
     [race.class_pruned], [race.candidates] (witnesses kept), [race.races]
-    (after source-site dedup), [shb.hb_queries] and the lockset-cache
-    hit/miss snapshot.
+    (after source-site dedup; equal to [race.candidates] since witnesses
+    are deduplicated as they are found), [shb.hb_queries] and the
+    lockset-cache hit/miss snapshot.
 
     [jobs] has no effect: detection is serial. The label is accepted so
     callers that still pass it keep compiling. *)

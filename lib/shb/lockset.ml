@@ -7,7 +7,8 @@ end)
 
 type t = {
   intern : LsIntern.t;
-  disjoint_cache : (int * int, bool) Hashtbl.t;
+  disjoint_cache : bool O2_util.Inttbl.t;
+      (* keyed by the ordered id pair, packed [lo lsl 31 lor hi] *)
   mutable hits : int;
   mutable misses : int;
 }
@@ -18,7 +19,7 @@ let create () =
   let t =
     {
       intern = LsIntern.create ();
-      disjoint_cache = Hashtbl.create 64;
+      disjoint_cache = O2_util.Inttbl.create 64;
       hits = 0;
       misses = 0;
     }
@@ -37,16 +38,21 @@ let acquire t ls l =
 let disjoint t a b =
   if a = 0 || b = 0 then true
   else
-    let key = if a <= b then (a, b) else (b, a) in
-    match Hashtbl.find_opt t.disjoint_cache key with
-    | Some v ->
+    let lo = Int.min a b and hi = Int.max a b in
+    (* the guard makes an overflow fail loudly instead of silently sharing
+       one cache entry between two id pairs *)
+    if hi lsr 31 <> 0 then
+      invalid_arg "Lockset.disjoint: id exceeds the 31-bit packing bound";
+    let key = (lo lsl 31) lor hi in
+    match O2_util.Inttbl.find t.disjoint_cache key with
+    | v ->
         t.hits <- t.hits + 1;
         v
-    | None ->
+    | exception Not_found ->
         t.misses <- t.misses + 1;
         let la = elements t a and lb = elements t b in
         let v = not (List.exists (fun l -> List.mem l lb) la) in
-        Hashtbl.add t.disjoint_cache key v;
+        O2_util.Inttbl.add t.disjoint_cache key v;
         v
 
 let n_distinct t = LsIntern.count t.intern

@@ -359,6 +359,135 @@ let test_report_dedup_and_order () =
         (race.r_a.O2_shb.Graph.n_id <= race.r_b.O2_shb.Graph.n_id))
     r.races
 
+(* the source-site dedup key: unordered statement pair + field name *)
+let field_of (x : O2_race.Detect.race) =
+  match x.r_target with
+  | Access.Tfield (_, f) -> f
+  | Access.Tstatic (c, f) -> c ^ "::" ^ f
+
+let dedup_key (x : O2_race.Detect.race) =
+  let a = x.r_a.O2_shb.Graph.n_sid and b = x.r_b.O2_shb.Graph.n_sid in
+  ((min a b, max a b), field_of x)
+
+(* the count before [n_races] read the deduplicated list's length *)
+let old_n_races (r : O2_race.Detect.report) =
+  List.map dedup_key r.races |> List.sort_uniq compare |> List.length
+
+let named_specs =
+  O2_workloads.Synth.(dacapo @ android @ distributed @ capps @ stress)
+
+(* Every named workload under four policies: the witnesses come strictly
+   ordered by node ids with pairwise distinct dedup keys, so [n_races] is
+   the list's length. Detection keys its dedup on a dense field id (an
+   instance field's interned id, or n_fields + a static's slot), which
+   names the same field exactly when [field_of] does only if no instance
+   field name and no ["C::f"] static string coincide: checked on every
+   lowered program here. *)
+let test_report_invariants_named () =
+  let ids (x : O2_race.Detect.race) =
+    (x.r_a.O2_shb.Graph.n_id, x.r_b.O2_shb.Graph.n_id)
+  in
+  let rec increasing = function
+    | a :: (b :: _ as tl) -> ids a < ids b && increasing tl
+    | _ -> true
+  in
+  List.iter
+    (fun (spec : O2_workloads.Synth.spec) ->
+      let p = O2_workloads.Synth.program spec in
+      List.iter
+        (fun policy ->
+          let label =
+            Printf.sprintf "%s/%s" spec.s_name (Context.policy_name policy)
+          in
+          let { O2.report = r; solver = a; _ } =
+            O2.run { O2.Config.default with policy } p
+          in
+          check_bool (label ^ ": ordered by node ids") true
+            (increasing r.races);
+          let keys = List.map dedup_key r.races in
+          check_int (label ^ ": distinct dedup keys") (List.length keys)
+            (List.length (List.sort_uniq compare keys));
+          check_int (label ^ ": n_races") (old_n_races r)
+            (O2_race.Detect.n_races r);
+          let fl = a.Solver.flat in
+          let module F = O2_ir.Flat in
+          let names =
+            List.init (F.n_fields fl) (F.field_name fl)
+            @ List.init (F.n_statics fl) (fun s ->
+                  F.class_name fl (F.static_cid fl s)
+                  ^ "::"
+                  ^ F.field_name fl (F.static_fid fl s))
+          in
+          check_int (label ^ ": field keys name distinct fields")
+            (List.length names)
+            (List.length (List.sort_uniq compare names)))
+        Context.[ Insensitive; Kcfa 2; Kobj 2; Korigin 1 ])
+    named_specs
+
+(* Three workers write field v of two Data objects from one statement (the
+   worker's slot holds both), and read it from another: two target groups
+   with one field name, so each (site pair, field) key has candidate
+   witnesses in both groups. Deduplication runs across groups and keeps
+   the least witness by node ids, as the naive detector's
+   sort-then-filter does. *)
+let two_group_writers () =
+  prog ~main:"M"
+    [
+      cls "Data" ~fields:[ "v" ] [];
+      cls "W" ~super:"Thread" ~fields:[ "s" ]
+        [
+          meth "init" [ "a"; "b" ]
+            [ fwrite "this" "s" "a"; fwrite "this" "s" "b" ];
+          meth "run" []
+            [
+              fread "d" "this" "s";
+              fwrite "d" "v" "d";
+              fread "x" "d" "v";
+              ret None;
+            ];
+        ];
+      cls "M"
+        [
+          meth ~static:true "main" []
+            [
+              new_ "d1" "Data" [];
+              new_ "d2" "Data" [];
+              new_ "w1" "W" [ "d1"; "d2" ];
+              new_ "w2" "W" [ "d1"; "d2" ];
+              new_ "w3" "W" [ "d1"; "d2" ];
+              start "w1";
+              start "w2";
+              start "w3";
+            ];
+        ];
+    ]
+
+let test_dedup_across_groups () =
+  let p = two_group_writers () in
+  List.iter
+    (fun policy ->
+      let a = Solver.analyze ~policy p in
+      let g = O2_shb.Graph.build a in
+      (* the write statement reaches two locations of field v *)
+      let written =
+        Array.to_list (O2_shb.Graph.accesses g)
+        |> List.filter_map (fun (n : O2_shb.Graph.node) ->
+               match n.O2_shb.Graph.n_kind with
+               | O2_shb.Graph.Write t -> Some t
+               | _ -> None)
+        |> List.filter (fun t ->
+               match O2_shb.Graph.target_of g t with
+               | Access.Tfield (_, "v") -> true
+               | _ -> false)
+        |> List.sort_uniq compare
+      in
+      check_int "two written groups of field v" 2 (List.length written);
+      let fast = O2_race.Detect.run g and slow = O2_race.Naive.run g in
+      check_bool "races found" true (fast.O2_race.Detect.races <> []);
+      check_bool "witness for witness" true
+        (fast.O2_race.Detect.races = slow.O2_race.Detect.races))
+    [ Context.Insensitive; Context.Korigin 1 ]
+
 let test_prune_counters () =
   let r = (O2.run O2.Config.default (race1 ())).O2.report in
   check_bool "pairs counted" true (r.n_pairs_checked > 0);
@@ -561,6 +690,16 @@ let test_third_party_relations () =
 
 (* ---------------- large generated shapes ---------------- *)
 
+let witness_digest (r : O2_race.Detect.report) =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (x : O2_race.Detect.race) ->
+      Printf.bprintf b "%d,%d,%d,%d,%s;" x.r_a.O2_shb.Graph.n_id
+        x.r_b.O2_shb.Graph.n_id x.r_a.O2_shb.Graph.n_sid
+        x.r_b.O2_shb.Graph.n_sid (field_of x))
+    r.O2_race.Detect.races;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
 (* Three [o2 fuzz] shapes with thousands of origins in a handful of target
    groups (seed 7 #824: 2919 origins under 1-origin; seed 42 #44: 2673
    under 0-ctx; seed 7 #763: 4417 under 1-origin, whose near-tree of spawn
@@ -569,23 +708,51 @@ let test_third_party_relations () =
    detection must stay within a constant number of queries per class pair
    and origin. The pinned counts agree with
    {!O2_fuzz.Ref_stages.detect}; the closure size counts the reachable
-   (origin, interval, origin) entries of the HB closure. *)
-let test_fuzz_shape ~seed ~index ~policy ~pairs ~races ~closure () =
+   (origin, interval, origin) entries of the HB closure. [digest] pins
+   the witness list (node-id pairs, sids, field) as the detector before
+   run-level buffers and emission-time dedup reported it: these programs
+   are above the naive detector's size cut-off, so nothing else checks
+   witness choice at this scale. [alloc_mw] bounds the words
+   one [Detect.run] allocates on a fresh graph (minor + major − promoted;
+   the counters advance only at a minor collection, hence [Gc.minor]
+   before each sample) — 35 Mw on #763 with per-group tables and a final
+   sort of every raw witness. *)
+let test_fuzz_shape ~seed ~index ~policy ~pairs ~races ~closure ~digest
+    ?alloc_mw () =
   let p =
     O2_workloads.Synth.program
       (O2_workloads.Synth.spec_of_seed ~seed ~index)
   in
-  let { O2.graph = g; report = r; _ } =
+  let { O2.graph = g; report = r; solver = a; _ } =
     O2.run { O2.Config.default with policy } p
   in
   check_int "pairs checked" pairs r.O2_race.Detect.n_pairs_checked;
   check_int "races" races (O2_race.Detect.n_races r);
   check_int "closure entries" closure (O2_shb.Graph.hb_closure_entries g);
+  Alcotest.(check string) "witness digest" digest (witness_digest r);
   let q = O2_shb.Graph.hb_queries g
   and bound =
     10 * (r.O2_race.Detect.n_pairs_checked + O2_shb.Graph.n_origins g)
   in
-  check_bool (Printf.sprintf "hb queries %d <= %d" q bound) true (q <= bound)
+  check_bool (Printf.sprintf "hb queries %d <= %d" q bound) true (q <= bound);
+  Option.iter
+    (fun ceiling ->
+      let g = O2_shb.Graph.build a in
+      Gc.minor ();
+      let s0 = Gc.quick_stat () in
+      ignore (O2_race.Detect.run g);
+      Gc.minor ();
+      let s1 = Gc.quick_stat () in
+      let mw =
+        (s1.minor_words -. s0.minor_words +. s1.major_words
+       -. s0.major_words
+        -. (s1.promoted_words -. s0.promoted_words))
+        /. 1e6
+      in
+      check_bool
+        (Printf.sprintf "Detect.run allocates %.2f Mw <= %.1f" mw ceiling)
+        true (mw <= ceiling))
+    alloc_mw
 
 (* ---------------- differential reporting ---------------- *)
 
@@ -695,13 +862,16 @@ let () =
         [
           Alcotest.test_case "fuzz seed 7 #824, 1-origin" `Quick
             (test_fuzz_shape ~seed:7 ~index:824 ~policy:(Context.Korigin 1)
-               ~pairs:1458 ~races:5136 ~closure:4_261_739);
+               ~pairs:1458 ~races:5136 ~closure:4_261_739
+               ~digest:"6a7232787d2c470209fb992936e4a591");
           Alcotest.test_case "fuzz seed 42 #44, 0-ctx" `Quick
             (test_fuzz_shape ~seed:42 ~index:44 ~policy:Context.Insensitive
-               ~pairs:1307 ~races:1789 ~closure:3_571_205);
+               ~pairs:1307 ~races:1789 ~closure:3_571_205
+               ~digest:"a2954d3207b338a45036d1d6424d78e9");
           Alcotest.test_case "fuzz seed 7 #763, 1-origin" `Quick
             (test_fuzz_shape ~seed:7 ~index:763 ~policy:(Context.Korigin 1)
-               ~pairs:1568 ~races:1440 ~closure:9_748_330);
+               ~pairs:1568 ~races:1440 ~closure:9_748_330
+               ~digest:"9c5889ba80274b7e1ba820617abf1cf0" ~alloc_mw:2.5);
         ] );
       ( "diff",
         [
@@ -713,6 +883,10 @@ let () =
         [
           Alcotest.test_case "dedup+order" `Quick test_report_dedup_and_order;
           Alcotest.test_case "prune counters" `Quick test_prune_counters;
+          Alcotest.test_case "named specs x policies: order, keys, count"
+            `Quick test_report_invariants_named;
+          Alcotest.test_case "dedup across target groups" `Quick
+            test_dedup_across_groups;
         ] );
       ( "properties",
         [
