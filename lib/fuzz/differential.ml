@@ -176,7 +176,7 @@ module Must = struct
     |> List.sort_uniq compare
 end
 
-(* ---------------- the five-engine check ---------------- *)
+(* ---------------- the six-engine check ---------------- *)
 
 let check ?policy ?budget ?(naive_max_stmts = 1500) ?(dynamic_max_stmts = 400)
     ?(dynamic_seeds = [ 0; 1; 2; 3 ]) ?(dynamic_max_steps = 20_000) p =
@@ -213,6 +213,16 @@ let check ?policy ?budget ?(naive_max_stmts = 1500) ?(dynamic_max_stmts = 400)
     | Some b -> Solver.analyze ~policy ~budget:b p
     | None -> Solver.analyze ~policy p
   in
+  (* the solve's facts equal the reference solver's *)
+  tick ();
+  (match
+     guard "reference pta" (fun () ->
+         (Solver.fingerprint solved, Ref_pta.(fingerprint (analyze ~policy p))))
+   with
+  | Some (got, want) when not (String.equal got want) ->
+      add "pta" ("engine vs reference: " ^ first_diff got want)
+  | _ -> ());
+  tick ();
   let pipeline lock_region =
     guard
       (Printf.sprintf "detect (lock_region=%b)" lock_region)

@@ -1,11 +1,14 @@
 (** The multi-engine differential harness behind [o2 fuzz].
 
-    One program is driven through the O2 pipeline, the reference engines
-    ({!Ref_stages}), the pairwise-DFS naive engine, the RacerD-style
-    syntactic baseline and the dynamic vector-clock detector, asserting
+    One program is driven through the O2 pipeline, the reference solver
+    ({!Ref_pta}), the reference engines ({!Ref_stages}), the pairwise-DFS
+    naive engine, the RacerD-style syntactic baseline and the dynamic
+    vector-clock detector, asserting
     {e agreement classes} rather than exact outputs (the equivalence-class
     differential-testing idiom):
 
+    - {b pta}: the solve's {!O2_pta.Solver.fingerprint} equals that of
+      the reference solver ({!Ref_pta});
     - {b oracle}: on one solve, the SHB trace, the detection report and the
       OSA counts and shared locations equal their references
       ({!Ref_stages.check});
@@ -28,7 +31,7 @@
 
 type divergence = {
   dv_class : string;
-      (** agreement class that broke: ["roundtrip"], ["oracle"],
+      (** agreement class that broke: ["roundtrip"], ["pta"], ["oracle"],
           ["naive"], ["lock-region"], ["racerd"], ["dynamic"] or
           ["crash"] *)
   dv_detail : string;

@@ -4,11 +4,10 @@ open O2_pta
 
 (* The seed's immediate-firing serial solver, preserved as the executable
    specification of Table 2. The production engine ({!Solver}) uses
-   difference propagation and SCC collapse; this module keeps the
-   straightforward recursive formulation so property tests can certify the
-   engine against it and the benchmarks can report an honest serial
-   baseline. It lives in the differential tester, out of reach of the
-   analysis pipeline. *)
+   difference propagation and deferred watcher flushes; this module keeps
+   the straightforward recursive formulation so property tests and the
+   fuzz stream's [pta] class can certify the engine against it. It lives
+   in the differential tester, out of reach of the analysis pipeline. *)
 
 module OPag = struct
   module ObjIntern = Intern.Make (struct

@@ -2,10 +2,11 @@
 
     This is the seed's immediate-firing recursive solver, kept verbatim in
     the differential tester, out of the production pipeline. It exists for
-    certification: the property tests solve every workload with both this
-    oracle and the difference-propagation solver ({!Solver.analyze}) and
-    assert the {!fingerprint}s are byte-identical — the equivalence-class
-    style of validation the paper's artifact used.
+    certification: the property tests and the fuzz stream's [pta] class
+    solve every program with both this oracle and the
+    difference-propagation solver ({!Solver.analyze}) and assert the
+    {!fingerprint}s are byte-identical — the equivalence-class style of
+    validation the paper's artifact used.
 
     The oracle has no metrics, budget, jobs or incremental features; it
     supports all four {!Context.policy}s. *)

@@ -51,7 +51,6 @@ type t = {
   mutable succs : int list array;
   mutable watchers : (int -> unit) list array;  (* newest first *)
   mutable watched : bool array;
-  mutable uf : int array;  (* union-find parents; uf.(i) = i means root *)
   mutable on_wl : bool array;
   edge_set : unit Inttbl.t;
   mutable wl : int list;  (* LIFO worklist *)
@@ -69,7 +68,6 @@ type t = {
   mutable n_wl_iters : int;
   mutable n_pts_adds : int;
   mutable n_fires : int;
-  mutable n_collapsed : int;
 }
 
 let create () =
@@ -84,7 +82,6 @@ let create () =
     succs = [||];
     watchers = [||];
     watched = [||];
-    uf = [||];
     on_wl = [||];
     edge_set = Inttbl.create 256;
     wl = [];
@@ -96,7 +93,6 @@ let create () =
     n_wl_iters = 0;
     n_pts_adds = 0;
     n_fires = 0;
-    n_collapsed = 0;
   }
 
 let obj_id g o = ObjIntern.intern g.objs o
@@ -107,7 +103,7 @@ let grow g n =
   let cap = Array.length g.pts in
   if n > cap then begin
     let cap' = max 256 (max n (cap * 4)) in
-    (* blit-extend: a closure call per slot across nine arrays made
+    (* blit-extend: a closure call per slot across eight arrays made
        growth a measurable slice of small solves *)
     let ext fill a =
       let a' = Array.make cap' fill in
@@ -121,12 +117,6 @@ let grow g n =
     g.succs <- ext [] g.succs;
     g.watchers <- ext [] g.watchers;
     g.watched <- ext false g.watched;
-    let uf' = Array.make cap' 0 in
-    Array.blit g.uf 0 uf' 0 cap;
-    for i = cap to cap' - 1 do
-      uf'.(i) <- i
-    done;
-    g.uf <- uf';
     g.on_wl <- ext false g.on_wl
   end
 
@@ -144,21 +134,11 @@ let node g id =
 let n_nodes g = g.n_nodes
 let n_edges g = Inttbl.length g.edge_set
 
-(* Path-halving find. *)
-let rec find g i =
-  let p = g.uf.(i) in
-  if p = i then i
-  else begin
-    let gp = g.uf.(p) in
-    if gp <> p then g.uf.(i) <- gp;
-    find g (if gp <> p then gp else p)
-  end
-
 (* Callers of [pts]/[delta] must treat the result as read-only: an
    untouched slot returns the shared [dummy]. All internal writes go
    through [materialize]. *)
-let pts g id = g.pts.(find g id)
-let delta g id = g.delta.(find g id)
+let pts g id = g.pts.(id)
+let delta g id = g.delta.(id)
 
 let materialize g (a : Bitset.t array) n =
   let s = a.(n) in
@@ -179,12 +159,10 @@ let schedule g n =
   end
 
 let add_obj g n o =
-  let n = find g n in
   if not (Bitset.mem g.pts.(n) o) then
     if Bitset.add (materialize g g.delta n) o then schedule g n
 
 let add_copy g ~src ~dst =
-  let src = find g src and dst = find g dst in
   if src <> dst && not (Inttbl.mem g.edge_set (edge_key src dst)) then begin
     Inttbl.add g.edge_set (edge_key src dst) ();
     g.succs.(src) <- dst :: g.succs.(src);
@@ -193,7 +171,6 @@ let add_copy g ~src ~dst =
   end
 
 let add_watcher g n f =
-  let n = find g n in
   g.watchers.(n) <- f :: g.watchers.(n);
   g.watched.(n) <- true;
   Bitset.iter f g.pts.(n)
@@ -220,13 +197,10 @@ let propagate ?check g =
         if hi > 0 then begin
           g.n_pts_adds <- g.n_pts_adds + Bitset.cardinal_span scratch ~lo ~hi;
           List.iter
-            (fun dst0 ->
-              let dst = find g dst0 in
-              if dst <> n then begin
-                Bitset.union_span_into ~into:(materialize g g.delta dst)
-                  scratch ~lo ~hi;
-                schedule g dst
-              end)
+            (fun dst ->
+              Bitset.union_span_into ~into:(materialize g g.delta dst) scratch
+                ~lo ~hi;
+              schedule g dst)
             g.succs.(n);
           if g.watched.(n) then begin
             if Bitset.is_empty g.pending.(n) then g.fire_wl <- n :: g.fire_wl;
@@ -267,163 +241,6 @@ let flush_fires g =
     hot;
   !fired
 
-(* -- SCC collapsing ----------------------------------------------------- *)
-
-(* Iterative Tarjan over the canonical copy graph; every copy cycle is
-   collapsed onto its minimum unwatched member via union-find. Watched
-   nodes are left out of the union: merging them would require per-watcher
-   catch-up firing, and cycles through watched nodes are rare. Rebuilds
-   the worklist so no stale member ids remain. *)
-let collapse_sccs g =
-  let n = g.n_nodes in
-  if n = 0 then 0
-  else begin
-    let index = Array.make n (-1) in
-    let low = Array.make n 0 in
-    let on_stack = Array.make n false in
-    let stack = ref [] in
-    let next_index = ref 0 in
-    let merged = ref 0 in
-    let unions = ref [] in
-    (* explicit DFS stack: (node, remaining successors) *)
-    let strongconnect v0 =
-      let call = ref [ (v0, ref (g.succs.(v0))) ] in
-      index.(v0) <- !next_index;
-      low.(v0) <- !next_index;
-      incr next_index;
-      stack := v0 :: !stack;
-      on_stack.(v0) <- true;
-      while !call <> [] do
-        match !call with
-        | [] -> ()
-        | (v, rest) :: tl -> (
-            match !rest with
-            | [] ->
-                call := tl;
-                if low.(v) = index.(v) then begin
-                  (* pop the component *)
-                  let comp = ref [] in
-                  let stop = ref false in
-                  while not !stop do
-                    match !stack with
-                    | [] -> stop := true
-                    | w :: s ->
-                        stack := s;
-                        on_stack.(w) <- false;
-                        comp := w :: !comp;
-                        if w = v then stop := true
-                  done;
-                  match !comp with
-                  | _ :: _ :: _ -> unions := !comp :: !unions
-                  | _ -> ()
-                end;
-                (match tl with
-                | (u, _) :: _ -> if low.(v) < low.(u) then low.(u) <- low.(v)
-                | [] -> ())
-            | w0 :: ws ->
-                rest := ws;
-                let w = find g w0 in
-                if w <> v then begin
-                  if index.(w) < 0 then begin
-                    index.(w) <- !next_index;
-                    low.(w) <- !next_index;
-                    incr next_index;
-                    stack := w :: !stack;
-                    on_stack.(w) <- true;
-                    call := (w, ref g.succs.(w)) :: !call
-                  end
-                  else if on_stack.(w) then
-                    if index.(w) < low.(v) then low.(v) <- index.(w)
-                end)
-      done
-    in
-    for v = 0 to n - 1 do
-      if find g v = v && index.(v) < 0 then strongconnect v
-    done;
-    (* union each component onto its minimum unwatched member *)
-    let reps = ref [] in
-    List.iter
-      (fun comp ->
-        let eligible = List.filter (fun v -> not g.watched.(v)) comp in
-        match List.sort compare eligible with
-        | rep :: (_ :: _ as members) ->
-            (* Merge semantics: the merged node's successor list becomes
-               the union of the members' lists, but each member's [pts]
-               was only ever propagated along its own edges. Only objects
-               confirmed on EVERY member have traversed all of them, so
-               [pts rep] shrinks to the intersection; everything else —
-               facts some member never forwarded, plus deltas in flight
-               when the cycle closed — is re-delivered through
-               [delta rep] ([take_fresh]'s dedup keeps the re-delivery
-               idempotent). Anything less silently drops points-to
-               facts when a cycle is collapsed between an edge insertion
-               and its propagation. *)
-            let drep = materialize g g.delta rep in
-            ignore (Bitset.union_into ~into:drep g.pts.(rep));
-            List.iter
-              (fun m ->
-                g.uf.(m) <- rep;
-                ignore (Bitset.union_into ~into:drep g.pts.(m));
-                ignore (Bitset.union_into ~into:drep g.delta.(m));
-                g.succs.(rep) <- List.rev_append g.succs.(m) g.succs.(rep);
-                g.succs.(m) <- [];
-                incr merged)
-              members;
-            List.iter
-              (fun m -> Bitset.inter_into ~into:g.pts.(rep) g.pts.(m))
-              members;
-            reps := rep :: !reps
-        | _ -> ())
-      !unions;
-    if !merged > 0 then begin
-      (* canonicalize the copy graph under the new union-find state: every
-         live root's successor list is rebuilt through [find] (duplicates
-         and self-loops dropped) and re-registered in [edge_set] under its
-         canonical key, stale member-keyed entries discarded. Without
-         this, a later [add_copy] of an already-present canonical edge
-         misses the table and appends a duplicate successor, and
-         [n_edges] — which also drives the collapse cadence — drifts from
-         the live edge count. *)
-      Inttbl.reset g.edge_set;
-      for v = 0 to n - 1 do
-        if g.uf.(v) <> v then g.succs.(v) <- []
-        else
-          match g.succs.(v) with
-          | [] -> ()
-          | succs ->
-              let out = ref [] in
-              List.iter
-                (fun d0 ->
-                  let d = find g d0 in
-                  let k = edge_key v d in
-                  if d <> v && not (Inttbl.mem g.edge_set k) then begin
-                    Inttbl.add g.edge_set k ();
-                    out := d :: !out
-                  end)
-                succs;
-              g.succs.(v) <- !out
-      done;
-      (* remap worklists: members collapse onto their representative, and
-         any representative whose merge parked candidates in its delta is
-         (re)scheduled so the next propagation delivers them *)
-      let old = g.wl in
-      List.iter (fun v -> g.on_wl.(v) <- false) old;
-      g.wl <- [];
-      g.wl_n <- 0;
-      List.iter
-        (fun v ->
-          let r = find g v in
-          if not (Bitset.is_empty g.delta.(r)) then schedule g r)
-        old;
-      List.iter
-        (fun rep ->
-          if not (Bitset.is_empty g.delta.(rep)) then schedule g rep)
-        !reps;
-      g.n_collapsed <- g.n_collapsed + !merged
-    end;
-    !merged
-  end
-
 let solve ?check g =
   let rec loop () =
     propagate ?check g;
@@ -433,7 +250,7 @@ let solve ?check g =
 
 let iter_nodes f g =
   for id = 0 to g.n_nodes - 1 do
-    f id g.nodes.(id) (pts g id)
+    f id g.nodes.(id) g.pts.(id)
   done
 
 let n_worklist_iters g = g.n_wl_iters
@@ -441,11 +258,10 @@ let n_worklist_pushes g = g.wl_pushes
 let worklist_peak g = g.wl_peak
 let n_pts_adds g = g.n_pts_adds
 let n_fires g = g.n_fires
-let n_collapsed g = g.n_collapsed
 
 let n_pts_facts g =
   let total = ref 0 in
   for id = 0 to g.n_nodes - 1 do
-    total := !total + Bitset.cardinal (pts g id)
+    total := !total + Bitset.cardinal g.pts.(id)
   done;
   !total

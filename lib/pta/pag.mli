@@ -24,14 +24,8 @@
     (nodes ascending, objects ascending, watchers in registration order).
 
     The graph is single-domain: one LIFO worklist, drained serially by
-    {!propagate}.
-
-    {2 Cycle collapsing}
-
-    {!collapse_sccs} unifies copy-edge cycles (whose members provably
-    converge to equal points-to sets) onto one representative via
-    union-find; all node ids remain valid and transparently resolve
-    through the alias. *)
+    {!propagate}. Copy cycles are not collapsed: objects travel around a
+    cycle edge by edge, like every other copy path. *)
 
 open O2_ir
 
@@ -76,19 +70,13 @@ val node : t -> int -> node
 (** [n_nodes g] is the number of pointer nodes (the paper's #Pointer). *)
 val n_nodes : t -> int
 
-(** [n_edges g] is the number of live canonical copy edges (the paper's
-    #Edge). {!collapse_sccs} rewrites edges onto representatives, merging
-    parallel edges and dropping self-loops, so the count can decrease. *)
+(** [n_edges g] is the number of distinct copy edges (the paper's
+    #Edge); self-loops are never added. *)
 val n_edges : t -> int
 
 (** {2 The graph} *)
 
-(** [find g n] is the canonical representative of [n] under cycle
-    collapsing ([n] itself unless an SCC merge aliased it). *)
-val find : t -> int -> int
-
-(** [pts g n] is the current points-to set of node [n], resolved through
-    {!find} (do not mutate). *)
+(** [pts g n] is the current points-to set of node [n] (do not mutate). *)
 val pts : t -> int -> O2_util.Bitset.t
 
 (** [delta g n] is the pending candidate set of [n] — objects scheduled
@@ -124,23 +112,12 @@ val propagate : ?check:(int -> unit) -> t -> unit
     [propagate]/[flush_fires] until both report quiescence. *)
 val flush_fires : t -> bool
 
-(** [collapse_sccs g] collapses copy-edge cycles onto one representative
-    per strongly-connected component (watched nodes are never aliased);
-    returns the number of nodes merged. The representative keeps as
-    confirmed only the objects every merged member had confirmed — the
-    rest, including deltas in flight when the cycle closed, are
-    re-delivered through its delta and the representative is rescheduled,
-    so no candidate is lost to the merge. Callers must follow a merging
-    collapse with {!propagate} (or {!solve}) before reading final sets. *)
-val collapse_sccs : t -> int
-
 (** [solve ?check g] is the convenience loop:
     [propagate]/[flush_fires] until quiescent. Reentrant: may be called
     again after adding more constraints. *)
 val solve : ?check:(int -> unit) -> t -> unit
 
-(** [iter_nodes f g] applies [f id node pts] to every node (aliased
-    members report their representative's set). *)
+(** [iter_nodes f g] applies [f id node pts] to every node. *)
 val iter_nodes : (int -> node -> O2_util.Bitset.t -> unit) -> t -> unit
 
 (** {2 Instrumentation}
@@ -166,9 +143,6 @@ val n_pts_adds : t -> int
 
 (** [n_fires g] counts watcher deliveries by {!flush_fires}. *)
 val n_fires : t -> int
-
-(** [n_collapsed g] counts nodes aliased by {!collapse_sccs}. *)
-val n_collapsed : t -> int
 
 (** [n_pts_facts g] is Σ|pts(n)| over all nodes — the paper's points-to
     set volume. O(nodes·words), computed on demand. *)

@@ -798,8 +798,6 @@ let analyze ?(policy = Context.Korigin 1) ?(jobs = 1) ?metrics ?budget program
   let n_rounds = ref 0 and n_tasks = ref 0 in
   Metrics.span m "pta.solve" (fun () ->
       a_reach st (inst_of_meth st main ectx);
-      let last_edges = ref 0 in
-      let scc_threshold = ref 1024 in
       let quiescent = ref false in
       while not !quiescent do
         incr n_rounds;
@@ -807,17 +805,6 @@ let analyze ?(policy = Context.Korigin 1) ?(jobs = 1) ?metrics ?budget program
         st.pending <- [];
         n_tasks := !n_tasks + List.length tasks;
         Metrics.time m "pta.apply" (fun () -> List.iter (add_body st) tasks);
-        (* adaptive collapse cadence: a Tarjan pass is linear in the whole
-           graph, so an acyclic workload must not pay for one every few
-           edges — each fruitless pass quadruples the edge growth required
-           to try again *)
-        if Pag.n_edges pag - !last_edges >= !scc_threshold then begin
-          let merged =
-            Metrics.time m "pta.scc" (fun () -> Pag.collapse_sccs pag)
-          in
-          if merged = 0 then scc_threshold := !scc_threshold * 4;
-          last_edges := Pag.n_edges pag
-        end;
         Metrics.time m "pta.propagate" (fun () -> Pag.propagate ?check pag);
         let fired = Metrics.time m "pta.flush" (fun () -> Pag.flush_fires pag) in
         quiescent := (not fired) && st.pending == []
@@ -850,7 +837,6 @@ let analyze ?(policy = Context.Korigin 1) ?(jobs = 1) ?metrics ?budget program
   Metrics.set m "pta.rounds" !n_rounds;
   Metrics.set m "pta.tasks" !n_tasks;
   Metrics.set m "pta.fires" (Pag.n_fires pag);
-  Metrics.set m "pta.scc_collapsed" (Pag.n_collapsed pag);
   Metrics.set m "pta.spawns" (Array.length spawn_arr);
   Metrics.set m "pta.origins"
     (match policy with

@@ -19,11 +19,10 @@
     One serial difference-propagation worklist, run in rounds until
     quiescent. A round first turns each newly reached method instance into
     constraints, scanning its flat opcode stream in task order (the
-    ["pta.apply"] timer). Copy cycles are then collapsed
-    ({!Pag.collapse_sccs}) when the graph has grown enough, points-to
-    deltas propagate to fixpoint ({!Pag.propagate}), and watcher deliveries
-    flush ({!Pag.flush_fires}); the bodies those deliveries reach seed the
-    next round. Every result, internal ids included, is deterministic.
+    ["pta.apply"] timer). Points-to deltas then propagate to fixpoint
+    ({!Pag.propagate}), and watcher deliveries flush ({!Pag.flush_fires});
+    the bodies those deliveries reach seed the next round. Every result,
+    internal ids included, is deterministic.
 
     Besides points-to sets, the solver records everything the downstream
     analyses need: the context-sensitive call graph, the {e spawns} (static
@@ -113,8 +112,7 @@ type result = {
     is wrapped in a ["pta.solve"] span and the Table 6 counters
     ([pta.pointers], [pta.objects], [pta.edges], [pta.worklist_iters],
     [pta.pts_facts], [pta.origins], …) plus the solve-loop counters
-    ([pta.rounds], [pta.tasks], [pta.fires], [pta.scc_collapsed]) are
-    recorded into it.
+    ([pta.rounds], [pta.tasks], [pta.fires]) are recorded into it.
 
     When [budget] is given, the propagation loop checks it on every pop and
     lets {!O2_util.Budget.Exhausted} escape when the wall-clock deadline

@@ -92,17 +92,17 @@ let reserve (b : int array ref) n =
 
 (* The hybrid check sees a node of one target group only through its
    origin's self-parallelism, its canonical lockset id, its access kind,
-   its HB interval ({!Graph.hb_interval}), and the closure relations of
-   its origin. Origins whose relations are indistinguishable inside the
-   group — identical occupied intervals, one shared relation matrix
-   between every ordered pair of them, identical relations toward every
-   other origin of the group — form a *block*: e.g. a farm of worker
-   threads all spawned alike. Nodes are then classed by
-   (block, HB interval, lockset, is-write): one check per class pair
-   decides every member pair, with same-origin member pairs inside a
-   block accounted combinatorially (they are candidates only under
-   self-parallelism, exactly as in the pairwise loop), so the reported
-   races and the total pair accounting stay identical while
+   its HB interval ({!Graph.hb_t_idx}, {!Graph.hb_q_idx}), and the
+   closure relations of its origin. Origins whose relations are
+   indistinguishable inside the group — identical occupied intervals, one
+   shared relation matrix between every ordered pair of them, identical
+   relations toward every other origin of the group — form a *block*:
+   e.g. a farm of worker threads all spawned alike. Nodes are then
+   classed by (block, HB interval, lockset, is-write): one check per
+   class pair decides every member pair, with same-origin member pairs
+   inside a block accounted combinatorially (they are candidates only
+   under self-parallelism, exactly as in the pairwise loop), so the
+   reported races and the total pair accounting stay identical while
    [n_pairs_checked] drops from O(n²) to O(classes²).
 
    Blocks are found without an m×m table of relation matrices: every
@@ -237,8 +237,8 @@ let run_detect g =
         if Flat.tid_is_static fl tid then nf + tid else Flat.tid_fid fl tid
       in
       for p = 0 to n - 1 do
-        let t, q = Graph.hb_interval g (node p) in
-        ivl.(p) <- (t * qb) + q
+        let nd = node p in
+        ivl.(p) <- (Graph.hb_t_idx g nd * qb) + Graph.hb_q_idx g nd
       done;
       bucket ~key:(fun p -> porg.(p)) ~len:n ~k:m ostart opos;
       (* each origin's distinct t, then its distinct q: intervals grow with

@@ -13,10 +13,11 @@
 
     On top of that, each target group is partitioned into
     (origin, lockset, is-write, HB-interval) equivalence classes
-    ({!O2_shb.Graph.hb_interval}): one check per class pair decides every
-    member pair, and witnesses are recovered per surviving class pair, so
-    the reported races are identical to the pairwise loop while
-    [n_pairs_checked] drops from O(n²) to O(classes²).
+    ({!O2_shb.Graph.hb_t_idx}, {!O2_shb.Graph.hb_q_idx}): one check per
+    class pair decides every member pair, and witnesses are recovered per
+    surviving class pair, so the reported races are identical to the
+    pairwise loop while [n_pairs_checked] drops from O(n²) to
+    O(classes²).
 
     The pass keeps its structures in flat int buffers that live once per
     run, and deduplicates each witness as it is emitted: per (unordered

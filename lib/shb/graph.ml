@@ -443,7 +443,7 @@ let build_hb_closure g =
           (Array.length t + 1)
           (fun i -> row o (if i < Array.length t then t.(i) else max_int)))
 
-(* Exclusive upper bounds of the two [hb_interval] components over all
+(* Exclusive upper bounds of [hb_t_idx] and [hb_q_idx] over all
    origins — the race engine packs (t, q) into its int class keys with
    these. *)
 let interval_bounds g =
@@ -452,11 +452,13 @@ let interval_bounds g =
   Array.iter (fun a -> qb := max !qb (Array.length a + 1)) g.hb_inpos;
   (!tb, !qb)
 
-let hb_interval g (node : node) =
-  (* q counts entry positions ≤ the node id: a join/wait node is ordered
-     after its own incoming edge, so its own position must be included *)
-  ( lower_bound g.hb_thresholds.(node.n_origin) node.n_id,
-    lower_bound g.hb_inpos.(node.n_origin) (node.n_id + 1) )
+let hb_t_idx g (node : node) =
+  lower_bound g.hb_thresholds.(node.n_origin) node.n_id
+
+(* q counts entry positions ≤ the node id: a join/wait node is ordered
+   after its own incoming edge, so its own position must be included *)
+let hb_q_idx g (node : node) =
+  lower_bound g.hb_inpos.(node.n_origin) (node.n_id + 1)
 
 (* Interval-level happens-before: does a node of [src] in threshold
    interval [t_idx] happen before a node of [dst] with [q_idx] incoming
@@ -596,10 +598,8 @@ let hb g (a : node) (b : node) =
   g.hb_queries <- g.hb_queries + 1;
   if a.n_origin = b.n_origin then a.n_id < b.n_id
   else
-    hb_state g ~src:a.n_origin
-      ~t_idx:(lower_bound g.hb_thresholds.(a.n_origin) a.n_id)
-      ~dst:b.n_origin
-      ~q_idx:(lower_bound g.hb_inpos.(b.n_origin) (b.n_id + 1))
+    hb_state g ~src:a.n_origin ~t_idx:(hb_t_idx g a) ~dst:b.n_origin
+      ~q_idx:(hb_q_idx g b)
 
 (* ------------------------------------------------------------------ *)
 

@@ -97,18 +97,21 @@ val sem_edges : t -> (int * int * int * int) list
 
 (** [hb g a b] decides statically-must happens-before between two nodes:
     intra-origin by integer comparison, inter-origin by {!hb_state} at
-    [a]'s threshold interval and [b]'s entry count ({!hb_interval}). *)
+    [a]'s threshold interval ({!hb_t_idx}) and [b]'s entry count
+    ({!hb_q_idx}). *)
 val hb : t -> node -> node -> bool
 
-(** [hb_interval g n] is [(t_idx, q_idx)]: the index of [n] among its
-    origin's outgoing timed-edge thresholds, and the count of its origin's
-    incoming entry positions at or before [n]. Two nodes of the same origin
-    with equal intervals have identical inter-origin HB behaviour — the key
-    fact behind equivalence-class race checking. *)
-val hb_interval : t -> node -> int * int
+(** [hb_t_idx g n] and [hb_q_idx g n] are [n]'s HB interval: the index
+    of [n] among its origin's outgoing timed-edge thresholds, and the count
+    of its origin's incoming entry positions at or before [n]. Two nodes of
+    the same origin with equal intervals have identical inter-origin HB
+    behaviour — the key fact behind equivalence-class race checking. *)
+val hb_t_idx : t -> node -> int
 
-(** [interval_bounds g] is [(tb, qb)]: exclusive upper bounds of the two
-    {!hb_interval} components over all origins, used by the race engine to
+val hb_q_idx : t -> node -> int
+
+(** [interval_bounds g] is [(tb, qb)]: exclusive upper bounds of
+    {!hb_t_idx} and {!hb_q_idx} over all origins, used by the race engine to
     pack intervals into int class keys. *)
 val interval_bounds : t -> int * int
 

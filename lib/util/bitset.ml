@@ -134,15 +134,6 @@ let union_span_into ~into src ~lo ~hi =
     if hi > into.top then into.top <- hi
   end
 
-let inter_into ~into src =
-  let hi = top_word into in
-  for w = into.base to hi - 1 do
-    let k = w - into.base in
-    let old = into.words.(k) in
-    let sw = get src w in
-    if old land lnot sw <> 0 then into.words.(k) <- old land sw
-  done
-
 let iter_word f w base =
   if w <> 0 then
     for b = 0 to word_bits - 1 do

@@ -29,10 +29,6 @@ val mem : t -> int -> bool
     iff [into] changed. *)
 val union_into : into:t -> t -> bool
 
-(** [inter_into ~into src] removes from [into] every element not in
-    [src], in place. *)
-val inter_into : into:t -> t -> unit
-
 (** [diff_new ~from ~minus] is the list of elements in [from] but not in
     [minus] — the "delta" driving difference propagation. *)
 val diff_new : from:t -> minus:t -> int list

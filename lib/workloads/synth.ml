@@ -410,9 +410,8 @@ let program spec =
       ]
   in
   (* copy-cycle rings: 8 locals per ring assigned cyclically, so the PAG
-     gains [8 * s_cyclic] copy edges all lying on variable cycles — enough
-     rings cross the solver's SCC cadence threshold and make
-     [pta.scc_collapsed] non-zero on a committed bench row *)
+     gains [8 * s_cyclic] copy edges all lying on variable cycles, and
+     each ring's object propagates around its cycle edge by edge *)
   let cyclic_rings =
     List.concat
       (List.init spec.s_cyclic (fun i ->
@@ -648,8 +647,8 @@ let capps =
   ]
 
 (* Solver-stress shapes outside the paper's benchmark sets. [cyclic] seeds
-   copy-cycle rings so the SCC collapse path is exercised (and gated) on a
-   committed bench row, not only in unit tests; [chainstorm] piles event
+   copy-cycle rings, so propagation around variable cycles is pinned by
+   the counters golden; [chainstorm] piles event
    chains, post storms and nested out-of-order locks on one program for
    the fuzz/bench scale rows. *)
 let stress =

@@ -55,7 +55,7 @@ type spec = {
   s_wrapper : bool;  (** threads created through a shared wrapper *)
   s_cyclic : int;
       (** copy-cycle rings in main (8 cyclic assignments each) — stresses
-          the solver's SCC collapse of variable cycles *)
+          plain propagation around variable copy cycles *)
   s_chain : int;
       (** cyclically-wired chain of handlers, each [handle] re-posting the
           next — deep event chains, origins spawned from event origins *)
@@ -108,8 +108,8 @@ val capps : spec list
 (** Memcached, Redis, Sqlite3-shaped C programs (Table 6). *)
 
 val stress : spec list
-(** Solver-stress shapes outside the paper's sets; ["cyclic"] seeds enough
-    copy-cycle rings that the PTA's SCC collapse fires on a bench row,
+(** Solver-stress shapes outside the paper's sets; ["cyclic"] puts 160
+    copy-cycle rings in main, so objects propagate around variable cycles,
     ["chainstorm"] combines event chains, post storms and nested
     out-of-order locks. *)
 

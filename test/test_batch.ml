@@ -148,6 +148,19 @@ let test_wall_deadline () =
   | `Timeout msg -> check_bool "deadline named" true (contains msg "deadline")
   | _ -> Alcotest.fail "expected a wall-clock timeout entry"
 
+(* a 3000-node copy ring with an allocation at every node commits 9 M
+   points-to facts, since copy cycles are not collapsed: the step ceiling
+   must end it as a structured timeout, not a crash or a long solve *)
+let test_copy_ring_ceiling () =
+  let dir = fresh_dir () in
+  ignore (write_file dir "ring.cir" (O2_test_helpers.Ring.copy_ring_src 3000));
+  let cfg = { O2_batch.default with O2_batch.max_steps = Some 200_000 } in
+  let r = O2_batch.run cfg [ Filename.concat dir "ring.cir" ] in
+  match (find_entry r "ring.cir").O2_batch.e_status with
+  | `Timeout msg ->
+      check_bool "step ceiling named" true (contains msg "ceiling")
+  | _ -> Alcotest.fail "expected a step-ceiling timeout entry"
+
 (* ---------------- per-file byte-identity with serial analyze ---------------- *)
 
 let serial_report format file =
@@ -386,6 +399,8 @@ let () =
         [
           Alcotest.test_case "mixed corpus" `Quick test_mixed_corpus;
           Alcotest.test_case "wall deadline" `Quick test_wall_deadline;
+          Alcotest.test_case "copy ring under a step ceiling" `Quick
+            test_copy_ring_ceiling;
           Alcotest.test_case "no activity class" `Quick
             test_no_activity_message;
         ] );

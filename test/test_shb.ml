@@ -593,11 +593,10 @@ let prop_hb_closure_matches_bfs =
               let hb = Graph.hb g x y in
               ok := hb = hb_bfs g x y;
               if !ok && x.Graph.n_origin <> y.Graph.n_origin then begin
-                let t, _ = Graph.hb_interval g x in
-                let _, q = Graph.hb_interval g y in
                 ok :=
-                  Graph.hb_state g ~src:x.Graph.n_origin ~t_idx:t
-                    ~dst:y.Graph.n_origin ~q_idx:q
+                  Graph.hb_state g ~src:x.Graph.n_origin
+                    ~t_idx:(Graph.hb_t_idx g x) ~dst:y.Graph.n_origin
+                    ~q_idx:(Graph.hb_q_idx g y)
                   = hb
               end;
               j := !j + stride

@@ -108,7 +108,6 @@ let prop_bitset_diff =
 type bitset_op =
   | Add of int * int
   | Union of int * int
-  | Inter of int * int
   | Take of int * int  (* delta [snd] commits into pts [fst] *)
   | Clear of int
 
@@ -121,7 +120,6 @@ let prop_bitset_ops_model =
         map2 (fun s i -> Add (s, i)) set (int_bound 3000);
         map2 (fun s i -> Add (s, i)) set (int_bound 200);
         map2 (fun a b -> Union (a, b)) set set;
-        map2 (fun a b -> Inter (a, b)) set set;
         map2 (fun a b -> Take (a, b)) set set;
         map (fun a -> Clear a) set;
       ]
@@ -145,9 +143,6 @@ let prop_bitset_ops_model =
               let u = norm (model.(a) @ model.(b)) in
               expect (Bitset.union_into ~into:sets.(a) sets.(b) = (u <> model.(a)));
               model.(a) <- u
-          | Inter (a, b) ->
-              Bitset.inter_into ~into:sets.(a) sets.(b);
-              model.(a) <- List.filter (fun x -> List.mem x model.(b)) model.(a)
           | Take (p, d) when p <> d ->
               let lo, hi =
                 Bitset.take_fresh_span ~scratch ~pts:sets.(p) ~delta:sets.(d)
