@@ -330,8 +330,8 @@ let ablations () =
   pf
     "lock regions:  %d access nodes merged to %d; pairs checked %d -> %d; \
      %.3fs -> %.3fs\n"
-    (Array.length (O2_shb.Graph.accesses g_nr))
-    (Array.length (O2_shb.Graph.accesses g_merged))
+    (O2_shb.Graph.n_accesses g_nr)
+    (O2_shb.Graph.n_accesses g_merged)
     fast.O2_race.Detect.n_pairs_checked rm.O2_race.Detect.n_pairs_checked
     fast_dt rm_dt;
 

@@ -45,9 +45,9 @@ let run (cfg : Config.t) p =
     match m with None -> f () | Some mm -> O2_util.Metrics.span mm name f
   in
   (* the budget's step ceiling lives inside the PTA worklist; the deadline
-     is additionally re-checked between stages so a pipeline whose PTA
-     finished under the wire still stops before burning unbounded time in
-     SHB construction or detection *)
+     is polled once per origin inside the SHB and OSA walks, and re-checked
+     between stages, so a pipeline whose PTA finished under the wire still
+     stops before burning unbounded time in SHB construction or detection *)
   let deadline_gate () =
     match cfg.Config.budget with
     | None -> ()
@@ -64,14 +64,18 @@ let run (cfg : Config.t) p =
         let graph =
           sp "shb" (fun () ->
               O2_shb.Graph.build ~serial_events:cfg.Config.serial_events
-                ~lock_region:cfg.Config.lock_region ?metrics:m solver)
+                ~lock_region:cfg.Config.lock_region ?metrics:m
+                ?budget:cfg.Config.budget solver)
         in
         deadline_gate ();
         let report =
           sp "race" (fun () -> O2_race.Detect.run ?metrics:m graph)
         in
         deadline_gate ();
-        let osa = sp "osa" (fun () -> O2_osa.Osa.run ?metrics:m solver) in
+        let osa =
+          sp "osa" (fun () ->
+              O2_osa.Osa.run ?metrics:m ?budget:cfg.Config.budget solver)
+        in
         (solver, graph, report, osa))
   in
   let elapsed = Unix.gettimeofday () -. t0 in

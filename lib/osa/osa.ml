@@ -102,21 +102,28 @@ let freeze t tid (s : mut_sharing) =
 (* The scan of Algorithm 1: every access the origin walker reports, one
    per location ({!Walk.iter_origins}); it returns the instructions
    scanned. *)
-let scan a t =
+let scan ?budget a t =
   let fl = a.Solver.flat in
-  Walk.iter_origins a (fun sp ->
-      let origin = Solver.origin_of_spawn a sp in
-      let self_par = Solver.self_parallel a sp.Solver.sp_id in
-      {
-        Walk.ignore_all with
-        access =
-          (fun site tid is_write ->
-            compute_origin_sharing t ~site ~tid ~origin ~self_par ~is_write;
-            if not (Flat.tid_is_static fl tid) then
-              touch t origin (Flat.tid_oid fl tid));
-      })
+  (* one handler record for every origin: the current one's key and
+     self-parallelism sit in these cells *)
+  let origin = ref 0 and self_par = ref false in
+  let h =
+    {
+      Walk.ignore_all with
+      access =
+        (fun site tid is_write ->
+          compute_origin_sharing t ~site ~tid ~origin:!origin
+            ~self_par:!self_par ~is_write;
+          if not (Flat.tid_is_static fl tid) then
+            touch t !origin (Flat.tid_oid fl tid));
+    }
+  in
+  Walk.iter_origins ?budget a (fun sp ->
+      origin := Solver.origin_of_spawn a sp;
+      self_par := Solver.self_parallel a sp.Solver.sp_id;
+      h)
 
-let run ?metrics a =
+let run ?metrics ?budget a =
   let fl = a.Solver.flat in
   let n_locs =
     max 1 (Flat.n_statics fl + (Pag.n_objs a.Solver.pag * Flat.n_fields fl))
@@ -140,9 +147,9 @@ let run ?metrics a =
     }
   in
   (match metrics with
-  | None -> ignore (scan a t)
+  | None -> ignore (scan ?budget a t)
   | Some m ->
-      let n_scanned = Metrics.span m "osa.scan" (fun () -> scan a t) in
+      let n_scanned = Metrics.span m "osa.scan" (fun () -> scan ?budget a t) in
       Metrics.set m "osa.stmts_scanned" n_scanned;
       Metrics.set m "osa.accesses" t.n_accesses;
       Metrics.set m "osa.locations"

@@ -41,8 +41,12 @@ type t
     sink
     the scan runs inside an ["osa.scan"] span and records
     [osa.stmts_scanned], [osa.accesses], [osa.locations] and
-    [osa.shared_locations] (the Table 7 volume columns). *)
-val run : ?metrics:O2_util.Metrics.t -> Solver.result -> t
+    [osa.shared_locations] (the Table 7 volume columns). The walk polls
+    [budget]'s deadline once per origin.
+
+    @raise O2_util.Budget.Exhausted when that deadline has passed. *)
+val run :
+  ?metrics:O2_util.Metrics.t -> ?budget:O2_util.Budget.t -> Solver.result -> t
 
 (** [sharing_of t target] is the recorded sharing for a location, if any
     origin accessed it. *)

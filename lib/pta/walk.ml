@@ -22,12 +22,6 @@ let ignore_all =
     wait = (fun _ _ -> ());
   }
 
-let rec each_access h sid is_write = function
-  | [] -> ()
-  | tid :: rest ->
-      h.access sid tid is_write;
-      each_access h sid is_write rest
-
 (* A scan of the flat opcode streams. Statements appear in AST DFS order
    with block bodies inlined, so only [Sync] — the one construct with
    scoped consumer state — needs its block length; [If]/[While] headers
@@ -35,17 +29,26 @@ let rec each_access h sid is_write = function
    an AST recursion. Instances, callees and variable points-to sets come
    from the solver's dense instance call graph: array probes plus one
    int-keyed lookup per call site. *)
-let iter_origins (a : Solver.result) f =
+let iter_origins ?budget (a : Solver.result) f =
   let fl = a.Solver.flat and icg = a.Solver.icg in
   (* visited set over instance ids: one array stamped with the spawn
      index — no per-origin allocation, no structural hashing *)
   let stamp = Array.make (max 1 icg.Solver.ic_n) (-1) in
   let scanned = ref 0 in
-  (* one location per object the base may point to: consing under an
-     ascending fold yields descending object ids *)
+  (* one location per object the base may point to, in descending object
+     id. The statement being expanded sits in these cells, so one closure
+     serves every field access of the walk *)
+  let f_h = ref ignore_all and f_sid = ref 0 and f_fid = ref 0
+  and f_write = ref false in
+  let field_access oid =
+    !f_h.access !f_sid (Flat.tid_field fl ~oid ~fid:!f_fid) !f_write
+  in
   let fields h (pts : Bitset.t array) sid base fid is_write =
-    each_access h sid is_write
-      (Bitset.fold (fun oid acc -> Flat.tid_field fl ~oid ~fid :: acc) pts.(base) [])
+    f_h := h;
+    f_sid := sid;
+    f_fid := fid;
+    f_write := is_write;
+    Bitset.iter_desc field_access pts.(base)
   in
   let rec visit h spi iid =
     if stamp.(iid) <> spi then begin
@@ -75,14 +78,13 @@ let iter_origins (a : Solver.result) f =
       then begin
         h.call sid;
         match
-          Hashtbl.find_opt icg.Solver.ic_callees
-            ((iid * icg.Solver.ic_nsids) + sid)
+          Hashtbl.find icg.Solver.ic_callees ((iid * icg.Solver.ic_nsids) + sid)
         with
-        | Some callees ->
+        | callees ->
             for k = 0 to Array.length callees - 1 do
               visit h spi callees.(k)
             done
-        | None -> ()
+        | exception Not_found -> ()
       end
       else if op = Flat.op_sync then begin
         let body_lo = !i in
@@ -100,6 +102,7 @@ let iter_origins (a : Solver.result) f =
   in
   Array.iteri
     (fun spi (sp : Solver.spawn) ->
+      (match budget with Some b -> Budget.check b ~steps:0 | None -> ());
       visit (f sp) spi icg.Solver.ic_entry.(sp.Solver.sp_id))
     a.Solver.spawns;
   !scanned

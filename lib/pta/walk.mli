@@ -49,5 +49,11 @@ val ignore_all : handlers
     [f sp] once before walking [sp] for the handlers of that origin. It
     returns the number of instructions scanned over all origins: every
     statement of every visited instance, block headers included (OSA's
-    [osa.stmts_scanned]). *)
-val iter_origins : Solver.result -> (Solver.spawn -> handlers) -> int
+    [osa.stmts_scanned]). The walk itself allocates nothing per access.
+
+    @param budget polled ({!Budget.check}) once before each origin, so an
+    expired deadline stops the walk inside the stage; without one nothing
+    is polled.
+    @raise Budget.Exhausted when the budget's deadline has passed. *)
+val iter_origins :
+  ?budget:Budget.t -> Solver.result -> (Solver.spawn -> handlers) -> int

@@ -20,14 +20,6 @@ type report = {
 (* [races] holds one witness per dedup key already *)
 let n_races report = List.length report.races
 
-let is_write (n : Graph.node) =
-  match n.Graph.n_kind with Graph.Write _ -> true | _ -> false
-
-let tid_of (n : Graph.node) =
-  match n.Graph.n_kind with
-  | Graph.Read t | Graph.Write t -> t
-  | _ -> invalid_arg "Detect: not an access node"
-
 (* [a *! b] multiplies the bounds of a packed int key, failing loudly where
    the key would leave the int range instead of silently merging unrelated
    keys *)
@@ -35,33 +27,6 @@ let ( *! ) a b =
   if b > 0 && a > max_int / b then
     invalid_arg "Detect: packed key exceeds the int range";
   a * b
-
-(* in-place heapsort of [a.(lo) .. a.(hi - 1)]: the run-level buffers are
-   longer than the slice, which rules out [Array.sort]. Top-level and
-   closure-free, so a call allocates nothing. *)
-let rec sift (a : int array) lo i len =
-  let l = (2 * i) + 1 in
-  if l < len then begin
-    let c = if l + 1 < len && a.(lo + l + 1) > a.(lo + l) then l + 1 else l in
-    let x = a.(lo + i) in
-    if a.(lo + c) > x then begin
-      a.(lo + i) <- a.(lo + c);
-      a.(lo + c) <- x;
-      sift a lo c len
-    end
-  end
-
-let sort_slice a lo hi =
-  let n = hi - lo in
-  for i = (n / 2) - 1 downto 0 do
-    sift a lo i n
-  done;
-  for len = n - 1 downto 1 do
-    let x = a.(lo) in
-    a.(lo) <- a.(lo + len);
-    a.(lo + len) <- x;
-    sift a lo 0 len
-  done
 
 (* counting sort of [0 .. len-1] by [key x < k] into [out], ascending inside
    each bucket: bucket b fills [out.(start.(b)) .. out.(start.(b+1) - 1)] *)
@@ -118,35 +83,41 @@ let reserve (b : int array ref) n =
    its origins by index i (first-node order), its classes by run of equal
    sorted class keys. Witnesses are deduplicated as they are found. *)
 
+(* equal words [x, x + len) and [y, y + len) of [a] *)
+let eq (a : int array) x y len =
+  let d = ref 0 in
+  while !d < len && a.(x + !d) = a.(y + !d) do
+    incr d
+  done;
+  !d = len
+
+let mix h x = ((h * 31) + x) land max_int
+
 let run_detect g =
   let locks = Graph.locks g and fl = (Graph.solver g).Solver.flat in
-  let accs = Graph.accesses g in
-  let na = Array.length accs in
-  (* bucket the accesses by flat location id: one int-keyed probe per
-     access names the groups, one counting sort lays every group's members
-     out id-ascending in [csr] (the tid encoding is injective, so the
-     groups are exactly the structural-target groups) *)
-  let gid = Inttbl.create 256 and gof = Array.make na 0 in
-  Array.iteri
-    (fun x n ->
-      let t = tid_of n in
-      gof.(x) <-
+  let nn = Graph.n_nodes g in
+  (* bucket the access nodes by flat location id: one int-keyed probe per
+     access names the groups 1, 2, … (group 0 holds the other nodes), one
+     counting sort lays every group's members out id-ascending in [csr]
+     (the tid encoding is injective, so the groups are exactly the
+     structural-target groups) *)
+  let gid = Inttbl.create 256 and gof = Array.make nn 0 and ns = ref 1 in
+  Graph.iter_accesses g (fun id t sid ->
+      ns := Int.max !ns (sid + 1);
+      gof.(id) <-
         (match Inttbl.find gid t with
         | k -> k
         | exception Not_found ->
-            let k = Inttbl.length gid in
+            let k = Inttbl.length gid + 1 in
             Inttbl.add gid t k;
-            k))
-    accs;
-  let ng = Inttbl.length gid in
-  let gstart = Array.make (ng + 1) 0 and csr = Array.make na 0 in
-  bucket ~key:(fun x -> gof.(x)) ~len:na ~k:ng gstart csr;
-  let n_max = ref 1 and ns = ref 1 in
-  for k = 0 to ng - 1 do
+            k));
+  let ng = Inttbl.length gid + 1 in
+  let gstart = Array.make (ng + 1) 0 and csr = Array.make nn 0 in
+  bucket ~key:(fun x -> gof.(x)) ~len:nn ~k:ng gstart csr;
+  let n_max = ref 1 in
+  for k = 1 to ng - 1 do
     n_max := Int.max !n_max (gstart.(k + 1) - gstart.(k))
   done;
-  Array.iter (fun (n : Graph.node) -> ns := Int.max !ns (n.Graph.n_sid + 1))
-    accs;
   (* packing bounds: HB intervals ({!Graph.interval_bounds}), canonical
      lockset ids, statement ids, and dense field keys — a field's interned
      id, or [n_fields] + a static's slot *)
@@ -155,7 +126,7 @@ let run_detect g =
   let nf = Flat.n_fields fl in
   let nfk = nf + Flat.n_statics fl in
   ignore (n_o *! n_o);
-  ignore (na *! na);
+  ignore (nn *! nn);
   ignore (ns *! ns *! nfk);
   let m_max = Int.min n_max n_o in
   let ostamp = Array.make n_o (-1) (* origin -> last group holding it *)
@@ -163,6 +134,8 @@ let run_detect g =
   (* per member position p *)
   and porg = Array.make n_max 0 (* origin index *)
   and ivl = Array.make n_max 0 (* HB interval, packed t * qb + q *)
+  and plw = Array.make n_max 0 (* lockset * 2 + 1 if a write *)
+  and psid = Array.make n_max 0 (* statement id *)
   and opos = Array.make n_max 0 (* positions, bucketed by origin *)
   and keys = Array.make n_max 0 (* class key * n + slot in opos *)
   and tq = Array.make (2 * n_max) 0 (* each origin's distinct t, then q *)
@@ -198,28 +171,139 @@ let run_detect g =
     incr hbq;
     Graph.hb_state g ~src ~t_idx ~dst ~q_idx
   in
-  (* one witness, as access indices: kept when it is the least (by node
-     ids) of its (site pair, field) key — the first survivor of a sort by
-     node ids then a dedup *)
+  (* The group being checked: its slice of [csr] starts at [glo] and holds
+     [gn] members from [gm] origins. Every helper below reads these cells
+     instead of closing over per-group values, so checking a group
+     allocates nothing. *)
+  let glo = ref 0 and gn = ref 0 and gm = ref 0 and tq_len = ref 0 in
+  let node p = csr.(!glo + p) in
+  (* one witness, as member positions (id-ascending, like the node ids):
+     kept when it is the least (by node ids) of its (site pair, field)
+     key — the first survivor of a sort by node ids then a dedup *)
   let record fk a b =
     let a = Int.min a b and b = Int.max a b in
-    let sa = accs.(a).Graph.n_sid and sb = accs.(b).Graph.n_sid in
+    let sa = psid.(a) and sb = psid.(b) in
     let key = (((Int.min sa sb * ns) + Int.max sa sb) * nfk) + fk
-    and w = (a * na) + b in
+    and w = (node a * nn) + node b in
     match Inttbl.find kept key with
     | v -> if w < v then Inttbl.replace kept key w
     | exception Not_found -> Inttbl.add kept key w
   in
+  let porg_of p = porg.(p) and rkey_of e = !rkey.(e) in
+  (* origin i's distinct t's (or q's): intervals grow with the node id
+     inside one origin, so its id-ascending members list them sorted and
+     only consecutive repeats are duplicates *)
+  let distinct i ~q =
+    let c = ref 0 in
+    for x = ostart.(i) to ostart.(i + 1) - 1 do
+      let v = if q then ivl.(opos.(x)) mod qb else ivl.(opos.(x)) / qb in
+      if !c = 0 || tq.(!tq_len - 1) <> v then begin
+        tq.(!tq_len) <- v;
+        incr tq_len;
+        incr c
+      end
+    done;
+    !c
+  in
+  let first_at_or_after x =
+    let m = !gm in
+    let lo = ref 0 and hi = ref m in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if pre.(mid) < x * m then lo := mid + 1 else hi := mid
+    done;
+    !lo
+  in
+  let nwords i v = ((nts.(i) * nqs.(v)) + 62) / 63 in
+  (* slot x of a row ([col] false: entry x) or of a column *)
+  let key ~col x = if col then !rsrc.(!cperm.(x)) else !rkey.(x) in
+  let off ~col x = !roff.(if col then !cperm.(x) else x) in
+  (* slots [a, a1) without key [ka] against [b, b1) without key [kb],
+     position by position, in row or column i *)
+  let rec eq_without ~col i a a1 ka b b1 kb =
+    if a < a1 && key ~col a = ka then eq_without ~col i (a + 1) a1 ka b b1 kb
+    else if b < b1 && key ~col b = kb then
+      eq_without ~col i a a1 ka (b + 1) b1 kb
+    else if a = a1 || b = b1 then a = a1 && b = b1
+    else
+      let k = key ~col a in
+      k = key ~col b
+      && eq !words (off ~col a) (off ~col b)
+           (if col then nwords k i else nwords i k)
+      && eq_without ~col i (a + 1) a1 ka (b + 1) b1 kb
+  in
+  let rel i v =
+    let e = ref rstart.(i) in
+    while !e < rstart.(i + 1) && !rkey.(!e) <> v do
+      incr e
+    done;
+    if !e < rstart.(i + 1) then !roff.(!e) else -1
+  in
+  (* [equiv i r]: origins i and r are interchangeable inside this group —
+     same self-parallelism and occupied slots, symmetric relation between
+     the two, and identical relations toward every third origin, compared
+     position by position (absent = zero). The relation is transitive
+     (each third-origin row/column equality chains, and the pairwise
+     entries themselves are pinned by any third member), so testing a
+     candidate against one representative per block suffices *)
+  let equiv i r =
+    Graph.self_parallel g oid.(i) = Graph.self_parallel g oid.(r)
+    && nts.(i) = nts.(r)
+    && nqs.(i) = nqs.(r)
+    && eq tq os.(i) os.(r) (nts.(i) + nqs.(i))
+    && (let a = rel i r and b = rel r i in
+        if a < 0 || b < 0 then a = b else eq !words a b (nwords i r))
+    && eq_without ~col:false i rstart.(i) rstart.(i + 1) r rstart.(r)
+         rstart.(r + 1) i
+    && eq_without ~col:true i cstart.(i) cstart.(i + 1) r cstart.(r)
+         cstart.(r + 1) i
+  in
+  (* class c spans keys.(cs.(c)) .. keys.(cs.(c + 1) - 1); its members by
+     origin, then id *)
+  let member x = opos.(keys.(x) mod !gn) in
+  let c_write c = plw.(cfirst.(c)) land 1 = 1
+  and c_ls c = plw.(cfirst.(c)) / 2 in
+  let c_block c = blk.(porg.(cfirst.(c))) in
+  let c_t c = ivl.(cfirst.(c)) / qb and c_q c = ivl.(cfirst.(c)) mod qb in
+  let b_self_par b = Graph.self_parallel g oid.(bfirst.(b)) in
+  let size c = cs.(c + 1) - cs.(c) in
+  (* member pairs of classes ci and cj drawn from one origin, merging
+     their origin-sorted members (for ci = cj, Σ c² over its origins) *)
+  let same_origin ci cj =
+    let s = ref 0 and x = ref cs.(ci) and y = ref cs.(cj) in
+    while !x < cs.(ci + 1) && !y < cs.(cj + 1) do
+      let ox = porg.(member !x) and oy = porg.(member !y) in
+      if ox < oy then incr x
+      else if oy < ox then incr y
+      else begin
+        let x0 = !x and y0 = !y in
+        while !x < cs.(ci + 1) && porg.(member !x) = ox do
+          incr x
+        done;
+        while !y < cs.(cj + 1) && porg.(member !y) = ox do
+          incr y
+        done;
+        s := !s + ((!x - x0) * (!y - y0))
+      end
+    done;
+    !s
+  in
+  let emit fk ~skip x y =
+    let a = member x and b = member y in
+    if not (skip && porg.(a) = porg.(b)) then record fk a b
+  in
   let check_group k =
     let lo = gstart.(k) in
     let n = gstart.(k + 1) - lo in
-    let node p = accs.(csr.(lo + p)) in
+    glo := lo;
+    gn := n;
     (* the group's origins in first-node order; a quick filter skips
        single-origin or read-only groups *)
     let m = ref 0 and has_write = ref false in
+    Graph.gather g Origin csr lo n porg;
+    Graph.gather g Is_write csr lo n plw;
     for p = 0 to n - 1 do
-      let nd = node p in
-      let o = nd.Graph.n_origin in
+      let o = porg.(p) in
       if ostamp.(o) <> k then begin
         ostamp.(o) <- k;
         oidx.(o) <- !m;
@@ -227,38 +311,27 @@ let run_detect g =
         incr m
       end;
       porg.(p) <- oidx.(o);
-      if is_write nd then has_write := true
+      if plw.(p) = 1 then has_write := true
     done;
     let m = !m in
+    gm := m;
     if !has_write && not (m = 1 && not (Graph.self_parallel g oid.(0)))
     then begin
-      let tid = tid_of (node 0) in
+      let tid = Graph.node_arg g (node 0) in
       let fk =
         if Flat.tid_is_static fl tid then nf + tid else Flat.tid_fid fl tid
       in
+      Graph.gather g Lockset csr lo n keys;
+      Graph.gather g Sid csr lo n psid;
       for p = 0 to n - 1 do
         let nd = node p in
-        ivl.(p) <- (Graph.hb_t_idx g nd * qb) + Graph.hb_q_idx g nd
+        ivl.(p) <- (Graph.hb_t_idx g nd * qb) + Graph.hb_q_idx g nd;
+        plw.(p) <- plw.(p) + (2 * keys.(p))
       done;
-      bucket ~key:(fun p -> porg.(p)) ~len:n ~k:m ostart opos;
-      (* each origin's distinct t, then its distinct q: intervals grow with
-         the node id inside one origin, so its id-ascending members list
-         them sorted and only consecutive repeats are duplicates *)
-      let len = ref 0 in
-      let distinct i ~q =
-        let c = ref 0 in
-        for x = ostart.(i) to ostart.(i + 1) - 1 do
-          let v = if q then ivl.(opos.(x)) mod qb else ivl.(opos.(x)) / qb in
-          if !c = 0 || tq.(!len - 1) <> v then begin
-            tq.(!len) <- v;
-            incr len;
-            incr c
-          end
-        done;
-        !c
-      in
+      bucket ~key:porg_of ~len:n ~k:m ostart opos;
+      tq_len := 0;
       for i = 0 to m - 1 do
-        os.(i) <- !len;
+        os.(i) <- !tq_len;
         nts.(i) <- distinct i ~q:false;
         nqs.(i) <- distinct i ~q:true
       done;
@@ -267,15 +340,7 @@ let run_detect g =
       for i = 0 to m - 1 do
         pre.(i) <- (Graph.preorder g oid.(i) * m) + i
       done;
-      sort_slice pre 0 m;
-      let first_at_or_after x =
-        let lo = ref 0 and hi = ref m in
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if pre.(mid) < x * m then lo := mid + 1 else hi := mid
-        done;
-        !lo
-      in
+      Intbuf.sort_slice pre 0 m;
       (* row i: each group origin v whose relation matrix from i is
          nonzero, that matrix bit-packed row-major over i's t's × v's q's.
          Only the group origins the closure pieces cover can relate; bit
@@ -318,7 +383,7 @@ let run_detect g =
           done
         done;
         (* entries by group index: one order for every row *)
-        sort_slice !rkey rstart.(i) !nr;
+        Intbuf.sort_slice !rkey rstart.(i) !nr;
         reserve roff !nr;
         reserve rsrc !nr;
         for e = rstart.(i) to !nr - 1 do
@@ -330,68 +395,13 @@ let run_detect g =
       done;
       rstart.(m) <- !nr;
       reserve cperm !nr;
-      let rkey = !rkey and roff = !roff and rsrc = !rsrc and w = !words in
       (* columns by transposition, each in group order *)
-      bucket ~key:(fun e -> rkey.(e)) ~len:!nr ~k:m cstart !cperm;
-      let cperm = !cperm in
-      let nwords i v = ((nts.(i) * nqs.(v)) + 62) / 63 in
-      let eq (a : int array) x y len =
-        let d = ref 0 in
-        while !d < len && a.(x + !d) = a.(y + !d) do
-          incr d
-        done;
-        !d = len
-      in
-      (* slot x of a row ([col] false: entry x) or of a column *)
-      let key ~col x = if col then rsrc.(cperm.(x)) else rkey.(x) in
-      let off ~col x = roff.(if col then cperm.(x) else x) in
-      (* slots [a, a1) without key [ka] against [b, b1) without key [kb],
-         position by position, in row or column i *)
-      let rec eq_without ~col i a a1 ka b b1 kb =
-        if a < a1 && key ~col a = ka then
-          eq_without ~col i (a + 1) a1 ka b b1 kb
-        else if b < b1 && key ~col b = kb then
-          eq_without ~col i a a1 ka (b + 1) b1 kb
-        else if a = a1 || b = b1 then a = a1 && b = b1
-        else
-          let k = key ~col a in
-          k = key ~col b
-          && eq w (off ~col a) (off ~col b)
-               (if col then nwords k i else nwords i k)
-          && eq_without ~col i (a + 1) a1 ka (b + 1) b1 kb
-      in
-      let rel i v =
-        let e = ref rstart.(i) in
-        while !e < rstart.(i + 1) && rkey.(!e) <> v do
-          incr e
-        done;
-        if !e < rstart.(i + 1) then roff.(!e) else -1
-      in
-      (* [equiv i r]: origins i and r are interchangeable inside this group —
-         same self-parallelism and occupied slots, symmetric relation between
-         the two, and identical relations toward every third origin, compared
-         position by position (absent = zero). The relation is transitive
-         (each third-origin row/column equality chains, and the pairwise
-         entries themselves are pinned by any third member), so testing a
-         candidate against one representative per block suffices *)
-      let equiv i r =
-        Graph.self_parallel g oid.(i) = Graph.self_parallel g oid.(r)
-        && nts.(i) = nts.(r)
-        && nqs.(i) = nqs.(r)
-        && eq tq os.(i) os.(r) (nts.(i) + nqs.(i))
-        && (let a = rel i r and b = rel r i in
-            if a < 0 || b < 0 then a = b else eq w a b (nwords i r))
-        && eq_without ~col:false i rstart.(i) rstart.(i + 1) r rstart.(r)
-             rstart.(r + 1) i
-        && eq_without ~col:true i cstart.(i) cstart.(i + 1) r cstart.(r)
-             cstart.(r + 1) i
-      in
+      bucket ~key:rkey_of ~len:!nr ~k:m cstart !cperm;
       (* greedy origin blocks, deterministic (first-node order both ways).
          Equivalent origins share (self-par, ts, qs, |row|, |col|), so a
          candidate is tested only against the representatives whose digest
          of that key equals its own (chained from [reps] through [nxt]); by
          transitivity at most one of them is equivalent to it *)
-      let mix h x = ((h * 31) + x) land max_int in
       for i = 0 to m - 1 do
         let h = ref (Bool.to_int (Graph.self_parallel g oid.(i))) in
         h := mix !h (rstart.(i + 1) - rstart.(i));
@@ -433,18 +443,14 @@ let run_detect g =
       ignore (!nb *! (tb *! qb) *! nls *! 2 *! n);
       for x = 0 to n - 1 do
         let p = opos.(x) in
-        let nd = node p in
         let key =
-          ((((blk.(porg.(p)) * tb * qb) + ivl.(p)) * nls) + nd.Graph.n_lockset)
-          * 2
-          + if is_write nd then 1 else 0
+          ((((blk.(porg.(p)) * tb * qb) + ivl.(p)) * nls * 2) + plw.(p))
         in
         keys.(x) <- (key * n) + x
       done;
-      sort_slice keys 0 n;
-      let member x = opos.(keys.(x) mod n) in
-      (* class c spans keys.(cs.(c)) .. keys.(cs.(c + 1) - 1); [cord] lists
-         the classes by first member (= id), packed [first * n + c] *)
+      Intbuf.sort_slice keys 0 n;
+      (* [cord] lists the classes by first member (= id), packed
+         [first * n + c] *)
       let nc = ref 0 and x = ref 0 in
       while !x < n do
         let c = !nc and key = keys.(!x) / n and p0 = ref n in
@@ -459,58 +465,27 @@ let run_detect g =
       done;
       let nc = !nc in
       cs.(nc) <- n;
-      sort_slice cord 0 nc;
-      let head c = node cfirst.(c) in
-      let c_block c = blk.(porg.(cfirst.(c))) in
-      let c_t c = ivl.(cfirst.(c)) / qb and c_q c = ivl.(cfirst.(c)) mod qb in
-      let b_self_par b = Graph.self_parallel g oid.(bfirst.(b)) in
-      let size c = cs.(c + 1) - cs.(c) in
-      (* member pairs of classes ci and cj drawn from one origin, merging
-         their origin-sorted members (for ci = cj, Σ c² over its origins) *)
-      let same_origin ci cj =
-        let s = ref 0 and x = ref cs.(ci) and y = ref cs.(cj) in
-        while !x < cs.(ci + 1) && !y < cs.(cj + 1) do
-          let ox = porg.(member !x) and oy = porg.(member !y) in
-          if ox < oy then incr x
-          else if oy < ox then incr y
-          else begin
-            let x0 = !x and y0 = !y in
-            while !x < cs.(ci + 1) && porg.(member !x) = ox do
-              incr x
-            done;
-            while !y < cs.(cj + 1) && porg.(member !y) = ox do
-              incr y
-            done;
-            s := !s + ((!x - x0) * (!y - y0))
-          end
-        done;
-        !s
-      in
-      let emit ~skip x y =
-        let a = member x and b = member y in
-        if not (skip && porg.(a) = porg.(b)) then
-          record fk csr.(lo + a) csr.(lo + b)
-      in
+      Intbuf.sort_slice cord 0 nc;
       (* a write by a self-parallel origin races with the same access in
          another run-time instance of that origin — unless the access holds a
          lock, which the other instance would hold too *)
       for c = 0 to nc - 1 do
         if
-          is_write (head c)
+          c_write c
           && b_self_par (c_block c)
-          && (head c).Graph.n_lockset = Lockset.empty locks
+          && c_ls c = Lockset.empty locks
         then begin
           incr pairs;
           n_cls := !n_cls + size c - 1;
           for x = cs.(c) to cs.(c + 1) - 1 do
-            emit ~skip:false x x
+            emit fk ~skip:false x x
           done
         end
       done;
       for i = 0 to nc - 1 do
         for j = i to nc - 1 do
           let ci = cord.(i) mod n and cj = cord.(j) mod n in
-          if is_write (head ci) || is_write (head cj) then begin
+          if c_write ci || c_write cj then begin
             let bi = c_block ci and bj = c_block cj in
             let same_block = bi = bj in
             let sp_i = b_self_par bi and sp_j = b_self_par bj in
@@ -530,8 +505,7 @@ let run_detect g =
             if candidates > 0 then begin
               incr pairs;
               n_cls := !n_cls + candidates - 1;
-              let ls_i = (head ci).Graph.n_lockset
-              and ls_j = (head cj).Graph.n_lockset in
+              let ls_i = c_ls ci and ls_j = c_ls cj in
               if not (Lockset.disjoint locks ls_i ls_j) then incr n_lock
               else begin
                 (* HB edges in/out of a self-parallel origin order each
@@ -562,7 +536,7 @@ let run_detect g =
                   for x = cs.(ci) to cs.(ci + 1) - 1 do
                     let y0 = if i = j then x + 1 else cs.(cj) in
                     for y = y0 to cs.(cj + 1) - 1 do
-                      emit ~skip x y
+                      emit fk ~skip x y
                     done
                   done
                 end
@@ -573,17 +547,21 @@ let run_detect g =
       done
     end
   in
-  for k = 0 to ng - 1 do
+  for k = 1 to ng - 1 do
     check_group k
   done;
   Graph.note_hb_queries g !hbq;
-  (* the kept witnesses by node ids; access indices follow node ids *)
+  (* the kept witnesses by node ids, built as records only here *)
   let races =
     Inttbl.fold (fun _ w l -> w :: l) kept []
     |> List.sort Int.compare
     |> List.map (fun w ->
-           let a = accs.(w / na) and b = accs.(w mod na) in
-           { r_target = Graph.target_of g (tid_of a); r_a = a; r_b = b })
+           let a = w / nn and b = w mod nn in
+           {
+             r_target = Graph.target_of g (Graph.node_arg g a);
+             r_a = Graph.node g a;
+             r_b = Graph.node g b;
+           })
   in
   {
     races;

@@ -44,47 +44,28 @@ let shb ppf g =
     Format.fprintf ppf "  subgraph cluster_%d {@.    label=\"%s%s\";@." o
       (escape (origin_label g o))
       (if Graph.self_parallel g o then " (self-parallel)" else "");
-    let prev = ref None in
-    Array.iter
-      (fun (n : Graph.node) ->
-        if n.Graph.n_origin = o then begin
-          Format.fprintf ppf "    n%d [label=\"%s\"];@." n.Graph.n_id
-            (escape (node_label g n));
-          (match !prev with
-          | Some p -> Format.fprintf ppf "    n%d -> n%d [style=dotted];@." p n.Graph.n_id
-          | None -> ());
-          prev := Some n.Graph.n_id
-        end)
-      (Graph.nodes g);
+    let lo, hi = Graph.origin_nodes g o in
+    for id = lo to hi - 1 do
+      Format.fprintf ppf "    n%d [label=\"%s\"];@." id
+        (escape (node_label g (Graph.node g id)));
+      if id > lo then
+        Format.fprintf ppf "    n%d -> n%d [style=dotted];@." (id - 1) id
+    done;
     Format.fprintf ppf "  }@."
   done;
-  (* inter-origin edges *)
-  let first_of o =
-    let found = ref None in
-    Array.iter
-      (fun (n : Graph.node) ->
-        if n.Graph.n_origin = o && !found = None then found := Some n.Graph.n_id)
-      (Graph.nodes g);
-    !found
-  in
-  let last_of o =
-    let found = ref None in
-    Array.iter
-      (fun (n : Graph.node) -> if n.Graph.n_origin = o then found := Some n.Graph.n_id)
-      (Graph.nodes g);
-    !found
-  in
+  (* inter-origin edges, to a child's first node or from its last *)
   List.iter
     (fun (_, child, nid) ->
-      match first_of child with
-      | Some f -> Format.fprintf ppf "  n%d -> n%d [style=dashed, color=blue];@." nid f
-      | None -> ())
+      let lo, hi = Graph.origin_nodes g child in
+      if lo < hi then
+        Format.fprintf ppf "  n%d -> n%d [style=dashed, color=blue];@." nid lo)
     (Graph.spawn_edges g);
   List.iter
     (fun (child, _, nid) ->
-      match last_of child with
-      | Some l -> Format.fprintf ppf "  n%d -> n%d [style=dashed, color=red];@." l nid
-      | None -> ())
+      let lo, hi = Graph.origin_nodes g child in
+      if lo < hi then
+        Format.fprintf ppf "  n%d -> n%d [style=dashed, color=red];@." (hi - 1)
+          nid)
     (Graph.join_edges g);
   List.iter
     (fun (_, sid, _, wid) ->

@@ -49,13 +49,17 @@ type t
     @param lock_region enable lock-region access merging (default [true];
     the ablation benchmark disables it).
     @param metrics observability sink: construction runs inside an
-    ["shb.build"] span and records [shb.nodes], [shb.access_nodes],
-    [shb.edges] (spawn + join + semaphore), [shb.locksets] and
-    [shb.hb_closure_size]. *)
+    ["shb.build"] span, around ["shb.walk"], ["shb.edges"] (semaphore
+    edges) and ["shb.labels"] (the HB closure), and records [shb.nodes],
+    [shb.access_nodes], [shb.edges] (spawn + join + semaphore),
+    [shb.locksets] and [shb.hb_closure_size].
+    @param budget its deadline is polled once per origin of the walk
+    ({!O2_util.Budget.Exhausted} when it has passed). *)
 val build :
   ?serial_events:bool ->
   ?lock_region:bool ->
   ?metrics:O2_util.Metrics.t ->
+  ?budget:O2_util.Budget.t ->
   Solver.result ->
   t
 
@@ -67,10 +71,43 @@ val target_of : t -> int -> Access.target
 
 val locks : t -> Lockset.t
 
-(** [accesses g] lists all read/write access nodes, id-ascending. *)
+(** {1 Node columns}
+
+    Nodes are int columns indexed by node id, dense from 0 in emission
+    order. These reads allocate nothing; an id outside [0, n_nodes g)
+    raises [Invalid_argument]. *)
+
+val n_nodes : t -> int
+val n_accesses : t -> int
+
+(** [node_arg g id] is the argument of node [id]'s {!node_kind}. *)
+val node_arg : t -> int -> int
+
+(** A column {!gather} reads: [Is_write] is 1 for a write node, else 0. *)
+type column = Origin | Sid | Is_write | Lockset
+
+(** [gather g c ids lo n dst] writes column [c] of the nodes
+    [ids.(lo) .. ids.(lo + n - 1)] to [dst.(0) .. dst.(n - 1)], in one
+    call for the whole run. *)
+val gather : t -> column -> int array -> int -> int -> int array -> unit
+
+(** [iter_accesses g f] calls [f id tid sid] on each access node,
+    id-ascending. *)
+val iter_accesses : t -> (int -> int -> int -> unit) -> unit
+
+(** [origin_nodes g o] is [(lo, hi)]: origin [o]'s trace is the node ids
+    [lo .. hi - 1], since the walk emits one origin at a time. *)
+val origin_nodes : t -> int -> int * int
+
+(** [node g id] builds node [id]'s record, for reports, printing and the
+    reference passes; the analysis reads the columns. *)
+val node : t -> int -> node
+
+(** [accesses g] lists all read/write access nodes, id-ascending, as
+    fresh records ({!node}). *)
 val accesses : t -> node array
 
-(** [nodes g] lists every node, id-ascending. *)
+(** [nodes g] lists every node, id-ascending, as fresh records. *)
 val nodes : t -> node array
 
 (** [n_origins g] is the number of origins: the solver's spawn count. *)
@@ -101,14 +138,14 @@ val sem_edges : t -> (int * int * int * int) list
     ({!hb_q_idx}). *)
 val hb : t -> node -> node -> bool
 
-(** [hb_t_idx g n] and [hb_q_idx g n] are [n]'s HB interval: the index
+(** [hb_t_idx g n] and [hb_q_idx g n] are node [n]'s HB interval: the index
     of [n] among its origin's outgoing timed-edge thresholds, and the count
     of its origin's incoming entry positions at or before [n]. Two nodes of
     the same origin with equal intervals have identical inter-origin HB
     behaviour — the key fact behind equivalence-class race checking. *)
-val hb_t_idx : t -> node -> int
+val hb_t_idx : t -> int -> int
 
-val hb_q_idx : t -> node -> int
+val hb_q_idx : t -> int -> int
 
 (** [interval_bounds g] is [(tb, qb)]: exclusive upper bounds of
     {!hb_t_idx} and {!hb_q_idx} over all origins, used by the race engine to

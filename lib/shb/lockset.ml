@@ -9,6 +9,7 @@ type t = {
   intern : LsIntern.t;
   disjoint_cache : bool O2_util.Inttbl.t;
       (* keyed by the ordered id pair, packed [lo lsl 31 lor hi] *)
+  acquired : int O2_util.Inttbl.t;  (* keyed [ls lsl 31 lor (lock + 1)] *)
   mutable hits : int;
   mutable misses : int;
 }
@@ -20,6 +21,7 @@ let create () =
     {
       intern = LsIntern.create ();
       disjoint_cache = O2_util.Inttbl.create 64;
+      acquired = O2_util.Inttbl.create 64;
       hits = 0;
       misses = 0;
     }
@@ -31,9 +33,19 @@ let empty _t = 0
 let id t locks = LsIntern.intern t.intern (List.sort_uniq compare locks)
 let elements t ls = LsIntern.value t.intern ls
 
+(* memoized per (lockset, lock): a miss interns what an unmemoized call
+   would, so the ids do not depend on the cache *)
 let acquire t ls l =
-  let cur = elements t ls in
-  if List.mem l cur then ls else id t (l :: cur)
+  if ls lsr 31 <> 0 || (l + 1) lsr 31 <> 0 then
+    invalid_arg "Lockset.acquire: id exceeds the 31-bit packing bound";
+  let key = (ls lsl 31) lor (l + 1) in
+  match O2_util.Inttbl.find t.acquired key with
+  | v -> v
+  | exception Not_found ->
+      let cur = elements t ls in
+      let v = if List.mem l cur then ls else id t (l :: cur) in
+      O2_util.Inttbl.add t.acquired key v;
+      v
 
 let disjoint t a b =
   if a = 0 || b = 0 then true

@@ -24,7 +24,8 @@ val empty : t -> int
     (duplicates ignored). *)
 val id : t -> int list -> int
 
-(** [acquire env ls l] is the canonical id of [ls ∪ {l}]. *)
+(** [acquire env ls l] is the canonical id of [ls ∪ {l}], memoized per
+    pair. *)
 val acquire : t -> int -> int -> int
 
 (** [elements env ls] lists the locks of canonical set [ls], sorted. *)

@@ -146,6 +146,18 @@ let iter f s =
     iter_word f s.words.(w - s.base) (w * word_bits)
   done
 
+(* descending order: the words from the top, each word's bits from its
+   highest *)
+let iter_desc f s =
+  let hi = top_word s in
+  for w = hi - 1 downto s.base do
+    let x = s.words.(w - s.base) in
+    if x <> 0 then
+      for b = word_bits - 1 downto 0 do
+        if x land (1 lsl b) <> 0 then f ((w * word_bits) + b)
+      done
+  done
+
 let fold f s acc =
   let acc = ref acc in
   iter (fun i -> acc := f i !acc) s;

@@ -70,6 +70,10 @@ val is_empty : t -> bool
 (** [iter f s] applies [f] to each element in increasing order. *)
 val iter : (int -> unit) -> t -> unit
 
+(** [iter_desc f s] applies [f] to each element in decreasing order:
+    [f] sees exactly [List.rev (elements s)]. *)
+val iter_desc : (int -> unit) -> t -> unit
+
 (** [fold f s acc] folds over elements in increasing order. *)
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 

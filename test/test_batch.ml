@@ -161,6 +161,31 @@ let test_copy_ring_ceiling () =
       check_bool "step ceiling named" true (contains msg "ceiling")
   | _ -> Alcotest.fail "expected a step-ceiling timeout entry"
 
+(* the deadline is polled once per origin inside the SHB and OSA walks: a
+   budget already past it stops [Graph.build] during the walk, before the
+   HB labels, rather than at the next stage boundary. Without a budget
+   nothing is polled and the same build completes. *)
+let test_walk_polls_deadline () =
+  let a = O2_pta.Solver.analyze (O2_frontend.Parser.parse_string racy_src) in
+  let b = O2_util.Budget.make ~wall:0.0 () in
+  Unix.sleepf 0.002;
+  let m = O2_util.Metrics.create () in
+  (match O2_shb.Graph.build ~metrics:m ~budget:b a with
+  | _ -> Alcotest.fail "expected Budget.Exhausted from the SHB walk"
+  | exception O2_util.Budget.Exhausted `Wall -> ());
+  let paths =
+    List.map (fun s -> s.O2_util.Metrics.sp_path) (O2_util.Metrics.spans m)
+  in
+  check_bool "raised inside the walk" true
+    (List.mem "shb.build/shb.walk" paths);
+  check_bool "labels never started" false
+    (List.mem "shb.build/shb.labels" paths);
+  (match O2_osa.Osa.run ~budget:b a with
+  | _ -> Alcotest.fail "expected Budget.Exhausted from the OSA walk"
+  | exception O2_util.Budget.Exhausted `Wall -> ());
+  check_bool "no budget: the build completes" true
+    (O2_shb.Graph.n_nodes (O2_shb.Graph.build a) > 0)
+
 (* ---------------- per-file byte-identity with serial analyze ---------------- *)
 
 let serial_report format file =
@@ -401,6 +426,8 @@ let () =
           Alcotest.test_case "wall deadline" `Quick test_wall_deadline;
           Alcotest.test_case "copy ring under a step ceiling" `Quick
             test_copy_ring_ceiling;
+          Alcotest.test_case "walks poll the deadline" `Quick
+            test_walk_polls_deadline;
           Alcotest.test_case "no activity class" `Quick
             test_no_activity_message;
         ] );

@@ -161,6 +161,40 @@ let test_pipeline_spans () =
       "analyze/osa"; "analyze/osa/osa.scan";
     ]
 
+(* SHB construction names its phases: the walk, the semaphore edges and
+   the HB labels run in that order, each a direct child of shb.build and
+   inside its interval. *)
+let test_shb_sub_spans () =
+  let _, m = instrumented_run () in
+  let find p =
+    match
+      List.find_opt (fun s -> s.Metrics.sp_path = p) (Metrics.spans m)
+    with
+    | Some s -> s
+    | None -> Alcotest.fail ("span not traced: " ^ p)
+  in
+  let build = find "analyze/shb/shb.build" in
+  let ends s = s.Metrics.sp_start +. s.Metrics.sp_elapsed in
+  let subs =
+    List.map
+      (fun n -> find ("analyze/shb/shb.build/" ^ n))
+      [ "shb.walk"; "shb.edges"; "shb.labels" ]
+  in
+  List.iter
+    (fun s ->
+      let p = s.Metrics.sp_path in
+      check_int ("depth of " ^ p) (build.Metrics.sp_depth + 1)
+        s.Metrics.sp_depth;
+      check ("closed: " ^ p) true (s.Metrics.sp_elapsed >= 0.);
+      check ("starts inside shb.build: " ^ p) true
+        (s.Metrics.sp_start >= build.Metrics.sp_start);
+      (* the same clock reading can round either way through [ends] *)
+      check ("ends inside shb.build: " ^ p) true (ends s <= ends build +. 1e-9))
+    subs;
+  check "walk, edges, labels in order" true
+    (List.map (fun s -> s.Metrics.sp_seq) subs
+    = List.sort compare (List.map (fun s -> s.Metrics.sp_seq) subs))
+
 (* Counters agree with the result the caller sees. *)
 let test_counters_match_result () =
   let r, m = instrumented_run () in
@@ -230,6 +264,7 @@ let () =
         [
           Alcotest.test_case "stage counters" `Quick test_pipeline_counters;
           Alcotest.test_case "stage spans" `Quick test_pipeline_spans;
+          Alcotest.test_case "shb sub-spans" `Quick test_shb_sub_spans;
           Alcotest.test_case "counters match result" `Quick
             test_counters_match_result;
         ] );

@@ -29,7 +29,12 @@ let test_lockset_acquire () =
   let ls2 = Lockset.acquire env ls 5 in
   check_int "reentrant acquire is identity" ls ls2;
   let ls3 = Lockset.acquire env ls 9 in
-  Alcotest.(check (list int)) "nested" [ 5; 9 ] (Lockset.elements env ls3)
+  Alcotest.(check (list int)) "nested" [ 5; 9 ] (Lockset.elements env ls3);
+  (* memoized answers are the ids a fresh interning gives *)
+  check_int "repeat acquire" ls3 (Lockset.acquire env ls 9);
+  check_int "same id as interning" ls3 (Lockset.id env [ 9; 5 ]);
+  check_int "dispatcher lock" (Lockset.id env [ Lockset.dispatcher_lock ])
+    (Lockset.acquire env (Lockset.empty env) Lockset.dispatcher_lock)
 
 let test_lockset_disjoint_cache () =
   let env = Lockset.create () in
@@ -595,8 +600,8 @@ let prop_hb_closure_matches_bfs =
               if !ok && x.Graph.n_origin <> y.Graph.n_origin then begin
                 ok :=
                   Graph.hb_state g ~src:x.Graph.n_origin
-                    ~t_idx:(Graph.hb_t_idx g x) ~dst:y.Graph.n_origin
-                    ~q_idx:(Graph.hb_q_idx g y)
+                    ~t_idx:(Graph.hb_t_idx g x.Graph.n_id) ~dst:y.Graph.n_origin
+                    ~q_idx:(Graph.hb_q_idx g y.Graph.n_id)
                   = hb
               end;
               j := !j + stride
@@ -843,6 +848,34 @@ let test_generator_non_tree () =
   check_bool "some sampled program has a non-tree edge" true
     (with_non_tree <> [])
 
+(* An allocation guard for construction: the graph keeps four int words
+   per node in fixed chunks, and the walk, the region table and the label
+   build reuse scratch of their own, so [Graph.build] on chainstorm
+   allocates 15.1 words per node (minor + major − promoted, [Gc.minor]
+   before each sample; 88 with node records, a region table per origin
+   and list- and map-built labels). The bound is 1.5× that: a node record
+   (~12 words with its list cell) or a 256-bucket table per origin (~9
+   words per node here) that comes back fails. *)
+let test_build_allocation () =
+  let a =
+    Solver.analyze
+      (O2_workloads.Synth.program (O2_workloads.Synth.find "chainstorm"))
+  in
+  ignore (Graph.build a);
+  Gc.minor ();
+  let s0 = Gc.quick_stat () in
+  let g = Graph.build a in
+  Gc.minor ();
+  let s1 = Gc.quick_stat () in
+  let words =
+    s1.minor_words -. s0.minor_words +. s1.major_words -. s0.major_words
+    -. (s1.promoted_words -. s0.promoted_words)
+  in
+  let per_node = words /. float (Graph.n_nodes g) in
+  check_bool
+    (Printf.sprintf "%.1f words per node <= 22.7" per_node)
+    true (per_node <= 22.7)
+
 let () =
   Alcotest.run "shb"
     [
@@ -863,6 +896,8 @@ let () =
             test_lockset_on_access;
           Alcotest.test_case "ambiguous lock not must" `Quick
             test_multi_pts_lock_is_not_must;
+          Alcotest.test_case "build allocation per node" `Quick
+            test_build_allocation;
         ] );
       ( "happens-before",
         [

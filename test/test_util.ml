@@ -70,6 +70,33 @@ let test_bitset_negative_add () =
   Alcotest.check_raises "negative add" (Invalid_argument "Bitset.add: negative")
     (fun () -> ignore (Bitset.add (Bitset.create ()) (-1)))
 
+let test_bitset_iter_desc () =
+  let desc s =
+    let seen = ref [] in
+    Bitset.iter_desc (fun i -> seen := i :: !seen) s;
+    List.rev !seen
+  in
+  check "empty set" true (desc (Bitset.create ()) = []);
+  let s = Bitset.create () in
+  List.iter (fun i -> ignore (Bitset.add s i)) [ 5_000; 5_062; 5_063; 9_000 ];
+  Alcotest.(check (list int))
+    "window far above zero" [ 9_000; 5_063; 5_062; 5_000 ] (desc s);
+  Bitset.clear s;
+  check "cleared set" true (desc s = [])
+
+(* qcheck: [iter_desc] visits exactly the reversed [elements], on windows
+   based at zero or far above it, one word wide or many *)
+let prop_bitset_iter_desc =
+  QCheck2.Test.make ~name:"iter_desc visits the reversed elements" ~count:300
+    QCheck2.Gen.(
+      pair (oneofl [ 0; 1; 62; 63; 4_000; 100_003 ]) (list (int_bound 700)))
+    (fun (base, xs) ->
+      let s = Bitset.create () in
+      List.iter (fun i -> ignore (Bitset.add s (base + i))) xs;
+      let seen = ref [] in
+      Bitset.iter_desc (fun i -> seen := i :: !seen) s;
+      List.rev !seen = List.rev (Bitset.elements s))
+
 (* qcheck: bitset behaves like a set of ints *)
 let prop_bitset_model =
   QCheck2.Test.make ~name:"bitset agrees with list-set model" ~count:200
@@ -291,9 +318,11 @@ let () =
           Alcotest.test_case "subset/equal" `Quick test_bitset_subset_equal;
           Alcotest.test_case "copy" `Quick test_bitset_copy_independent;
           Alcotest.test_case "negative" `Quick test_bitset_negative_add;
+          Alcotest.test_case "iter_desc" `Quick test_bitset_iter_desc;
           QCheck_alcotest.to_alcotest prop_bitset_model;
           QCheck_alcotest.to_alcotest prop_bitset_union_commutes;
           QCheck_alcotest.to_alcotest prop_bitset_diff;
+          QCheck_alcotest.to_alcotest prop_bitset_iter_desc;
           QCheck_alcotest.to_alcotest prop_bitset_ops_model;
         ] );
       ( "intern",
